@@ -62,18 +62,20 @@ class AntColony(Agent):
         # one view per parameter into the flat trail
         self.pheromone = [self._trail[o : o + s] for o, s in zip(self._offsets, sizes)]
         self._batch: list[tuple[DesignPoint, float]] = []
+        self._tabulate()
+
+    def _tabulate(self) -> None:
+        """Cumulative tau^beta per parameter; the trail changes only in `update`."""
+        self._cum = [np.cumsum(tau ** self._hyperparams["beta"]) for tau in self.pheromone]
 
     def propose(self, rng: np.random.Generator) -> DesignPoint:
-        hp = self._hyperparams
+        epsilon = self._hyperparams["epsilon"]
         indices = []
-        for tau in self.pheromone:
-            if hp["epsilon"] > 0 and rng.random() < hp["epsilon"]:
-                indices.append(int(rng.integers(0, len(tau))))
-                continue
-            weights = tau ** hp["beta"]
-            cum = np.cumsum(weights)
-            draw = rng.random() * cum[-1]
-            indices.append(int(np.searchsorted(cum, draw, side="right")))
+        for cum in self._cum:
+            if epsilon > 0 and rng.random() < epsilon:
+                indices.append(int(rng.integers(0, len(cum))))
+            else:
+                indices.append(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")))
         return DesignPoint(tuple(indices))
 
     def _on_observe(self, point: DesignPoint, reward: float) -> None:
@@ -95,3 +97,4 @@ class AntColony(Agent):
             chosen.ravel(), np.repeat(ranks, chosen.shape[1]), minlength=self._trail.size
         )
         self._trail += hp["deposit"] / len(evaluated) * rank_sums
+        self._tabulate()

@@ -30,10 +30,6 @@ class HyperparamSet(Mapping):
     def digest(self) -> str:
         return self._digest
 
-    @property
-    def short_digest(self) -> str:
-        return self._digest[:12]
-
     def as_dict(self) -> dict:
         return dict(self._values)
 

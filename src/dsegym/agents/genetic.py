@@ -97,26 +97,6 @@ class GeneticAlgorithm(Agent):
             self._pending.fitness = reward
             self._pending = None
 
-    # -- generational step -----------------------------------------------------
-
-    def run_generation(self, evaluate, rng: np.random.Generator) -> None:
-        """Evaluate all pending members with `evaluate`, then breed once."""
-        if not self.population:
-            self.population = [
-                Individual(sample_uniform(self.space, rng))
-                for _ in range(self._hyperparams["population_size"])
-            ]
-        for ind in self.population:
-            if ind.fitness is None:
-                ind.fitness = evaluate(ind.point)
-                if ind.fitness > self._best_reward:
-                    self._best_point, self._best_reward = ind.point, ind.fitness
-        self._breed(rng)
-
-    def elite(self) -> Individual:
-        evaluated = [i for i in self.population if i.fitness is not None]
-        return max(evaluated, key=lambda i: i.fitness)
-
     def _first_unevaluated(self) -> Individual | None:
         for ind in self.population:
             if ind.fitness is None:

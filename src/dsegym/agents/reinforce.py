@@ -73,16 +73,23 @@ class Reinforce(Agent):
         self.logits = [np.zeros(s) for s in space.sizes]
         self.baseline: float | None = None
         self._batch: list[tuple[DesignPoint, float]] = []
+        self._tabulate()
 
     def probabilities(self) -> list[np.ndarray]:
         return [softmax(l) for l in self.logits]
 
+    def _tabulate(self) -> None:
+        """Cumulative softmax per parameter; the logits change only in `update`."""
+        self._cum = [np.cumsum(p) for p in self.probabilities()]
+
     def propose(self, rng: np.random.Generator) -> DesignPoint:
-        indices = []
-        for l in self.logits:
-            cum = np.cumsum(softmax(l))
-            indices.append(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")))
-        return DesignPoint(tuple(indices))
+        draws = rng.random(len(self._cum))
+        return DesignPoint(
+            tuple(
+                int(np.searchsorted(cum, u * cum[-1], side="right"))
+                for cum, u in zip(self._cum, draws)
+            )
+        )
 
     def _on_observe(self, point: DesignPoint, reward: float) -> None:
         self._batch.append((point, reward))
@@ -109,3 +116,4 @@ class Reinforce(Agent):
             if hp["entropy_weight"] > 0:
                 grad = grad + hp["entropy_weight"] * entropy_gradient(softmax(self.logits[j]))
             self.logits[j] += lr * grad
+        self._tabulate()

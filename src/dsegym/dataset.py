@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -75,17 +74,16 @@ class TrajectoryRecord:
 
 
 class TrajectoryWriter:
-    """Append-only single-writer sink for one trial's records.
+    """Single-writer sink for one trial's records.
 
-    Opening for append truncates a partial trailing line left by a crashed
-    writer, so the file always ends on a record boundary.
+    Opening truncates the file: a trial always writes its records from
+    step 0, so a rerun replaces an earlier file instead of extending it.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        _truncate_partial_tail(self.path)
-        self._file = open(self.path, "a", encoding="utf-8")
+        self._file = open(self.path, "w", encoding="utf-8")
 
     def append(self, record: TrajectoryRecord) -> None:
         self._file.write(record.to_json() + "\n")
@@ -99,26 +97,6 @@ class TrajectoryWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _truncate_partial_tail(path: Path) -> None:
-    if not path.exists() or path.stat().st_size == 0:
-        return
-    with open(path, "rb+") as f:
-        f.seek(-1, os.SEEK_END)
-        if f.read(1) == b"\n":
-            return
-        # walk back to the last newline and cut there
-        size = f.seek(0, os.SEEK_END)
-        keep = 0
-        f.seek(0)
-        for chunk_start in range(0, size, 1 << 20):
-            chunk = f.read(min(1 << 20, size - chunk_start))
-            pos = chunk.rfind(b"\n")
-            if pos >= 0:
-                keep = chunk_start + pos + 1
-        f.truncate(keep)
-        warnings.warn(f"truncated partial trailing line in {path}")
 
 
 @dataclass
@@ -276,8 +254,3 @@ def write_manifest(path, files: list[str], dataset: Dataset, partial: list[dict]
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def read_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)

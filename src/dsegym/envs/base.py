@@ -79,6 +79,7 @@ class SyntheticEnv(Environment):
         self._cost_fn = cost_fn
         self._constants = constants
         self._reference = point_from_map(space, reference_design)
+        self._reference_obs: Observation | None = None  # evaluated on first reset
         self.episode_length = episode_length
         self.delay_s = delay_s
         self._steps_in_episode = 0
@@ -92,8 +93,16 @@ class SyntheticEnv(Environment):
         return self._workload
 
     def reset(self) -> Observation:
+        """Start an episode; returns the reference design's observation.
+
+        The cost model is pure, so the reference is evaluated once.  Each
+        call returns a fresh copy, because callers may edit `metrics`.
+        """
         self._steps_in_episode = 0
-        return self.observe(self._reference)
+        if self._reference_obs is None:
+            self._reference_obs = self.observe(self._reference)
+        ref = self._reference_obs
+        return Observation(dict(ref.metrics), ref.valid, dict(ref.units))
 
     def step(self, point: DesignPoint) -> StepResult:
         self._space.validate_point(point)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -84,7 +84,12 @@ def experiment_id(spec: TrialSpec, digest: str) -> str:
 
 
 def run_trial(spec: TrialSpec) -> TrialResult:
-    """propose -> step -> observe for exactly `budget` samples, logging each."""
+    """propose -> step -> observe for exactly `budget` samples, logging each.
+
+    Records go to `<experiment_id>.jsonl.partial`, which is renamed to
+    `<experiment_id>.jsonl` after the last step; a failed trial leaves only
+    the partial file, and a rerun replaces the earlier trajectory.
+    """
     env = make_env(
         spec.env_id,
         spec.workload_id,
@@ -101,7 +106,7 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     path = None
     if spec.out_dir is not None:
         path = Path(spec.out_dir) / f"{exp_id}.jsonl"
-        writer = TrajectoryWriter(path)
+        writer = TrajectoryWriter(path.with_name(path.name + ".partial"))
 
     checkpoints = set(spec.checkpoints) | {spec.budget}
     best_at: dict[int, float] = {}
@@ -141,6 +146,8 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     finally:
         if writer is not None:
             writer.close()
+    if writer is not None:
+        os.replace(writer.path, path)
 
     best_point, best_reward = agent.best_so_far()
     return TrialResult(
@@ -229,7 +236,7 @@ class SweepSummary:
     configs: dict  # agent -> digest -> hyperparams
     best_rewards: dict  # agent -> digest -> str(budget) -> str(seed) -> reward
     stats: dict  # agent -> str(budget) -> five-number summary + iqr + best digest
-    mean_normalized: dict  # agent -> str(budget) -> [0, 1]
+    mean_normalized: dict  # agent -> str(budget) -> [0, 1], min-max over all agents
     timing: dict  # agent -> mean/total wall seconds (not deterministic)
     failures: list
 
@@ -355,24 +362,28 @@ def interquartile_range(values: Sequence[float]) -> tuple[float, float, float]:
 def mean_normalized_reward(
     best_by_agent_budget: Mapping[str, Mapping[int, Sequence[float]]],
 ) -> dict[str, dict[int, float]]:
-    """Per (agent, budget) mean of best rewards divided by the cross-agent
-    maximum at the same budget."""
+    """Per (agent, budget) mean of best rewards, min-max scaled into [0, 1].
+
+    The scale runs from the lowest to the highest best reward of any agent
+    at the same budget, so it holds for rewards of any sign; a budget where
+    every best reward is equal normalizes to 1.
+    """
     budgets = sorted({b for by_b in best_by_agent_budget.values() for b in by_b})
     out: dict[str, dict[int, float]] = {a: {} for a in best_by_agent_budget}
     for budget in budgets:
-        group_max = max(
-            (max(by_b[budget]) for by_b in best_by_agent_budget.values() if budget in by_b),
-            default=0.0,
-        )
-        if group_max <= 0:
-            warnings.warn(f"all rewards are <= 0 at budget {budget}; normalizing to 0")
+        pooled = [
+            v for by_b in best_by_agent_budget.values() if budget in by_b for v in by_b[budget]
+        ]
+        group_min, group_max = min(pooled), max(pooled)
         for agent, by_b in best_by_agent_budget.items():
             if budget not in by_b:
                 continue
-            if group_max <= 0:
-                out[agent][budget] = 0.0
+            if group_max == group_min:
+                out[agent][budget] = 1.0
             else:
-                out[agent][budget] = float(np.mean(by_b[budget])) / group_max
+                # np.mean can round just past the values it averages
+                mean = min(max(float(np.mean(by_b[budget])), group_min), group_max)
+                out[agent][budget] = (mean - group_min) / (group_max - group_min)
     return out
 
 

@@ -104,9 +104,6 @@ class RegressionTree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.array([self.predict_one(row) for row in np.atleast_2d(X)])
 
-    def leaves(self) -> list[dict]:
-        return [n for n in self.nodes if "v" in n]
-
 
 def _best_split(X, y, idx, features, min_leaf):
     """Largest-SSE-reduction split over the candidate features, or None."""
@@ -157,10 +154,6 @@ class RandomForestModel:
 
     def predict_features(self, x: np.ndarray) -> float:
         return float(np.mean([t.predict_one(np.asarray(x)) for t in self.trees]))
-
-    def predict_design(self, design: Mapping) -> float:
-        point = point_from_map(self.space, design)
-        return self.predict_features(encode(self.space, point))
 
     def save(self, path) -> None:
         doc = {

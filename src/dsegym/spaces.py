@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -61,7 +62,7 @@ class Numeric:
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
 
-    @property
+    @cached_property
     def size(self) -> int:
         span = (self.hi - self.lo) / self.step
         return int(np.floor(span + _GRID_RTOL * max(1.0, abs(span)))) + 1
@@ -102,13 +103,6 @@ class DesignPoint:
 
     indices: tuple[int, ...]
 
-    def values(self, space: "ParameterSpace") -> list:
-        """Index for categorical parameters, grid value for numeric ones."""
-        out = []
-        for spec, k in zip(space.parameters, self.indices):
-            out.append(k if isinstance(spec.kind, Categorical) else spec.value(k))
-        return out
-
 
 @dataclass(frozen=True)
 class ParameterSpace:
@@ -123,7 +117,7 @@ class ParameterSpace:
     def names(self) -> list[str]:
         return [p.name for p in self.parameters]
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(p.size for p in self.parameters)
 
@@ -135,8 +129,8 @@ class ParameterSpace:
             raise ValueError(
                 f"point has {len(point.indices)} values, space has {len(self.parameters)}"
             )
-        for spec, k in zip(self.parameters, point.indices):
-            if not 0 <= k < spec.size:
+        for spec, size, k in zip(self.parameters, self.sizes, point.indices):
+            if not 0 <= k < size:
                 raise ValueError(f"index {k} out of range for parameter {spec.name!r}")
 
 

@@ -181,6 +181,18 @@ class TestEpisodeSemantics:
         env.step(sample_uniform(env.space(), make_rng(5)))
         assert env.reset().metrics == initial
 
+    def test_reset_returns_a_copy_of_the_reference(self):
+        env = make_env("dram-small", "stream")
+        first = env.reset()
+        reference = dict(first.metrics)
+        first.metrics["latency"] = -1.0
+        first.metrics["bogus"] = 2.0
+        first.units["latency"] = "bogus"
+        again = env.reset()
+        assert again.metrics == reference
+        assert again.metrics == env.observe(env.reference_point()).metrics
+        assert again.units["latency"] != "bogus"
+
     def test_reset_equivalent_to_fresh_instance(self):
         rng = make_rng(6)
         point = sample_uniform(get_space("dram-small"), rng)
