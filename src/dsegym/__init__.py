@@ -27,6 +27,7 @@ from .spaces import (
     ParameterSpec,
     cardinality,
     encode,
+    encode_batch,
     enumerate_points,
     neighbor,
     sample_uniform,
@@ -51,6 +52,7 @@ __all__ = [
     "compute_reciprocal_reward",
     "compute_target_reward",
     "encode",
+    "encode_batch",
     "enumerate_points",
     "neighbor",
     "sample_uniform",

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import erf
 
-from ..spaces import DesignPoint, encode, sample_uniform, sample_uniform_batch
+from ..spaces import DesignPoint, encode_batch, sample_uniform, sample_uniform_indices
 from .base import Agent
 
 
@@ -118,7 +118,7 @@ class BayesOpt(Agent):
             raise ValueError(f"xi must be >= 0, got {hp['xi']}")
         if hp["candidate_pool"] < 1 or hp["n_initial"] < 1 or hp["max_train_points"] < 1:
             raise ValueError("candidate_pool, n_initial and max_train_points must be >= 1")
-        self._features: list[np.ndarray] = []
+        self._observed: list[tuple[int, ...]] = []  # grid indices, encoded per fit
         self._rewards: list[float] = []
 
     def propose(self, rng: np.random.Generator) -> DesignPoint:
@@ -127,13 +127,14 @@ class BayesOpt(Agent):
             return sample_uniform(self.space, rng)
         window = slice(-hp["max_train_points"], None)
         gp = GaussianProcess(hp["length_scale"], hp["signal_var"], hp["noise_var"])
-        gp.fit(np.stack(self._features[window]), np.asarray(self._rewards[window]))
-        candidates = sample_uniform_batch(self.space, rng, hp["candidate_pool"])
-        Xq = np.stack([encode(self.space, c) for c in candidates])
-        mean, var = gp.predict(Xq)
+        gp.fit(
+            encode_batch(self.space, self._observed[window]), np.asarray(self._rewards[window])
+        )
+        candidates = sample_uniform_indices(self.space, rng, hp["candidate_pool"])
+        mean, var = gp.predict(encode_batch(self.space, candidates))
         ei = expected_improvement(mean, np.sqrt(var), gp.standardize(self._best_reward), hp["xi"])
-        return candidates[int(np.argmax(ei))]
+        return DesignPoint(tuple(candidates[int(np.argmax(ei))].tolist()))
 
     def _on_observe(self, point: DesignPoint, reward: float) -> None:
-        self._features.append(encode(self.space, point))
+        self._observed.append(point.indices)
         self._rewards.append(reward)

@@ -92,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="YAML file: agent type -> hyperparameter grid")
     p.add_argument("--out", required=True)
     p.add_argument("--delay-ms", type=float, default=0.0)
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=int, default=1,
+                   help="worker processes; each caps its OpenBLAS threads at "
+                        "max(1, cores // N), never raising them")
     p.add_argument("--no-trajectories", action="store_true",
                    help="skip trajectory logging (summary only)")
 

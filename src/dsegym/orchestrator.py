@@ -6,10 +6,17 @@ seeds and budgets; nested budgets are evaluated on a single seed stream by
 checkpointing best-so-far at each budget, which makes reward-vs-budget
 curves monotone per trial.  One env step is one sample; agent-internal
 computation is free.
+
+Parallel sweeps run trials in a process pool.  Each worker caps every
+OpenBLAS library it has loaded at max(1, usable cores // workers) threads
+before its first trial, and never raises a count it inherited; the caller's
+own thread counts and environment are left alone.  Without the cap each
+worker's BLAS calls spin on every core and the workers slow each other down.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -216,6 +223,50 @@ def _sweep_specs(config: SweepConfig) -> list[TrialSpec]:
     return specs
 
 
+_OPENBLAS_THREAD_SYMBOLS = [
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("openblas", "scipy_openblas")
+    for suffix in ("", "64_")
+]
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this
+    process; empty where /proc/self/maps or OpenBLAS is missing."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            # address perms offset dev inode [path]
+            mapped = {line.split(None, 5)[-1].strip() for line in maps}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p).lower()):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+def _cap_blas_threads(parallelism: int) -> None:
+    """Pool initializer: share the usable cores among the workers."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    limit = max(1, cores // parallelism)
+    for get, set_ in _openblas_thread_controls():
+        if get() > limit:
+            set_(limit)
+
+
 def _run_spec(spec: TrialSpec) -> tuple[TrialSpec, TrialResult | None, str | None]:
     try:
         return spec, run_trial(spec), None
@@ -256,10 +307,20 @@ class SweepSummary:
 
 
 def run_sweep(config: SweepConfig) -> SweepSummary:
-    """Run the grid; trial failures are recorded and the sweep continues."""
+    """Run the grid; trial failures are recorded and the sweep continues.
+
+    With parallelism > 1 the trials run in that many worker processes, each
+    with every loaded OpenBLAS capped at max(1, usable cores // parallelism)
+    threads (never raised); parallelism 1 runs in the caller's process with
+    its own BLAS settings.
+    """
     specs = _sweep_specs(config)
     if config.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+        with ProcessPoolExecutor(
+            max_workers=config.parallelism,
+            initializer=_cap_blas_threads,
+            initargs=(config.parallelism,),
+        ) as pool:
             outcomes = list(pool.map(_run_spec, specs))
     else:
         outcomes = [_run_spec(s) for s in specs]

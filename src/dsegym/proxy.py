@@ -20,7 +20,13 @@ import numpy as np
 
 from .dataset import Dataset
 from .rng import spawn_seeds
-from .spaces import ParameterSpace, encode, point_from_map, space_from_config, space_to_config
+from .spaces import (
+    ParameterSpace,
+    encode_batch,
+    point_from_map,
+    space_from_config,
+    space_to_config,
+)
 
 _SPLIT_TOL = 1e-12
 
@@ -212,18 +218,17 @@ def dataset_matrix(
     dataset: Dataset, target: str, space: ParameterSpace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature/target arrays; invalid (metric-free) records are dropped."""
-    feats, targets = [], []
+    rows, targets = [], []
     for record in dataset.records:
         if target not in record.observation:
             if not record.observation:
                 continue
             raise ValueError(f"missing metric {target!r} in record {record.experiment_id}")
-        point = point_from_map(space, record.design)
-        feats.append(encode(space, point))
+        rows.append(point_from_map(space, record.design).indices)
         targets.append(record.observation[target])
-    if not feats:
+    if not rows:
         raise ValueError(f"no records with metric {target!r}")
-    return np.stack(feats), np.asarray(targets)
+    return encode_batch(space, rows), np.asarray(targets)
 
 
 def _resolve_space(dataset: Dataset, space: ParameterSpace | None) -> ParameterSpace:
@@ -343,7 +348,7 @@ def speed_benchmark(model: RandomForestModel, env, points, n_queries: int) -> Sp
     for p in queries:
         env.step(p)
     env_seconds = time.perf_counter() - t0
-    feats = [encode(model.space, p) for p in queries]
+    feats = encode_batch(model.space, [p.indices for p in queries])
     t0 = time.perf_counter()
     for x in feats:
         model.predict_features(x)

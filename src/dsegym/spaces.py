@@ -121,6 +121,23 @@ class ParameterSpace:
     def sizes(self) -> tuple[int, ...]:
         return tuple(p.size for p in self.parameters)
 
+    @cached_property
+    def _encoding(self) -> tuple[tuple[int, np.ndarray | None], ...]:
+        """Per parameter: its first column in `encode`'s output and, for a
+        numeric parameter, the min-max value of every grid index."""
+        columns = []
+        pos = 0
+        for spec in self.parameters:
+            if isinstance(spec.kind, Categorical):
+                columns.append((pos, None))
+                pos += spec.size
+            else:
+                lo, span = spec.kind.lo, spec.kind.hi - spec.kind.lo
+                table = [(spec.value(k) - lo) / span if span else 0.0 for k in range(spec.size)]
+                columns.append((pos, np.array(table)))
+                pos += 1
+        return tuple(columns)
+
     def __len__(self) -> int:
         return len(self.parameters)
 
@@ -146,12 +163,19 @@ def sample_uniform(space: ParameterSpace, rng: np.random.Generator) -> DesignPoi
     return DesignPoint(tuple(int(rng.integers(0, s)) for s in space.sizes))
 
 
+def sample_uniform_indices(space: ParameterSpace, rng: np.random.Generator, n: int) -> np.ndarray:
+    """An (n, len(space)) grid-index array, one vectorized draw per parameter."""
+    out = np.empty((n, len(space)), dtype=np.int64)
+    for j, s in enumerate(space.sizes):
+        out[:, j] = rng.integers(0, s, size=n)
+    return out
+
+
 def sample_uniform_batch(
     space: ParameterSpace, rng: np.random.Generator, n: int
 ) -> list[DesignPoint]:
     """Draw n points with one vectorized call per parameter."""
-    cols = [rng.integers(0, s, size=n) for s in space.sizes]
-    return [DesignPoint(tuple(int(c[i]) for c in cols)) for i in range(n)]
+    return [DesignPoint(tuple(row)) for row in sample_uniform_indices(space, rng, n).tolist()]
 
 
 def enumerate_points(space: ParameterSpace, limit: int) -> Iterator[DesignPoint]:
@@ -170,17 +194,31 @@ def encode_dim(space: ParameterSpace) -> int:
 
 def encode(space: ParameterSpace, point: DesignPoint) -> np.ndarray:
     """One-hot per categorical parameter, min-max scalar per numeric one."""
-    space.validate_point(point)
-    out = np.zeros(encode_dim(space))
-    pos = 0
-    for spec, k in zip(space.parameters, point.indices):
-        if isinstance(spec.kind, Categorical):
-            out[pos + k] = 1.0
-            pos += spec.size
+    return encode_batch(space, [point.indices])[0]
+
+
+def encode_batch(space: ParameterSpace, indices) -> np.ndarray:
+    """`encode` of every row of an (n, len(space)) grid-index array."""
+    indices = np.asarray(indices)
+    if indices.size == 0:  # an empty batch, or points of a space without parameters
+        indices = indices.astype(np.int64)
+    if indices.ndim != 2 or indices.shape[1] != len(space) or indices.dtype.kind not in "iu":
+        raise ValueError(
+            f"expected an (n, {len(space)}) integer index array, "
+            f"got shape {indices.shape} of {indices.dtype}"
+        )
+    out = np.zeros((len(indices), encode_dim(space)))
+    rows = np.arange(len(indices))
+    for spec, size, (pos, table), k in zip(
+        space.parameters, space.sizes, space._encoding, indices.T
+    ):
+        bad = (k < 0) | (k >= size)
+        if bad.any():
+            raise ValueError(f"index {k[bad][0]} out of range for parameter {spec.name!r}")
+        if table is None:
+            out[rows, pos + k] = 1.0
         else:
-            span = spec.kind.hi - spec.kind.lo
-            out[pos] = 0.0 if span == 0 else (spec.value(k) - spec.kind.lo) / span
-            pos += 1
+            out[:, pos] = table[k]
     return out
 
 

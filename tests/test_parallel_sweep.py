@@ -1,0 +1,117 @@
+"""The process-pool path of run_sweep and its per-worker BLAS thread cap."""
+
+import builtins
+import json
+import os
+
+import numpy as np
+import pytest
+
+from dsegym import orchestrator
+from dsegym.agents import AGENT_TYPES
+from dsegym.orchestrator import (
+    SweepConfig,
+    _cap_blas_threads,
+    _openblas_thread_controls,
+    run_sweep,
+)
+
+from .test_orchestrator import _behaviour_bytes
+
+
+def _sweep(out_dir, parallelism):
+    return run_sweep(
+        SweepConfig(
+            env_id="dram-small",
+            workload_id="cloud-1",
+            objective="low-latency",
+            agent_types=tuple(AGENT_TYPES),
+            budgets=(4, 16),  # BO fits its GP from step 9 on
+            seeds=(0, 1),
+            out_dir=str(out_dir),
+            parallelism=parallelism,
+        )
+    )
+
+
+def _thread_counts():
+    return [(get.__name__, get()) for get, _ in _openblas_thread_controls()]
+
+
+def _numpy_uses_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in str(blas).lower()
+
+
+def test_parallel_sweep_matches_serial(tmp_path):
+    serial = _sweep(tmp_path / "p1", 1)
+    parallel = _sweep(tmp_path / "p2", 2)
+    for field in ("stats", "best_rewards", "mean_normalized", "configs", "failures"):
+        assert getattr(parallel, field) == getattr(serial, field), field
+    assert not serial.failures
+    names = sorted(p.name for p in (tmp_path / "p1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "p2").iterdir())
+    assert any("_BO_" in name for name in names)
+    for name in names:
+        assert _behaviour_bytes(tmp_path / "p2" / name) == _behaviour_bytes(
+            tmp_path / "p1" / name
+        ), name
+
+
+def test_pool_workers_cap_their_openblas_threads(monkeypatch, tmp_path):
+    parent_counts = _thread_counts()
+    if _numpy_uses_openblas():
+        assert parent_counts, "numpy links OpenBLAS but the helper found none"
+    limit = max(1, len(os.sched_getaffinity(0)) // 2)
+
+    # forked workers inherit the spy, which records their counts per trial
+    real_run_trial = orchestrator.run_trial
+    spool = tmp_path / "counts"
+    spool.mkdir()
+
+    def spy(spec):
+        with open(spool / f"{os.getpid()}.json", "w") as f:
+            json.dump(_thread_counts(), f)
+        return real_run_trial(spec)
+
+    monkeypatch.setattr(orchestrator, "run_trial", spy)
+    _sweep(tmp_path / "trajectories", 2)
+    workers = [json.loads(p.read_text()) for p in spool.iterdir()]
+    assert workers
+    for worker_counts in workers:
+        assert [name for name, _ in worker_counts] == [name for name, _ in parent_counts]
+        for (name, count), (_, inherited) in zip(worker_counts, parent_counts):
+            assert count <= limit, name
+            assert count == min(inherited, limit), name
+    assert _thread_counts() == parent_counts
+
+
+def test_cap_is_a_no_op_without_proc_maps(monkeypatch):
+    before = _thread_counts()
+    real_open = builtins.open
+
+    def no_proc(path, *args, **kwargs):
+        if str(path).startswith("/proc"):
+            raise PermissionError(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", no_proc)
+    assert _openblas_thread_controls() == []
+    _cap_blas_threads(64)
+    monkeypatch.undo()
+    assert _thread_counts() == before
+
+
+@pytest.mark.parametrize(
+    "parallelism, inherited, expected",
+    [(1, 16, [8]), (2, 16, [4]), (3, 16, [2]), (8, 16, [1]), (64, 16, [1]),
+     (2, 4, []), (3, 2, []), (64, 1, [])],  # never raised
+)
+def test_cap_shares_the_usable_cores(monkeypatch, parallelism, inherited, expected):
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(
+        "dsegym.orchestrator._openblas_thread_controls", lambda: [(lambda: inherited, calls.append)]
+    )
+    _cap_blas_threads(parallelism)
+    assert calls == expected
