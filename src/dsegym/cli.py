@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="optionally write the report as JSON")
 
-    p = sub.add_parser("bench-proxy", help="speed-up of a proxy vs a delayed env")
+    p = sub.add_parser("bench-proxy", help="proxy speed-up vs the env delayed by --delay-ms")
     p.add_argument("--model", required=True)
     add_env_args(p)
     p.add_argument("--delay-ms", type=float, default=10.0)

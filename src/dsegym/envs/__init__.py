@@ -1,8 +1,9 @@
 """Built-in environments and the registry that constructs them.
 
 Environment ids: ``dram``, ``accel``, ``soc`` plus their brute-force-
-tractable ``*-small`` variants.  External simulators are wrapped by
-:class:`dsegym.envs.external.ExternalSimulatorEnv`.
+tractable ``*-small`` variants.  An external simulator becomes an env by
+passing a :class:`dsegym.envs.external.SimulatorProcess` as the cost
+function of a :class:`SyntheticEnv`.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
-"""Shared machinery for the built-in synthetic environments.
+"""Shared machinery for every environment: built-in and external.
 
-Each synthetic environment is a pure function of (design point, workload,
+Each built-in environment is a pure function of (design point, workload,
 fixture constants).  All constants live in the YAML fixture files next to
 this module, so golden-value tests stay stable and brute-force oracles are
-exact.
+exact.  An external simulator plugs in as a cost function
+(:class:`dsegym.envs.external.SimulatorProcess`) behind the same env class.
 """
 
 from __future__ import annotations
@@ -51,8 +52,11 @@ CostFn = Callable[[dict, WorkloadSpec, dict], tuple[dict, bool, str]]
 
 
 class SyntheticEnv(Environment):
-    """Deterministic cost model behind the gym-style contract.
+    """Any cost function behind the gym-style contract.
 
+    The cost function runs in-process (the built-in models) or in a
+    simulator process (:class:`dsegym.envs.external.SimulatorProcess`); it
+    is assumed deterministic, so the reference design is evaluated once.
     Episodes have length 1 by default: every step is a full design
     evaluation and `done` comes back true.  `delay_s` injects artificial
     per-step latency for proxy speed-up benchmarking.
@@ -95,8 +99,9 @@ class SyntheticEnv(Environment):
     def reset(self) -> Observation:
         """Start an episode; returns the reference design's observation.
 
-        The cost model is pure, so the reference is evaluated once.  Each
-        call returns a fresh copy, because callers may edit `metrics`.
+        The cost function is deterministic, so the reference is evaluated
+        once.  Each call returns a fresh copy, because callers may edit
+        `metrics`.
         """
         self._steps_in_episode = 0
         if self._reference_obs is None:

@@ -51,7 +51,6 @@ class TrialSpec:
     seed: int
     hyperparams: tuple = ()  # sorted (name, value) pairs; dicts don't hash
     delay_ms: float = 0.0
-    episode_length: int = 1
     out_dir: str | None = None
     checkpoints: tuple[int, ...] = ()
 
@@ -72,6 +71,7 @@ class TrialResult:
     experiment_id: str
     agent_type: str
     hyperparam_digest: str
+    hyperparams: dict
     seed: int
     budget: int
     best_design: dict | None
@@ -97,13 +97,7 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     `<experiment_id>.jsonl` after the last step; a failed trial leaves only
     the partial file, and a rerun replaces the earlier trajectory.
     """
-    env = make_env(
-        spec.env_id,
-        spec.workload_id,
-        spec.objective,
-        episode_length=spec.episode_length,
-        delay_ms=spec.delay_ms,
-    )
+    env = make_env(spec.env_id, spec.workload_id, spec.objective, delay_ms=spec.delay_ms)
     agent = make_agent(spec.agent_type, env.space(), spec.hyperparams_dict())
     digest = agent.hyperparams().digest
     exp_id = experiment_id(spec, digest)
@@ -161,6 +155,7 @@ def run_trial(spec: TrialSpec) -> TrialResult:
         experiment_id=exp_id,
         agent_type=spec.agent_type,
         hyperparam_digest=digest,
+        hyperparams=agent.hyperparams().as_dict(),
         seed=spec.seed,
         budget=spec.budget,
         best_design=design_map(env.space(), best_point) if best_point else None,
@@ -345,8 +340,7 @@ def summarize(
     best_rewards: dict = {}
     timing: dict = {}
     for r in results:
-        agent_configs = configs.setdefault(r.agent_type, {})
-        agent_configs.setdefault(r.hyperparam_digest, {})
+        configs.setdefault(r.agent_type, {})[r.hyperparam_digest] = r.hyperparams
         by_digest = best_rewards.setdefault(r.agent_type, {})
         by_budget = by_digest.setdefault(r.hyperparam_digest, {})
         for budget in config.budgets:

@@ -8,6 +8,7 @@ from dsegym.dataset import load_dataset
 from dsegym.envs import make_env
 from dsegym.orchestrator import (
     SweepConfig,
+    SweepSummary,
     TrialError,
     TrialSpec,
     mean_normalized_reward,
@@ -61,6 +62,33 @@ class TestRunTrialRecordsGivenHyperparams:
         result = _trial(agent_type, FAST_HP[agent_type], 12)
         assert result.samples_used == 12
         assert result.hyperparam_digest == _digest(agent_type, FAST_HP[agent_type])
+
+
+class TestSweepConfigs:
+    def test_digests_map_to_their_hyperparams(self):
+        env_id, workload_id, objective = BUDGET_ENV
+        summary = run_sweep(
+            SweepConfig(
+                env_id=env_id,
+                workload_id=workload_id,
+                objective=objective,
+                agent_types=("GA", "RW"),
+                budgets=(4, 8),
+                seeds=(0, 1),
+                grids={"GA": [{"population_size": 4}, {"population_size": 8}], "RW": [{}]},
+            )
+        )
+        assert not summary.failures
+        space = make_env(*BUDGET_ENV).space()
+        assert {a: len(by_digest) for a, by_digest in summary.configs.items()} == {"GA": 2, "RW": 1}
+        for agent_type, by_digest in summary.configs.items():
+            for digest, hyperparams in by_digest.items():
+                agent = make_agent(agent_type, space, hyperparams)
+                assert agent.hyperparams().digest == digest
+                assert hyperparams == agent.hyperparams().as_dict()
+            for stats in summary.stats[agent_type].values():
+                assert stats["best_digest"] in by_digest
+        assert SweepSummary.from_json(summary.to_json()).configs == summary.configs
 
 
 
