@@ -16,7 +16,7 @@ from . import dataset as ds
 from . import orchestrator as orch
 from . import proxy
 from .agents import AGENT_TYPES, sweep_configs
-from .envs import ENV_IDS, get_space, list_objectives, list_workloads, make_env
+from .envs import ENV_IDS, get_space, make_env
 from .rng import make_rng
 from .spaces import sample_uniform_batch
 

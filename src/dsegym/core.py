@@ -118,13 +118,6 @@ class RewardSpec:
             if weight <= 0:
                 raise ValueError(f"weight for {metric!r} must be positive, got {weight}")
 
-    def metric_names(self) -> list[str]:
-        if self.mode is RewardMode.TARGET_PROXIMITY:
-            return [m for m, _ in self.targets]
-        if self.mode is RewardMode.BUDGET_DISTANCE:
-            return [m for m, _, _ in self.budgets]
-        return [self.reciprocal_metric]
-
 
 @dataclass
 class StepResult:

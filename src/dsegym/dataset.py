@@ -5,6 +5,12 @@ one UTF-8 file with one JSON record per line (schema_version 1).  Reals
 round-trip bit-exactly because json serializes floats with shortest
 round-trip precision.  Aggregation across trials is an explicit merge of
 per-trial files, never concurrent writes to one file.
+
+`TrajectoryWriter` encodes each trial's constants once, when it opens, and
+each parameter's grid values once per space; a step then encodes only its
+observation, reward and wall time.  `TrajectoryWriter.append` and
+`TrajectoryRecord.to_json` emit identical bytes for the same fields: both
+use one encoder and the field order of `_FIELDS`.
 """
 
 from __future__ import annotations
@@ -12,12 +18,15 @@ from __future__ import annotations
 import json
 import math
 import warnings
+import weakref
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from .spaces import DesignPoint, ParameterSpace
 
 SCHEMA_VERSION = 1
 
@@ -35,6 +44,10 @@ _FIELDS = (
     "reward",
     "wall_time_ms",
 )
+# Fields every record of one trial shares; a line starts with them.
+_TRIAL_FIELDS = _FIELDS[: _FIELDS.index("step_index")]
+
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -61,16 +74,38 @@ class TrajectoryRecord:
             raise ValueError(f"reward must be finite, got {self.reward}")
 
     def to_json(self) -> str:
-        data = {name: getattr(self, name) for name in _FIELDS}
-        return json.dumps(data, ensure_ascii=False, separators=(",", ":"))
+        return _ENCODER.encode({name: getattr(self, name) for name in _FIELDS})
 
     @classmethod
     def from_json(cls, line: str) -> "TrajectoryRecord":
         data = json.loads(line)
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {data.get('schema_version')!r}")
         kwargs = {name: data[name] for name in _FIELDS if name != "schema_version"}
         return cls(**kwargs)
+
+
+# Fragment tables by space object, not by equal space: a grid of 0, 5, 10
+# equals one of 0.0, 5.0, 10.0 but encodes differently.  An entry goes when
+# its space is collected, so an id is never reused while its entry lives.
+_fragment_tables: dict[int, tuple[tuple[str, ...], ...]] = {}
+
+
+def _design_fragments(space: ParameterSpace) -> tuple[tuple[str, ...], ...]:
+    """Per parameter, the `"name":value` text of every grid value, exactly
+    as the encoder writes that item inside a record's `design` object."""
+    key = id(space)
+    table = _fragment_tables.get(key)
+    if table is None:
+        table = tuple(
+            tuple(_ENCODER.encode({spec.name: spec.value(k)})[1:-1] for k in range(spec.size))
+            for spec in space.parameters
+        )
+        _fragment_tables[key] = table
+        weakref.finalize(space, _fragment_tables.pop, key, None)
+    return table
 
 
 class TrajectoryWriter:
@@ -78,15 +113,52 @@ class TrajectoryWriter:
 
     Opening truncates the file: a trial always writes its records from
     step 0, so a rerun replaces an earlier file instead of extending it.
+    `constants` are the per-trial fields of every record (`experiment_id`,
+    `env_id`, `workload_id`, `agent_type`, `hyperparam_digest`, `seed`).
     """
 
-    def __init__(self, path):
+    def __init__(self, path, space: ParameterSpace, **constants):
+        fields = {"schema_version": SCHEMA_VERSION, **constants}
+        if "schema_version" in constants or set(fields) != set(_TRIAL_FIELDS):
+            raise TypeError(
+                f"expected the per-trial fields {list(_TRIAL_FIELDS[1:])}, got {sorted(constants)}"
+            )
+        head = _ENCODER.encode({name: fields[name] for name in _TRIAL_FIELDS})
+        self._prefix = head[:-1] + ',"step_index":'
+        self._space = space
+        self._fragments = _design_fragments(space)
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = open(self.path, "w", encoding="utf-8")
 
-    def append(self, record: TrajectoryRecord) -> None:
-        self._file.write(record.to_json() + "\n")
+    def append(
+        self,
+        step_index: int,
+        point: DesignPoint,
+        metrics: Mapping[str, float],
+        reward: float,
+        wall_time_ms: int,
+    ) -> None:
+        """Write and flush one record; raises, writing nothing, on the
+        fields `TrajectoryRecord` rejects and on an index off the grid."""
+        if step_index < 0:
+            raise ValueError(f"step_index must be >= 0, got {step_index}")
+        if not math.isfinite(reward):
+            raise ValueError(f"reward must be finite, got {reward}")
+        indices = point.indices
+        fragments = self._fragments
+        # a negative index would wrap; one past the grid raises IndexError
+        if len(indices) != len(fragments) or min(indices, default=0) < 0:
+            self._space.validate_point(point)
+        try:
+            design = ",".join([table[k] for table, k in zip(fragments, indices)])
+        except IndexError:
+            self._space.validate_point(point)
+            raise
+        tail = _ENCODER.encode(
+            {"observation": metrics, "reward": reward, "wall_time_ms": wall_time_ms}
+        )
+        self._file.write(f'{self._prefix}{step_index:d},"design":{{{design}}},{tail[1:]}\n')
         self._file.flush()
 
     def close(self) -> None:
@@ -146,7 +218,7 @@ def load_dataset(path, validate: bool = True) -> Dataset:
     for i, line in enumerate(lines):
         try:
             records.append(TrajectoryRecord.from_json(line))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             if i == len(lines) - 1 and not ends_clean:
                 warnings.warn(f"dropping partial trailing line in {path}")
                 break

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .agents import make_agent, sweep_configs
-from .dataset import TrajectoryRecord, TrajectoryWriter
+from .dataset import TrajectoryWriter
 from .envs import get_objective, make_env
 from .rng import digest_stream, make_rng
 from .spaces import SpaceTooLargeError, cardinality, design_map, enumerate_points
@@ -107,7 +107,16 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     path = None
     if spec.out_dir is not None:
         path = Path(spec.out_dir) / f"{exp_id}.jsonl"
-        writer = TrajectoryWriter(path.with_name(path.name + ".partial"))
+        writer = TrajectoryWriter(
+            path.with_name(path.name + ".partial"),
+            env.space(),
+            experiment_id=exp_id,
+            env_id=spec.env_id,
+            workload_id=spec.workload_id,
+            agent_type=spec.agent_type,
+            hyperparam_digest=digest,
+            seed=spec.seed,
+        )
 
     checkpoints = set(spec.checkpoints) | {spec.budget}
     best_at: dict[int, float] = {}
@@ -126,19 +135,11 @@ def run_trial(spec: TrialSpec) -> TrialResult:
             done = result.done
             if writer is not None:
                 writer.append(
-                    TrajectoryRecord(
-                        experiment_id=exp_id,
-                        env_id=spec.env_id,
-                        workload_id=spec.workload_id,
-                        agent_type=spec.agent_type,
-                        hyperparam_digest=digest,
-                        seed=spec.seed,
-                        step_index=step,
-                        design=design_map(env.space(), point),
-                        observation=dict(result.observation.metrics),
-                        reward=result.reward,
-                        wall_time_ms=int((time.perf_counter() - t0) * 1000),
-                    )
+                    step,
+                    point,
+                    result.observation.metrics,
+                    result.reward,
+                    int((time.perf_counter() - t0) * 1000),
                 )
             if step + 1 in checkpoints:
                 best_at[step + 1] = agent.best_so_far()[1]

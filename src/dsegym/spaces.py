@@ -138,6 +138,13 @@ class ParameterSpace:
                 pos += 1
         return tuple(columns)
 
+    @cached_property
+    def _grid_values(self) -> tuple[tuple[str, tuple], ...]:
+        """Per parameter: its name and the concrete value of every grid index."""
+        return tuple(
+            (spec.name, tuple(spec.value(k) for k in range(spec.size))) for spec in self.parameters
+        )
+
     def __len__(self) -> int:
         return len(self.parameters)
 
@@ -222,26 +229,6 @@ def encode_batch(space: ParameterSpace, indices) -> np.ndarray:
     return out
 
 
-def decode(space: ParameterSpace, vector: Sequence[float]) -> DesignPoint:
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape != (encode_dim(space),):
-        raise ValueError(f"expected vector of length {encode_dim(space)}, got {vector.shape}")
-    indices = []
-    pos = 0
-    for spec in space.parameters:
-        if isinstance(spec.kind, Categorical):
-            indices.append(int(np.argmax(vector[pos : pos + spec.size])))
-            pos += spec.size
-        else:
-            span = spec.kind.hi - spec.kind.lo
-            k = int(round(vector[pos] * span / spec.kind.step)) if span else 0
-            indices.append(min(max(k, 0), spec.size - 1))
-            pos += 1
-    point = DesignPoint(tuple(indices))
-    space.validate_point(point)
-    return point
-
-
 def resample_position(
     space: ParameterSpace, point: DesignPoint, pos: int, rng: np.random.Generator
 ) -> DesignPoint:
@@ -265,11 +252,11 @@ def neighbor(space: ParameterSpace, point: DesignPoint, rng: np.random.Generator
 
 
 def design_map(space: ParameterSpace, point: DesignPoint) -> dict:
-    """Name -> concrete value view used in records and wire formats."""
-    out = {}
-    for spec, k in zip(space.parameters, point.indices):
-        out[spec.name] = spec.value(k)
-    return out
+    """Name -> concrete value view used in records and wire formats.
+
+    The point's indices must lie on the grid (see `validate_point`).
+    """
+    return {name: values[k] for (name, values), k in zip(space._grid_values, point.indices)}
 
 
 def point_from_map(space: ParameterSpace, values: Mapping) -> DesignPoint:

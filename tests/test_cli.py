@@ -1,0 +1,95 @@
+"""The command-line front end, run in process through `cli.main(argv)`."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from dsegym import cli
+from dsegym.agents import RandomWalker
+from dsegym.dataset import load_dataset
+
+ENV = ["--env", "dram-small", "--workload", "stream", "--objective", "low-power"]
+
+
+def _run(tmp_path, agent, budget, seed=0):
+    argv = ["run", *ENV, "--agent", agent, "--budget", str(budget), "--seed", str(seed),
+            "--out", str(tmp_path / "runs")]
+    assert cli.main(argv) == cli.EXIT_OK
+
+
+def _trajectory_files(tmp_path):
+    return sorted(str(p) for p in (tmp_path / "runs").glob("*.jsonl"))
+
+
+def test_run_writes_a_loadable_trajectory(tmp_path, capsys):
+    _run(tmp_path, "RW", 6)
+    printed = json.loads(capsys.readouterr().out)
+    (path,) = _trajectory_files(tmp_path)
+    assert printed["trajectory_file"] == path
+    assert printed["samples_used"] == 6
+    dataset = load_dataset(path, validate=True)
+    assert [r.step_index for r in dataset.records] == list(range(6))
+
+
+def test_aggregate_train_eval_round_trip(tmp_path, capsys):
+    _run(tmp_path, "RW", 30, seed=1)
+    _run(tmp_path, "GA", 30, seed=2)
+    files = _trajectory_files(tmp_path)
+    out = tmp_path / "agg"
+    assert cli.main(["aggregate", *files, "--out", str(out)]) == cli.EXIT_OK
+    assert len(load_dataset(out / "dataset.jsonl")) == 60
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["record_count"] == 60 and manifest["files"] == files
+
+    model = tmp_path / "model.json"
+    argv = ["train-proxy", "--data", str(out / "dataset.jsonl"), "--target", "power",
+            "--out", str(model), "--set", "n_trees=2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    report_path = tmp_path / "report.json"
+    argv = ["eval-proxy", "--model", str(model), "--data", str(out / "dataset.jsonl"),
+            "--out", str(report_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["n_test"] == 60
+    assert report["rmse"] >= 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--env", "nope", "--workload", "stream", "--agent", "RW", "--budget", "2",
+         "--out", "unused"],
+        ["run", *ENV, "--agent", "NOPE", "--budget", "2", "--out", "unused"],
+        ["sweep", *ENV, "--agents", "RW,NOPE", "--out", "unused"],
+        ["run", "--env", "dram-small", "--workload", "nope", "--agent", "RW", "--budget", "2",
+         "--out", "unused"],
+    ],
+    ids=["unknown-env", "unknown-agent", "unknown-sweep-agent", "unknown-workload"],
+)
+def test_unknown_names_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "unused").exists()
+
+
+def test_aggregate_of_a_corrupt_file_reports_its_location(tmp_path, capsys):
+    _run(tmp_path, "RW", 3)
+    (path,) = _trajectory_files(tmp_path)
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines[1] = "[1,2]"
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(["aggregate", path, "--out", str(tmp_path / "agg")]) == cli.EXIT_USAGE
+    assert f"{path}:2: corrupt record" in capsys.readouterr().err
+
+
+def test_sweep_with_a_failed_trial_exits_with_failure(tmp_path, monkeypatch, capsys):
+    def broken(self, rng):
+        raise RuntimeError("simulated agent fault")
+
+    monkeypatch.setattr(RandomWalker, "propose", broken)
+    argv = ["sweep", *ENV, "--agents", "RW", "--budgets", "2", "--out", str(tmp_path / "sw")]
+    assert cli.main(argv) == cli.EXIT_FAILURE
+    assert "1 trial(s) failed" in capsys.readouterr().err
+    assert (tmp_path / "sw" / "summary.json").exists()

@@ -12,7 +12,6 @@ from dsegym.spaces import (
     ParameterSpec,
     SpaceTooLargeError,
     cardinality,
-    decode,
     design_map,
     encode,
     encode_dim,
@@ -25,7 +24,7 @@ from dsegym.spaces import (
     space_to_config,
 )
 
-from .strategies import spaces, spaces_with_points
+from .strategies import spaces
 
 
 def make_space(*specs):
@@ -137,12 +136,6 @@ class TestEncode:
     def test_invalid_point_rejected(self):
         with pytest.raises(ValueError):
             encode(TWO_BY_TWO, DesignPoint((2, 0)))
-
-    @given(spaces_with_points())
-    @settings(max_examples=100)
-    def test_decode_round_trip(self, space_point):
-        space, point = space_point
-        assert decode(space, encode(space, point)) == point
 
 
 class TestNeighbor:
