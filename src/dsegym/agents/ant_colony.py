@@ -76,7 +76,7 @@ class AntColony(Agent):
                 indices.append(int(rng.integers(0, len(cum))))
             else:
                 indices.append(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")))
-        return DesignPoint(tuple(indices))
+        return tuple(indices)
 
     def _on_observe(self, point: DesignPoint, reward: float) -> None:
         self._batch.append((point, reward))
@@ -88,7 +88,7 @@ class AntColony(Agent):
         """Evaporate, floor at tau_min, then deposit by rank for every ant."""
         hp = self._hyperparams
         ranks = mean_ranks(np.array([reward for _, reward in evaluated]))
-        chosen = np.array([point.indices for point, _ in evaluated], dtype=np.intp)
+        chosen = np.array([point for point, _ in evaluated], dtype=np.intp)
         chosen += self._offsets
         np.maximum(self._trail * (1.0 - hp["evaporation"]), hp["tau_min"], out=self._trail)
         # ranks are half-integers, so each value's rank sum is exact in any

@@ -118,7 +118,7 @@ class BayesOpt(Agent):
             raise ValueError(f"xi must be >= 0, got {hp['xi']}")
         if hp["candidate_pool"] < 1 or hp["n_initial"] < 1 or hp["max_train_points"] < 1:
             raise ValueError("candidate_pool, n_initial and max_train_points must be >= 1")
-        self._observed: list[tuple[int, ...]] = []  # grid indices, encoded per fit
+        self._observed: list[DesignPoint] = []  # encoded per fit
         self._rewards: list[float] = []
 
     def propose(self, rng: np.random.Generator) -> DesignPoint:
@@ -133,8 +133,8 @@ class BayesOpt(Agent):
         candidates = sample_uniform_indices(self.space, rng, hp["candidate_pool"])
         mean, var = gp.predict(encode_batch(self.space, candidates))
         ei = expected_improvement(mean, np.sqrt(var), gp.standardize(self._best_reward), hp["xi"])
-        return DesignPoint(tuple(candidates[int(np.argmax(ei))].tolist()))
+        return tuple(candidates[int(np.argmax(ei))].tolist())
 
     def _on_observe(self, point: DesignPoint, reward: float) -> None:
-        self._observed.append(point.indices)
+        self._observed.append(point)
         self._rewards.append(reward)

@@ -31,12 +31,12 @@ def uniform_crossover(
     order: np.ndarray | None = None,
 ) -> DesignPoint:
     """Per-gene 50/50 mix of two parents, visited in `order` if given."""
-    indices = list(a.indices)
+    indices = list(a)
     positions = order if order is not None else range(len(indices))
     for pos in positions:
         if rng.random() < 0.5:
-            indices[pos] = b.indices[pos]
-    return DesignPoint(tuple(indices))
+            indices[pos] = b[pos]
+    return tuple(indices)
 
 
 def mutate(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..spaces import DesignPoint, sample_uniform_batch
+from ..spaces import DesignPoint, sample_uniform_indices
 from .base import Agent
 
 _BLOCK = 512
@@ -22,6 +22,6 @@ class RandomWalker(Agent):
         # draw in blocks so long trials stay cheap; the stream is still a
         # pure function of the generator state
         if not self._buffer:
-            self._buffer = sample_uniform_batch(self.space, rng, _BLOCK)
-            self._buffer.reverse()
+            block = sample_uniform_indices(self.space, rng, _BLOCK).tolist()
+            self._buffer = list(map(tuple, reversed(block)))
         return self._buffer.pop()

@@ -27,7 +27,7 @@ def entropy_gradient(probs: np.ndarray) -> np.ndarray:
     return -probs * (logp + h)
 
 
-def policy_logprob(logits: list[np.ndarray], choices: list[tuple[int, ...]],
+def policy_logprob(logits: list[np.ndarray], choices: list[DesignPoint],
                    advantages: np.ndarray) -> float:
     """Objective sum_s A_s * log pi(point_s); the gradient check target."""
     total = 0.0
@@ -38,7 +38,7 @@ def policy_logprob(logits: list[np.ndarray], choices: list[tuple[int, ...]],
     return float(total)
 
 
-def policy_gradient(logits: list[np.ndarray], choices: list[tuple[int, ...]],
+def policy_gradient(logits: list[np.ndarray], choices: list[DesignPoint],
                     advantages: np.ndarray) -> list[np.ndarray]:
     """Analytic gradient of `policy_logprob` at the current logits."""
     probs = [softmax(l) for l in logits]
@@ -84,11 +84,8 @@ class Reinforce(Agent):
 
     def propose(self, rng: np.random.Generator) -> DesignPoint:
         draws = rng.random(len(self._cum))
-        return DesignPoint(
-            tuple(
-                int(np.searchsorted(cum, u * cum[-1], side="right"))
-                for cum, u in zip(self._cum, draws)
-            )
+        return tuple(
+            int(np.searchsorted(cum, u * cum[-1], side="right")) for cum, u in zip(self._cum, draws)
         )
 
     def _on_observe(self, point: DesignPoint, reward: float) -> None:
@@ -110,7 +107,7 @@ class Reinforce(Agent):
                 1.0 - hp["baseline_decay"]
             ) * mean
         advantages = rewards - self.baseline
-        grads = policy_gradient(self.logits, [p.indices for p, _ in batch], advantages)
+        grads = policy_gradient(self.logits, [p for p, _ in batch], advantages)
         lr = hp["learning_rate"]
         for j, grad in enumerate(grads):
             if hp["entropy_weight"] > 0:

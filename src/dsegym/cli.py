@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import dataset as ds
@@ -18,7 +19,7 @@ from . import proxy
 from .agents import AGENT_TYPES, sweep_configs
 from .envs import ENV_IDS, get_space, make_env
 from .rng import make_rng
-from .spaces import sample_uniform_batch
+from .spaces import sample_uniform_indices
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -252,7 +253,7 @@ def _cmd_train_proxy(args) -> int:
 def _cmd_eval_proxy(args) -> int:
     model = proxy.RandomForestModel.load(args.model)
     report = proxy.evaluate_rmse(model, ds.load_dataset(args.data))
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    text = json.dumps(asdict(report), indent=2, sort_keys=True)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -262,14 +263,9 @@ def _cmd_eval_proxy(args) -> int:
 def _cmd_bench_proxy(args) -> int:
     model = proxy.RandomForestModel.load(args.model)
     env = make_env(args.env, args.workload, args.objective, delay_ms=args.delay_ms)
-    points = sample_uniform_batch(get_space(args.env), make_rng(args.seed), args.queries)
+    points = sample_uniform_indices(get_space(args.env), make_rng(args.seed), args.queries)
     result = proxy.speed_benchmark(model, env, points, args.queries)
-    print(json.dumps({
-        "speedup": result.speedup,
-        "env_seconds": result.env_seconds,
-        "model_seconds": result.model_seconds,
-        "n_queries": result.n_queries,
-    }, indent=2, sort_keys=True))
+    print(json.dumps(asdict(result), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -282,14 +278,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_enumerate_oracle(args) -> int:
     result = orch.enumerate_oracle(args.env, args.workload, args.objective, args.limit)
-    text = json.dumps({
-        "env_id": result.env_id,
-        "workload_id": result.workload_id,
-        "objective": result.objective,
-        "best_design": result.best_design,
-        "best_reward": result.best_reward,
-        "space_cardinality": result.space_cardinality,
-    }, indent=2, sort_keys=True)
+    text = json.dumps(asdict(result), indent=2, sort_keys=True)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

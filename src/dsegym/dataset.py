@@ -145,13 +145,12 @@ class TrajectoryWriter:
             raise ValueError(f"step_index must be >= 0, got {step_index}")
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
-        indices = point.indices
         fragments = self._fragments
         # a negative index would wrap; one past the grid raises IndexError
-        if len(indices) != len(fragments) or min(indices, default=0) < 0:
+        if len(point) != len(fragments) or min(point, default=0) < 0:
             self._space.validate_point(point)
         try:
-            design = ",".join([table[k] for table, k in zip(fragments, indices)])
+            design = ",".join([table[k] for table, k in zip(fragments, point)])
         except IndexError:
             self._space.validate_point(point)
             raise
@@ -310,7 +309,7 @@ def split(
 # Manifest files
 
 
-def write_manifest(path, files: list[str], dataset: Dataset, partial: list[dict] | None = None) -> None:
+def write_manifest(path, files: list[str], dataset: Dataset) -> None:
     """Record member files plus provenance counts for an aggregated dataset."""
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -321,7 +320,6 @@ def write_manifest(path, files: list[str], dataset: Dataset, partial: list[dict]
             {"agent_type": a, "experiment_id": e, "count": c}
             for (a, e), c in sorted(dataset.provenance.items())
         ],
-        "partial_trials": partial or [],
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)

@@ -159,7 +159,7 @@ def run_trial(spec: TrialSpec) -> TrialResult:
         hyperparams=agent.hyperparams().as_dict(),
         seed=spec.seed,
         budget=spec.budget,
-        best_design=design_map(env.space(), best_point) if best_point else None,
+        best_design=design_map(env.space(), best_point) if best_point is not None else None,
         best_reward=best_reward,
         samples_used=spec.budget,
         wall_time_s=time.perf_counter() - t_start,

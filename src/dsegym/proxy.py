@@ -107,9 +107,6 @@ class RegressionTree:
             node = self.nodes[node["l"] if x[node["f"]] <= node["t"] else node["r"]]
         return node["v"]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_one(row) for row in np.atleast_2d(X)])
-
 
 def _best_split(X, y, idx, features, min_leaf):
     """Largest-SSE-reduction split over the candidate features, or None."""
@@ -204,15 +201,6 @@ class ProxyEvalReport:
     n_test: int
     provenance: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "rmse": self.rmse,
-            "normalized_rmse_percent": self.normalized_rmse_percent,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "provenance": self.provenance,
-        }
-
 
 def dataset_matrix(
     dataset: Dataset, target: str, space: ParameterSpace
@@ -224,7 +212,7 @@ def dataset_matrix(
             if not record.observation:
                 continue
             raise ValueError(f"missing metric {target!r} in record {record.experiment_id}")
-        rows.append(point_from_map(space, record.design).indices)
+        rows.append(point_from_map(space, record.design))
         targets.append(record.observation[target])
     if not rows:
         raise ValueError(f"no records with metric {target!r}")
@@ -339,14 +327,18 @@ class SpeedupReport:
     n_queries: int
 
 
-def speed_benchmark(model: RandomForestModel, env, points, n_queries: int) -> SpeedupReport:
-    """Wall time of n env steps vs n model predictions on the same points."""
-    queries = [points[i % len(points)] for i in range(n_queries)]
+def speed_benchmark(
+    model: RandomForestModel, env, points: np.ndarray, n_queries: int
+) -> SpeedupReport:
+    """Wall time of n env steps vs n model predictions on the same points:
+    the rows of an (m, len(space)) grid-index array, cycled to n queries."""
+    queries = points[np.arange(n_queries) % len(points)]
+    steps = list(map(tuple, queries.tolist()))
     t0 = time.perf_counter()
-    for p in queries:
+    for p in steps:
         env.step(p)
     env_seconds = time.perf_counter() - t0
-    feats = encode_batch(model.space, [p.indices for p in queries])
+    feats = encode_batch(model.space, queries)
     t0 = time.perf_counter()
     for x in feats:
         model.predict_features(x)

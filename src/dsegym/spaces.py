@@ -2,9 +2,16 @@
 
 A space is an ordered list of named parameters, each either categorical
 (a set of string labels) or numeric (a finite stepped grid ``min + k*step``).
-Design points are stored as per-parameter grid indices; helpers convert to
-and from the concrete label/value form used in trajectory records and in
-the subprocess protocol.
+Designs have two representations, both made of per-parameter grid indices:
+
+* a design point is a plain ``tuple`` of Python ints, one per parameter
+  (`DesignPoint` is only its annotation); agents propose and envs step it;
+* a batch of points is an ``(n, len(space))`` int64 array, one point per
+  row; the samplers and the encoder work on batches, and their one-point
+  forms (`sample_uniform`, `encode`) are the one-row case.
+
+Helpers convert a point to and from the concrete label/value form used in
+trajectory records and in the subprocess protocol.
 """
 
 from __future__ import annotations
@@ -20,6 +27,10 @@ import yaml
 # Tolerance used when deciding whether a value sits on the step grid and
 # whether max is an exact multiple of step away from min.
 _GRID_RTOL = 1e-9
+
+
+# One design: its grid index for every parameter, in space order.
+DesignPoint = tuple[int, ...]
 
 
 class SpaceTooLargeError(ValueError):
@@ -98,13 +109,6 @@ class ParameterSpec:
 
 
 @dataclass(frozen=True)
-class DesignPoint:
-    """One concrete assignment, stored as per-parameter grid indices."""
-
-    indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ParameterSpace:
     parameters: tuple[ParameterSpec, ...]
 
@@ -149,11 +153,9 @@ class ParameterSpace:
         return len(self.parameters)
 
     def validate_point(self, point: DesignPoint) -> None:
-        if len(point.indices) != len(self.parameters):
-            raise ValueError(
-                f"point has {len(point.indices)} values, space has {len(self.parameters)}"
-            )
-        for spec, size, k in zip(self.parameters, self.sizes, point.indices):
+        if len(point) != len(self.parameters):
+            raise ValueError(f"point has {len(point)} values, space has {len(self.parameters)}")
+        for spec, size, k in zip(self.parameters, self.sizes, point):
             if not 0 <= k < size:
                 raise ValueError(f"index {k} out of range for parameter {spec.name!r}")
 
@@ -167,7 +169,12 @@ def cardinality(space: ParameterSpace) -> int:
 
 
 def sample_uniform(space: ParameterSpace, rng: np.random.Generator) -> DesignPoint:
-    return DesignPoint(tuple(int(rng.integers(0, s)) for s in space.sizes))
+    """One point: row 0 of `sample_uniform_indices(space, rng, 1)`, draw for draw.
+
+    Given an array of bounds, numpy draws each element on its own, as a
+    one-row batch draws each column, so one call replaces one per parameter.
+    """
+    return tuple(rng.integers(0, space.sizes).tolist())
 
 
 def sample_uniform_indices(space: ParameterSpace, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -178,21 +185,13 @@ def sample_uniform_indices(space: ParameterSpace, rng: np.random.Generator, n: i
     return out
 
 
-def sample_uniform_batch(
-    space: ParameterSpace, rng: np.random.Generator, n: int
-) -> list[DesignPoint]:
-    """Draw n points with one vectorized call per parameter."""
-    return [DesignPoint(tuple(row)) for row in sample_uniform_indices(space, rng, n).tolist()]
-
-
 def enumerate_points(space: ParameterSpace, limit: int) -> Iterator[DesignPoint]:
     """Every point exactly once, first parameter varying slowest."""
     if cardinality(space) > limit:
         raise SpaceTooLargeError(
             f"space too large to enumerate: {cardinality(space)} > limit {limit}"
         )
-    for combo in itertools.product(*(range(s) for s in space.sizes)):
-        yield DesignPoint(combo)
+    yield from itertools.product(*(range(s) for s in space.sizes))
 
 
 def encode_dim(space: ParameterSpace) -> int:
@@ -201,7 +200,7 @@ def encode_dim(space: ParameterSpace) -> int:
 
 def encode(space: ParameterSpace, point: DesignPoint) -> np.ndarray:
     """One-hot per categorical parameter, min-max scalar per numeric one."""
-    return encode_batch(space, [point.indices])[0]
+    return encode_batch(space, [point])[0]
 
 
 def encode_batch(space: ParameterSpace, indices) -> np.ndarray:
@@ -237,11 +236,9 @@ def resample_position(
     if size == 1:
         return point
     new = int(rng.integers(0, size - 1))
-    if new >= point.indices[pos]:
+    if new >= point[pos]:
         new += 1
-    indices = list(point.indices)
-    indices[pos] = new
-    return DesignPoint(tuple(indices))
+    return point[:pos] + (new,) + point[pos + 1 :]
 
 
 def neighbor(space: ParameterSpace, point: DesignPoint, rng: np.random.Generator) -> DesignPoint:
@@ -256,7 +253,7 @@ def design_map(space: ParameterSpace, point: DesignPoint) -> dict:
 
     The point's indices must lie on the grid (see `validate_point`).
     """
-    return {name: values[k] for (name, values), k in zip(space._grid_values, point.indices)}
+    return {name: values[k] for (name, values), k in zip(space._grid_values, point)}
 
 
 def point_from_map(space: ParameterSpace, values: Mapping) -> DesignPoint:
@@ -265,7 +262,7 @@ def point_from_map(space: ParameterSpace, values: Mapping) -> DesignPoint:
         if spec.name not in values:
             raise ValueError(f"missing parameter {spec.name!r}")
         indices.append(spec.index_of(values[spec.name]))
-    point = DesignPoint(tuple(indices))
+    point = tuple(indices)
     space.validate_point(point)
     return point
 

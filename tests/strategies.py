@@ -40,7 +40,4 @@ def spaces(draw, max_params: int = 4, max_values: int = 5, max_count: int = 8):
 @st.composite
 def spaces_with_points(draw, **kwargs):
     space = draw(spaces(**kwargs))
-    indices = tuple(draw(st.integers(0, p.size - 1)) for p in space.parameters)
-    from dsegym.spaces import DesignPoint
-
-    return space, DesignPoint(indices)
+    return space, tuple(draw(st.integers(0, p.size - 1)) for p in space.parameters)

@@ -3,7 +3,6 @@ import pytest
 
 from dsegym.agents import make_agent
 from dsegym.rng import make_rng
-from dsegym.spaces import DesignPoint
 
 from .test_agents_common import SMALL_SPACE
 
@@ -39,9 +38,9 @@ class TestRankDeposit:
     def test_tied_rewards_deposit_equally(self):
         agent = make_agent("ACO", SMALL_SPACE, {"ants": 3})
         batch = [
-            (DesignPoint((0, 0, 0)), -2.0),
-            (DesignPoint((1, 1, 1)), 7.5),
-            (DesignPoint((2, 2, 1)), 7.5),
+            ((0, 0, 0), -2.0),
+            ((1, 1, 1), 7.5),
+            ((2, 2, 1), 7.5),
         ]
         agent.update(batch)
         a, b, c = agent.pheromone
@@ -52,10 +51,10 @@ class TestRankDeposit:
         hp = {"ants": 4, "deposit": 3.0, "evaporation": 0.5}
         agent = make_agent("ACO", SMALL_SPACE, hp)
         batch = [
-            (DesignPoint((0, 0, 0)), -1e300),
-            (DesignPoint((0, 1, 0)), 0.0),
-            (DesignPoint((0, 2, 0)), 1e-300),
-            (DesignPoint((0, 3, 0)), 1e300),
+            ((0, 0, 0), -1e300),
+            ((0, 1, 0), 0.0),
+            ((0, 2, 0), 1e-300),
+            ((0, 3, 0), 1e300),
         ]
         agent.update(batch)
         # after evaporation tau = 0.5; ranks 1..4 deposit 3 * rank / 4
@@ -64,7 +63,7 @@ class TestRankDeposit:
     def test_update_independent_of_ant_order(self):
         rng = np.random.Generator(np.random.Philox(4))
         batch = [
-            (DesignPoint((int(rng.integers(3)), int(rng.integers(4)), int(rng.integers(2)))),
+            ((int(rng.integers(3)), int(rng.integers(4)), int(rng.integers(2))),
              float(rng.integers(-3, 3)))
             for _ in range(7)
         ]

@@ -101,7 +101,7 @@ class TestContract:
                 point = agent.propose(rng)
                 r = float(reward_rng.uniform(0.0, 3.0))
                 agent.observe(point, r)
-                trace.append((point.indices, r))
+                trace.append((point, r))
             return trace
 
         assert run(7) == run(7)
@@ -145,7 +145,7 @@ class TestRandomWalker:
     def test_single_point_space(self):
         space = ParameterSpace((ParameterSpec("a", Categorical(("only",))),))
         agent = make_agent("RW", space)
-        assert agent.propose(make_rng(0)).indices == (0,)
+        assert agent.propose(make_rng(0)) == (0,)
 
     def test_seed_determinism(self):
         a = [make_agent("RW", SMALL_SPACE).propose(make_rng(4)) for _ in range(3)]

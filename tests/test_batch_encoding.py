@@ -19,7 +19,6 @@ from dsegym.proxy import dataset_matrix
 from dsegym.rng import make_rng
 from dsegym.spaces import (
     Categorical,
-    DesignPoint,
     Numeric,
     ParameterSpace,
     ParameterSpec,
@@ -28,7 +27,7 @@ from dsegym.spaces import (
     encode_dim,
     point_from_map,
     sample_uniform,
-    sample_uniform_batch,
+    sample_uniform_indices,
 )
 
 SHIPPED = ["dram", "accel", "soc", "dram-small", "accel-small", "soc-small"]
@@ -48,7 +47,7 @@ def reference_encode(space, point):
     space.validate_point(point)
     out = np.zeros(encode_dim(space))
     pos = 0
-    for spec, k in zip(space.parameters, point.indices):
+    for spec, k in zip(space.parameters, point):
         if isinstance(spec.kind, Categorical):
             out[pos + k] = 1.0
             pos += spec.size
@@ -67,9 +66,7 @@ def reference_bo_propose(agent, rng):
     gp = GaussianProcess(hp["length_scale"], hp["signal_var"], hp["noise_var"])
     gp.fit(np.stack(agent._features[window]), np.asarray(agent._rewards[window]))
     cols = [rng.integers(0, s, size=hp["candidate_pool"]) for s in agent.space.sizes]
-    candidates = [
-        DesignPoint(tuple(int(c[i]) for c in cols)) for i in range(hp["candidate_pool"])
-    ]
+    candidates = [tuple(int(c[i]) for c in cols) for i in range(hp["candidate_pool"])]
     Xq = np.stack([reference_encode(agent.space, c) for c in candidates])
     mean, var = gp.predict(Xq)
     ei = expected_improvement(mean, np.sqrt(var), gp.standardize(agent._best_reward), hp["xi"])
@@ -98,13 +95,13 @@ def _bits(array):
 def test_encode_batch_matches_reference(space_name):
     space = FLOAT_GRID if space_name == "float-grid" else get_space(space_name)
     rng = make_rng(11)
-    rows = [sample_uniform(space, rng).indices for _ in range(256)]
+    rows = [sample_uniform(space, rng) for _ in range(256)]
     rows += [(0,) * len(space), tuple(s - 1 for s in space.sizes)]
-    expected = np.stack([reference_encode(space, DesignPoint(r)) for r in rows])
+    expected = np.stack([reference_encode(space, r) for r in rows])
     assert _bits(encode_batch(space, rows)) == _bits(expected)
     assert _bits(encode_batch(space, np.array(rows, dtype=np.int32))) == _bits(expected)
     for r, row in zip(rows, expected):
-        assert _bits(encode(space, DesignPoint(r))) == _bits(row)
+        assert _bits(encode(space, r)) == _bits(row)
 
 
 class TestEncodeBatchRejects:
@@ -138,8 +135,9 @@ class TestEncodeBatchRejects:
 
 def test_space_without_parameters():
     space = ParameterSpace(())
-    assert encode(space, DesignPoint(())).shape == (0,)
-    assert sample_uniform_batch(space, make_rng(0), 3) == [DesignPoint(())] * 3
+    assert encode(space, ()).shape == (0,)
+    assert sample_uniform_indices(space, make_rng(0), 3).shape == (3, 0)
+    assert sample_uniform(space, make_rng(0)) == ()
 
 
 def test_dataset_matrix_unchanged_on_logged_dram(tmp_path):
@@ -179,7 +177,7 @@ def test_bayesopt_matches_reference(env_args):
     for _ in range(40):  # the 12-point window slides after step 12
         point = agent.propose(rng)
         assert point == reference_bo_propose(ref, ref_rng)
-        assert all(type(k) is int for k in point.indices)
+        assert all(type(k) is int for k in point)
         reward = env.step(point).reward
         agent.observe(point, reward)
         ref.observe(point, reward)

@@ -1,11 +1,13 @@
 """The command-line front end, run in process through `cli.main(argv)`."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from dsegym import cli
+from dsegym import orchestrator as orch
 from dsegym.agents import RandomWalker
 from dsegym.dataset import load_dataset
 
@@ -93,3 +95,77 @@ def test_sweep_with_a_failed_trial_exits_with_failure(tmp_path, monkeypatch, cap
     assert cli.main(argv) == cli.EXIT_FAILURE
     assert "1 trial(s) failed" in capsys.readouterr().err
     assert (tmp_path / "sw" / "summary.json").exists()
+
+
+def _printed_json(capsys):
+    return json.loads(capsys.readouterr().out)
+
+
+def test_mix_samples_the_requested_proportions(tmp_path, capsys):
+    _run(tmp_path, "RW", 8, seed=1)
+    _run(tmp_path, "GA", 8, seed=2)
+    rw, ga = sorted(_trajectory_files(tmp_path), key=lambda p: "_GA_" in p)
+    out = tmp_path / "mix.jsonl"
+    argv = ["mix", "--source", f"RW={rw}", "--source", f"GA={ga}",
+            "--proportions", "RW=0.75,GA=0.25", "--size", "8", "--out", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == f"wrote 8 records to {out}\n"
+    assert load_dataset(out, validate=False).agent_counts() == {"RW": 6, "GA": 2}
+
+
+def test_mix_proportions_must_sum_to_one(tmp_path, capsys):
+    _run(tmp_path, "RW", 4)
+    (path,) = _trajectory_files(tmp_path)
+    out = tmp_path / "mix.jsonl"
+    argv = ["mix", "--source", f"RW={path}", "--proportions", "RW=0.5", "--size", "2",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "proportions must sum to 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_proxy_on_the_undelayed_env(tmp_path, capsys):
+    _run(tmp_path, "RW", 20)
+    (path,) = _trajectory_files(tmp_path)
+    model = tmp_path / "model.json"
+    argv = ["train-proxy", "--data", path, "--target", "power", "--out", str(model),
+            "--set", "n_trees=2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    argv = ["bench-proxy", "--model", str(model), *ENV, "--delay-ms", "0", "--queries", "12"]
+    assert cli.main(argv) == cli.EXIT_OK
+    printed = _printed_json(capsys)
+    assert set(printed) == {"speedup", "env_seconds", "model_seconds", "n_queries"}
+    assert printed["n_queries"] == 12
+
+
+def test_report_writes_its_four_tables(tmp_path, capsys):
+    sweep = tmp_path / "sw"
+    argv = ["sweep", *ENV, "--agents", "RW,GA", "--budgets", "2,4", "--out", str(sweep),
+            "--no-trajectories"]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "report"
+    assert cli.main(["report", "--summary", str(sweep / "summary.json"),
+                     "--out", str(out)]) == cli.EXIT_OK
+    names = ["summary.json", "quartiles.csv", "normalized_rewards.csv", "time_to_completion.csv"]
+    assert capsys.readouterr().out == "".join(f"wrote {out / n}\n" for n in names)
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
+def test_enumerate_oracle_prints_the_oracle(tmp_path, capsys):
+    out = tmp_path / "oracle.json"
+    assert cli.main(["enumerate-oracle", *ENV, "--out", str(out)]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    printed = json.loads(text)
+    assert set(printed) == {"env_id", "workload_id", "objective", "best_design", "best_reward",
+                            "space_cardinality"}
+    assert printed == asdict(orch.enumerate_oracle("dram-small", "stream", "low-power"))
+    assert out.read_text(encoding="utf-8") == text
+
+
+def test_enumerate_oracle_refuses_a_space_past_the_limit(capsys):
+    argv = ["enumerate-oracle", "--env", "dram", "--workload", "cloud-1"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "space too large to enumerate" in capsys.readouterr().err

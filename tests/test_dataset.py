@@ -23,12 +23,11 @@ from dsegym.orchestrator import TrialSpec, run_trial
 from dsegym.rng import make_rng
 from dsegym.spaces import (
     Categorical,
-    DesignPoint,
     Numeric,
     ParameterSpace,
     ParameterSpec,
     design_map,
-    sample_uniform_batch,
+    sample_uniform_indices,
 )
 
 from .strategies import spaces_with_points
@@ -95,7 +94,7 @@ class TestWriterBytes:
     def test_append_matches_to_json(self, space_id, tmp_path):
         space = FLOAT_GRID if space_id == "float-grid" else get_space(space_id)
         rng = make_rng(17)
-        points = sample_uniform_batch(space, rng, 40)
+        points = map(tuple, sample_uniform_indices(space, rng, 40).tolist())
         path = tmp_path / "t.jsonl"
         expected = []
         with TrajectoryWriter(path, space, **CONSTANTS) as writer:
@@ -124,7 +123,7 @@ class TestWriterBytes:
         for i, space in enumerate((ints, floats)):
             path = tmp_path / f"{i}.jsonl"
             with TrajectoryWriter(path, space, **CONSTANTS) as writer:
-                writer.append(0, DesignPoint((1,)), {}, 1.0, 0)
+                writer.append(0, (1,), {}, 1.0, 0)
             lines.append(path.read_text(encoding="utf-8"))
         assert '"design":{"x":5}' in lines[0]
         assert '"design":{"x":5.0}' in lines[1]
@@ -150,14 +149,14 @@ class TestWriterBytes:
         path = tmp_path / "t.jsonl"
         with TrajectoryWriter(path, FLOAT_GRID, **CONSTANTS) as writer:
             with pytest.raises(ValueError):
-                writer.append(step, DesignPoint(indices), {"m": 1.0}, reward, 0)
+                writer.append(step, indices, {"m": 1.0}, reward, 0)
         assert path.read_bytes() == b""
 
     def test_each_record_is_on_disk_before_the_next_step(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with TrajectoryWriter(path, FLOAT_GRID, **CONSTANTS) as writer:
             for step in range(3):
-                writer.append(step, DesignPoint((step, 0, 0, 0)), {"m": 1.0}, 1.0, 0)
+                writer.append(step, (step, 0, 0, 0), {"m": 1.0}, 1.0, 0)
                 assert len(path.read_text(encoding="utf-8").splitlines()) == step + 1
 
     def test_constructor_requires_exactly_the_trial_fields(self, tmp_path):
@@ -179,7 +178,7 @@ class TestRoundTrip:
     @settings(max_examples=80, deadline=None)
     def test_floats_round_trip_bit_exactly(self, tmp_path_factory, design_value, observation, reward):
         space = ParameterSpace((ParameterSpec("v", Numeric(design_value, design_value, 1.0)),))
-        point = DesignPoint((0,))
+        point = (0,)
         metrics = {f"m{i}": x for i, x in enumerate(observation)}
         path = tmp_path_factory.mktemp("rt") / "t.jsonl"
         with TrajectoryWriter(path, space, **CONSTANTS) as writer:
@@ -198,7 +197,7 @@ def _write_lines(path, lines, trailing_newline=True):
 def _lines(n, **overrides):
     space = FLOAT_GRID
     return [
-        _record(i, DesignPoint((i % 10, 0, 0, 0)), space, {"m": float(i)}, float(i), **overrides)
+        _record(i, (i % 10, 0, 0, 0), space, {"m": float(i)}, float(i), **overrides)
         .to_json()
         for i in range(n)
     ]
@@ -240,7 +239,7 @@ class TestLoad:
 
 def _dataset(n, agent_type="RW", experiment_id="e", env_id="test-env"):
     records = [
-        _record(i, DesignPoint((i % 10, 0, 0, 0)), FLOAT_GRID, {"m": float(i)}, float(i),
+        _record(i, (i % 10, 0, 0, 0), FLOAT_GRID, {"m": float(i)}, float(i),
                 agent_type=agent_type, experiment_id=experiment_id, env_id=env_id)
         for i in range(n)
     ]

@@ -136,6 +136,21 @@ class TestTrialCost:
         assert len(calls) == budget + 1
 
 
+class TestCheckpoints:
+    @pytest.mark.parametrize("agent_type", AGENT_TYPES)
+    def test_best_at_is_the_running_best_of_the_logged_rewards(self, agent_type, tmp_path):
+        spec = TrialSpec("dram-small", "stream", "low-power", agent_type, 16, seed=5,
+                         out_dir=str(tmp_path), checkpoints=(1, 2, 4, 8))
+        result = run_trial(spec)
+        rewards = [r.reward for r in load_dataset(result.trajectory_file).records]
+        budgets = sorted(result.best_at)
+        assert budgets == [1, 2, 4, 8, 16]
+        values = [result.best_at[b] for b in budgets]
+        assert values == sorted(values)
+        assert all(result.best_at[b] == max(rewards[:b]) for b in budgets)
+        assert result.best_at[16] == result.best_reward
+
+
 class TestTrajectoryFiles:
     def test_rerun_into_same_dir_replaces_the_trajectory(self, tmp_path):
         first = run_trial(_rw_spec(out_dir=tmp_path))

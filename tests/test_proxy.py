@@ -8,7 +8,7 @@ from dsegym.envs import make_env
 from dsegym.orchestrator import TrialSpec, run_trial
 from dsegym.proxy import RandomForestModel, speed_benchmark, train_forest
 from dsegym.rng import make_rng
-from dsegym.spaces import encode_batch, sample_uniform_batch
+from dsegym.spaces import encode_batch, sample_uniform_indices
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +21,7 @@ def model(tmp_path_factory):
 
 
 def _points(space, n=32):
-    return sample_uniform_batch(space, make_rng(3), n)
+    return sample_uniform_indices(space, make_rng(3), n)
 
 
 def test_speed_benchmark_on_undelayed_env(model):
@@ -40,7 +40,7 @@ def test_save_load_round_trips_predictions(model, tmp_path):
     assert (loaded.space, loaded.target, loaded.train_min, loaded.train_max) == (
         model.space, model.target, model.train_min, model.train_max
     )
-    X = encode_batch(model.space, [p.indices for p in _points(model.space, 64)])
+    X = encode_batch(model.space, _points(model.space, 64))
     before = np.array([model.predict_features(x) for x in X])
     after = np.array([loaded.predict_features(x) for x in X])
     assert before.tobytes() == after.tobytes()

@@ -13,7 +13,6 @@ from dsegym.agents import make_agent
 from dsegym.agents.reinforce import softmax
 from dsegym.envs import make_env
 from dsegym.rng import make_rng
-from dsegym.spaces import DesignPoint
 
 from .test_agents_common import SMALL_SPACE
 
@@ -26,7 +25,7 @@ def reference_rl_propose(agent, rng):
     for l in agent.logits:
         cum = np.cumsum(softmax(l))
         indices.append(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")))
-    return DesignPoint(tuple(indices))
+    return tuple(indices)
 
 
 def reference_aco_propose(agent, rng):
@@ -40,7 +39,7 @@ def reference_aco_propose(agent, rng):
         cum = np.cumsum(weights)
         draw = rng.random() * cum[-1]
         indices.append(int(np.searchsorted(cum, draw, side="right")))
-    return DesignPoint(tuple(indices))
+    return tuple(indices)
 
 
 def _drive_pair(agent_type, hyperparams, space_name, steps, reference, policy):

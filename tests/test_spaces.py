@@ -6,7 +6,6 @@ from scipy.stats import chisquare
 from dsegym.rng import make_rng
 from dsegym.spaces import (
     Categorical,
-    DesignPoint,
     Numeric,
     ParameterSpace,
     ParameterSpec,
@@ -19,7 +18,7 @@ from dsegym.spaces import (
     neighbor,
     point_from_map,
     sample_uniform,
-    sample_uniform_batch,
+    sample_uniform_indices,
     space_from_config,
     space_to_config,
 )
@@ -69,7 +68,7 @@ class TestSampleUniform:
     def test_single_value_space(self):
         space = make_space(ParameterSpec("A", Categorical(("x",))))
         rng = make_rng(0)
-        assert all(sample_uniform(space, rng).indices == (0,) for _ in range(10))
+        assert all(sample_uniform(space, rng) == (0,) for _ in range(10))
 
     def test_deterministic_per_seed(self):
         points = [sample_uniform(TWO_BY_TWO, make_rng(42)) for _ in range(2)]
@@ -78,7 +77,7 @@ class TestSampleUniform:
     def test_uniform_frequencies_chi_square(self):
         space = make_space(ParameterSpec("n", Numeric(14, 336, 14)))
         rng = make_rng(7)
-        draws = [sample_uniform(space, rng).indices[0] for _ in range(24_000)]
+        draws = [sample_uniform(space, rng)[0] for _ in range(24_000)]
         counts = np.bincount(draws, minlength=24)
         # 3 sigma for one cell is ~3*sqrt(1000*(1-1/24)) ~ 94; chi-square is stricter
         assert chisquare(counts).pvalue > 1e-4
@@ -92,9 +91,10 @@ class TestSampleUniform:
             space.validate_point(sample_uniform(space, rng))
 
     def test_batch_matches_domain(self):
-        rng = make_rng(5)
-        for p in sample_uniform_batch(TWO_BY_TWO, rng, 100):
-            TWO_BY_TWO.validate_point(p)
+        batch = sample_uniform_indices(TWO_BY_TWO, make_rng(5), 100)
+        assert batch.shape == (100, 2) and batch.dtype == np.int64
+        for row in batch.tolist():
+            TWO_BY_TWO.validate_point(tuple(row))
 
 
 class TestEnumerate:
@@ -120,11 +120,11 @@ class TestEnumerate:
 class TestEncode:
     def test_one_hot(self):
         space = make_space(ParameterSpec("A", Categorical(("x", "y"))))
-        assert encode(space, DesignPoint((0,))).tolist() == [1.0, 0.0]
+        assert encode(space, (0,)).tolist() == [1.0, 0.0]
 
     def test_numeric_min_max_scaling(self):
         space = make_space(ParameterSpec("n", Numeric(0, 10, 5)))
-        assert encode(space, DesignPoint((1,))).tolist() == [0.5]
+        assert encode(space, (1,)).tolist() == [0.5]
 
     def test_dimension(self):
         space = make_space(
@@ -135,13 +135,13 @@ class TestEncode:
 
     def test_invalid_point_rejected(self):
         with pytest.raises(ValueError):
-            encode(TWO_BY_TWO, DesignPoint((2, 0)))
+            encode(TWO_BY_TWO, (2, 0))
 
 
 class TestNeighbor:
     def test_single_value_space_returns_same_point(self):
         space = make_space(ParameterSpec("A", Categorical(("x",))))
-        point = DesignPoint((0,))
+        point = (0,)
         assert neighbor(space, point, make_rng(0)) == point
 
     def test_changes_at_most_one_position(self):
@@ -154,7 +154,7 @@ class TestNeighbor:
         point = sample_uniform(space, rng)
         for _ in range(200):
             new = neighbor(space, point, rng)
-            diffs = sum(a != b for a, b in zip(new.indices, point.indices))
+            diffs = sum(a != b for a, b in zip(new, point))
             assert diffs == 1  # every domain here has >= 2 values
 
     def test_position_choice_is_uniform(self):
@@ -164,12 +164,12 @@ class TestNeighbor:
             ParameterSpec("c", Categorical(("1", "2"))),
         )
         rng = make_rng(13)
-        point = DesignPoint((0, 0, 0))
+        point = (0, 0, 0)
         hits = np.zeros(3)
         n = 10_000
         for _ in range(n):
             new = neighbor(space, point, rng)
-            hits[[a != b for a, b in zip(new.indices, point.indices)].index(True)] += 1
+            hits[[a != b for a, b in zip(new, point)].index(True)] += 1
         sigma = np.sqrt(n * (1 / 3) * (2 / 3))
         assert np.all(np.abs(hits - n / 3) < 3 * sigma)
 
@@ -193,7 +193,7 @@ class TestGridSemantics:
 
 class TestDesignMaps:
     def test_round_trip(self):
-        point = DesignPoint((1, 0))
+        point = (1, 0)
         mapping = design_map(TWO_BY_TWO, point)
         assert mapping == {"A": "y", "B": 1}
         assert point_from_map(TWO_BY_TWO, mapping) == point
@@ -203,8 +203,8 @@ class TestDesignMaps:
             point_from_map(TWO_BY_TWO, {"A": "x"})
 
     def test_integer_grid_values_stay_integers(self):
-        assert design_map(TWO_BY_TWO, DesignPoint((0, 1)))["B"] == 2
-        assert isinstance(design_map(TWO_BY_TWO, DesignPoint((0, 1)))["B"], int)
+        assert design_map(TWO_BY_TWO, (0, 1))["B"] == 2
+        assert isinstance(design_map(TWO_BY_TWO, (0, 1))["B"], int)
 
 
 class TestSpaceConfig:
