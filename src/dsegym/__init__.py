@@ -1,14 +1,13 @@
 """Design-space-exploration gymnasium.
 
-Environments wrap architecture cost models behind a gym-style
-reset/step interface; agents (random walker, genetic algorithm, ant
-colony, Bayesian optimization, policy gradient) search their parameter
-spaces through one shared contract; every exchange is logged to
-trajectory datasets that feed random-forest proxy cost models.
+Environments wrap architecture cost models behind a gym-style step, and
+one step evaluates one design point; agents (random walker, genetic
+algorithm, ant colony, Bayesian optimization, policy gradient) search
+their parameter spaces through one shared contract; every exchange is
+logged to trajectory datasets that feed random-forest proxy cost models.
 """
 
 from .core import (
-    Environment,
     Observation,
     RewardMode,
     RewardSpec,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Categorical",
     "DesignPoint",
-    "Environment",
     "Numeric",
     "Observation",
     "ParameterSpace",

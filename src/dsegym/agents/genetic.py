@@ -74,7 +74,6 @@ class GeneticAlgorithm(Agent):
             if not 0.0 <= hp[key] <= 1.0:
                 raise ValueError(f"{key} must lie in [0, 1], got {hp[key]}")
         self.population: list[Individual] = []
-        self.generation = 0
         self._pending: Individual | None = None
 
     # -- contract ------------------------------------------------------------
@@ -140,4 +139,3 @@ class GeneticAlgorithm(Agent):
             )
             children.append(Individual(sprout))
         self.population = children
-        self.generation += 1

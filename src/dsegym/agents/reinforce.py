@@ -1,9 +1,10 @@
 """Score-function policy gradient over a factorized categorical policy.
 
 One logit vector per parameter; proposals sample each parameter from its
-softmax independently (episodes of length one, so the policy is
-context-free).  Updates use batch advantages against an exponential
-moving-average baseline, plus an optional entropy bonus.
+softmax independently (one sample is one env step with no state to
+condition on, so the policy is context-free).  Updates use batch
+advantages against an exponential moving-average baseline, plus an
+optional entropy bonus.
 """
 
 from __future__ import annotations

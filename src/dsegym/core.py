@@ -1,4 +1,4 @@
-"""Environment/agent interface contract: observations, rewards, objectives.
+"""Observations, rewards and objectives shared by environments and agents.
 
 Three reward modes cover the built-in environments:
 
@@ -13,26 +13,11 @@ Three reward modes cover the built-in environments:
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .envs.base import WorkloadSpec
-    from .spaces import DesignPoint, ParameterSpace
+from typing import Sequence
 
 DEFAULT_SINGULARITY_CAP = 1e9
-
-# Default unit tags for the metric names the built-in environments emit.
-METRIC_UNITS = {
-    "latency": "s",
-    "power": "W",
-    "energy": "J",
-    "area": "mm2",
-    "throughput": "ops/s",
-    "performance": "s",
-}
 
 
 class MissingMetricError(ValueError):
@@ -55,14 +40,11 @@ class Observation:
 
     metrics: dict[str, float]
     valid: bool = True
-    units: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         for name, value in self.metrics.items():
             if not math.isfinite(value):
                 raise InvalidObservationError(f"invalid observation: metric {name!r} = {value}")
-        for name in self.metrics:
-            self.units.setdefault(name, METRIC_UNITS.get(name, ""))
 
     def __getitem__(self, name: str) -> float:
         if name not in self.metrics:
@@ -123,28 +105,7 @@ class RewardSpec:
 class StepResult:
     observation: Observation
     reward: float
-    done: bool
     info: dict[str, str] = field(default_factory=dict)
-
-
-class Environment(ABC):
-    """Single-trial environment: one instance serves one trial at a time.
-
-    `step` must be deterministic given (design point, workload, seed), and
-    `reset` must leave the instance indistinguishable from a fresh one.
-    """
-
-    @abstractmethod
-    def reset(self) -> Observation: ...
-
-    @abstractmethod
-    def step(self, point: "DesignPoint") -> StepResult: ...
-
-    @abstractmethod
-    def space(self) -> "ParameterSpace": ...
-
-    @abstractmethod
-    def workload(self) -> "WorkloadSpec": ...
 
 
 # ---------------------------------------------------------------------------

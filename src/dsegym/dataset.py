@@ -205,7 +205,10 @@ class Dataset:
 
 
 def load_dataset(path, validate: bool = True) -> Dataset:
-    """Load a trajectory file, recovering from a truncated final line."""
+    """Load a trajectory file, recovering from a truncated final line.
+
+    With `validate`, a repeated (experiment, step) pair is an error.
+    """
     path = Path(path)
     records = []
     with open(path, encoding="utf-8") as f:
@@ -228,15 +231,19 @@ def load_dataset(path, validate: bool = True) -> Dataset:
 
 
 def _validate_records(records: list[TrajectoryRecord], path) -> None:
-    next_step: dict[str, int] = {}
+    """Each (experiment, step) pair occurs at most once.
+
+    Gaps and any order are fine: a mixture or a split holds a sparse,
+    shuffled subset of each trial.  A trial logged twice repeats pairs.
+    """
+    seen: set[tuple[str, int]] = set()
     for r in records:
-        expected = next_step.get(r.experiment_id, 0)
-        if r.step_index != expected:
+        key = (r.experiment_id, r.step_index)
+        if key in seen:
             raise ValueError(
-                f"{path}: experiment {r.experiment_id!r} step_index {r.step_index} "
-                f"(expected {expected}; indices must be dense from 0)"
+                f"{path}: experiment {r.experiment_id!r} step_index {r.step_index} occurs twice"
             )
-        next_step[r.experiment_id] = expected + 1
+        seen.add(key)
 
 
 def merge(datasets: list[Dataset]) -> Dataset:

@@ -1,9 +1,11 @@
 """Built-in environments and the registry that constructs them.
 
 Environment ids: ``dram``, ``accel``, ``soc`` plus their brute-force-
-tractable ``*-small`` variants.  An external simulator becomes an env by
-passing a :class:`dsegym.envs.external.SimulatorProcess` as the cost
-function of a :class:`SyntheticEnv`.
+tractable ``*-small`` variants.  `make_env` puts a family's cost model
+behind a :class:`SyntheticEnv`, whose every step is one evaluation.  An
+external simulator becomes an env by passing a
+:class:`dsegym.envs.external.SimulatorProcess` as the cost function of a
+:class:`SyntheticEnv`.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ def make_env(
     env_id: str,
     workload_id: str,
     objective: str | RewardSpec = "low-latency",
-    episode_length: int = 1,
     delay_ms: float = 0.0,
 ) -> SyntheticEnv:
     family, _ = split_env_id(env_id)
@@ -108,6 +109,5 @@ def make_env(
         cost_fn=_FAMILIES[family],
         constants=constants,
         reference_design=fix["reference"],
-        episode_length=episode_length,
         delay_s=delay_ms / 1000.0,
     )

@@ -5,6 +5,8 @@ fixture constants).  All constants live in the YAML fixture files next to
 this module, so golden-value tests stay stable and brute-force oracles are
 exact.  An external simulator plugs in as a cost function
 (:class:`dsegym.envs.external.SimulatorProcess`) behind the same env class.
+An env step is one cost-function evaluation, and the env keeps no
+per-step state.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 
 import yaml
 
-from ..core import Environment, Observation, RewardSpec, StepResult, score
+from ..core import Observation, RewardSpec, StepResult, score
 from ..spaces import DesignPoint, ParameterSpace, design_map, point_from_map
 
 
@@ -51,15 +53,13 @@ def load_fixture(name: str) -> dict:
 CostFn = Callable[[dict, WorkloadSpec, dict], tuple[dict, bool, str]]
 
 
-class SyntheticEnv(Environment):
+class SyntheticEnv:
     """Any cost function behind the gym-style contract.
 
     The cost function runs in-process (the built-in models) or in a
-    simulator process (:class:`dsegym.envs.external.SimulatorProcess`); it
-    is assumed deterministic, so the reference design is evaluated once.
-    Episodes have length 1 by default: every step is a full design
-    evaluation and `done` comes back true.  `delay_s` injects artificial
-    per-step latency for proxy speed-up benchmarking.
+    simulator process (:class:`dsegym.envs.external.SimulatorProcess`).
+    `delay_s` injects artificial per-step latency for proxy speed-up
+    benchmarking.
     """
 
     def __init__(
@@ -71,11 +71,8 @@ class SyntheticEnv(Environment):
         cost_fn: CostFn,
         constants: dict,
         reference_design: dict,
-        episode_length: int = 1,
         delay_s: float = 0.0,
     ):
-        if episode_length < 1:
-            raise ValueError("episode length must be >= 1")
         self.env_id = env_id
         self._space = space
         self._workload = workload
@@ -83,10 +80,7 @@ class SyntheticEnv(Environment):
         self._cost_fn = cost_fn
         self._constants = constants
         self._reference = point_from_map(space, reference_design)
-        self._reference_obs: Observation | None = None  # evaluated on first reset
-        self.episode_length = episode_length
         self.delay_s = delay_s
-        self._steps_in_episode = 0
 
     # -- contract ----------------------------------------------------------
 
@@ -97,17 +91,8 @@ class SyntheticEnv(Environment):
         return self._workload
 
     def reset(self) -> Observation:
-        """Start an episode; returns the reference design's observation.
-
-        The cost function is deterministic, so the reference is evaluated
-        once.  Each call returns a fresh copy, because callers may edit
-        `metrics`.
-        """
-        self._steps_in_episode = 0
-        if self._reference_obs is None:
-            self._reference_obs = self.observe(self._reference)
-        ref = self._reference_obs
-        return Observation(dict(ref.metrics), ref.valid, dict(ref.units))
+        """The reference design's observation."""
+        return self.observe(self._reference)
 
     def step(self, point: DesignPoint) -> StepResult:
         self._space.validate_point(point)
@@ -115,17 +100,15 @@ class SyntheticEnv(Environment):
             time.sleep(self.delay_s)
         obs, reason = self._evaluate(point)
         reward = score(self.reward_spec, obs)
-        self._steps_in_episode += 1
-        done = self._steps_in_episode >= self.episode_length
         info: dict[str, str] = {}
         if not obs.valid:
             info["invalid"] = reason or "infeasible"
-        return StepResult(observation=obs, reward=reward, done=done, info=info)
+        return StepResult(observation=obs, reward=reward, info=info)
 
     # -- helpers -----------------------------------------------------------
 
     def observe(self, point: DesignPoint) -> Observation:
-        """Metrics for a point without episode bookkeeping or delay."""
+        """Metrics for a point, without the reward or the step delay."""
         return self._evaluate(point)[0]
 
     def _evaluate(self, point: DesignPoint) -> tuple[Observation, str]:

@@ -8,7 +8,7 @@ Wire protocol (one JSON record per line, UTF-8):
 
 A :class:`SimulatorProcess` owns exactly one child and serializes its
 requests.  It is a ``CostFn``, so :class:`~dsegym.envs.base.SyntheticEnv`
-steps, scores and resets it like a built-in cost model::
+calls it once per step, like a built-in cost model::
 
     sim = SimulatorProcess([sys.executable, "my_sim.py"], timeout_s=10.0)
     env = SyntheticEnv("my-sim", space, workload, reward_spec, cost_fn=sim,

@@ -4,8 +4,9 @@ A trial is the unit of parallelism: one env instance, one agent, one rng
 stream, one trajectory file.  Sweeps run the Cartesian product of configs,
 seeds and budgets; nested budgets are evaluated on a single seed stream by
 checkpointing best-so-far at each budget, which makes reward-vs-budget
-curves monotone per trial.  One env step is one sample; agent-internal
-computation is free.
+curves monotone per trial.  One env step is one sample and one
+cost-model evaluation, so a budget-N trial evaluates exactly N designs;
+agent-internal computation is free.
 
 Parallel sweeps run trials in a process pool.  Each worker caps every
 OpenBLAS library it has loaded at max(1, usable cores // workers) threads
@@ -123,16 +124,11 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     t_start = time.perf_counter()
     step = 0
     try:
-        env.reset()
-        done = False
         for step in range(spec.budget):
-            if done:
-                env.reset()
             t0 = time.perf_counter()
             point = agent.propose(rng)
             result = env.step(point)
             agent.observe(point, result.reward)
-            done = result.done
             if writer is not None:
                 writer.append(
                     step,

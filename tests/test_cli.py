@@ -111,7 +111,24 @@ def test_mix_samples_the_requested_proportions(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().out == f"wrote 8 records to {out}\n"
-    assert load_dataset(out, validate=False).agent_counts() == {"RW": 6, "GA": 2}
+    assert load_dataset(out).agent_counts() == {"RW": 6, "GA": 2}
+
+
+def test_a_mixture_trains_and_evaluates_a_proxy(tmp_path):
+    _run(tmp_path, "RW", 12, seed=1)
+    _run(tmp_path, "GA", 12, seed=2)
+    rw, ga = sorted(_trajectory_files(tmp_path), key=lambda p: "_GA_" in p)
+    mix = tmp_path / "mix.jsonl"
+    argv = ["mix", "--source", f"RW={rw}", "--source", f"GA={ga}",
+            "--proportions", "RW=0.5,GA=0.5", "--size", "16", "--out", str(mix)]
+    assert cli.main(argv) == cli.EXIT_OK
+    model = tmp_path / "model.json"
+    argv = ["train-proxy", "--data", str(mix), "--target", "power", "--out", str(model),
+            "--set", "n_trees=2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    argv = ["eval-proxy", "--model", str(model), "--data", str(mix),
+            "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == cli.EXIT_OK
 
 
 def test_mix_proportions_must_sum_to_one(tmp_path, capsys):

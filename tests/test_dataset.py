@@ -236,6 +236,19 @@ class TestLoad:
         with pytest.raises(ValueError, match="JSON object"):
             TrajectoryRecord.from_json("[1,2]")
 
+    def test_a_trial_written_twice_is_rejected(self, tmp_path):
+        lines = _lines(3)
+        path = tmp_path / "t.jsonl"
+        _write_lines(path, lines + lines)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: experiment 'exp-1' step_index 0")):
+            load_dataset(path)
+
+    def test_gaps_and_any_order_are_accepted(self, tmp_path):
+        lines = _lines(6)
+        path = tmp_path / "t.jsonl"
+        _write_lines(path, [lines[4], lines[0], lines[2]])
+        assert [r.step_index for r in load_dataset(path).records] == [4, 0, 2]
+
 
 def _dataset(n, agent_type="RW", experiment_id="e", env_id="test-env"):
     records = [

@@ -162,19 +162,6 @@ class TestSocEnv:
 
 
 class TestEpisodeSemantics:
-    def test_done_after_every_step_by_default(self):
-        env = make_env("dram-small", "stream")
-        rng = make_rng(4)
-        for _ in range(3):
-            assert env.step(sample_uniform(env.space(), rng)).done
-
-    def test_multi_step_episode(self):
-        env = make_env("dram-small", "stream", episode_length=3)
-        rng = make_rng(4)
-        env.reset()
-        dones = [env.step(sample_uniform(env.space(), rng)).done for _ in range(3)]
-        assert dones == [False, False, True]
-
     def test_reset_after_done_returns_initial_observation(self):
         env = make_env("dram-small", "stream")
         initial = env.reset().metrics
@@ -187,11 +174,9 @@ class TestEpisodeSemantics:
         reference = dict(first.metrics)
         first.metrics["latency"] = -1.0
         first.metrics["bogus"] = 2.0
-        first.units["latency"] = "bogus"
         again = env.reset()
         assert again.metrics == reference
         assert again.metrics == env.observe(env.reference_point()).metrics
-        assert again.units["latency"] != "bogus"
 
     def test_reset_equivalent_to_fresh_instance(self):
         rng = make_rng(6)

@@ -132,8 +132,8 @@ class TestTrialCost:
     def test_reference_is_evaluated_once_per_trial(self, monkeypatch, budget):
         calls = _count_cost_calls(monkeypatch, "dram")
         run_trial(_rw_spec(budget))
-        # one evaluation per sample, plus the reference on the first reset
-        assert len(calls) == budget + 1
+        # one evaluation per sample; the reference design is never evaluated
+        assert len(calls) == budget
 
 
 class TestCheckpoints:
@@ -165,8 +165,8 @@ class TestTrajectoryFiles:
         ]
 
     def test_failed_trial_leaves_only_the_partial_file(self, monkeypatch, tmp_path):
-        # call 1 evaluates the reference, so steps 0-1 are logged first
-        _count_cost_calls(monkeypatch, "dram", fail_at=4)
+        # calls 1-2 are steps 0-1, which are logged before call 3 fails
+        _count_cost_calls(monkeypatch, "dram", fail_at=3)
         with pytest.raises(TrialError, match="at step 2"):
             run_trial(_rw_spec(out_dir=tmp_path))
         assert list(tmp_path.glob("*.jsonl")) == []

@@ -190,10 +190,6 @@ class TestObservation:
         obs = Observation({}, valid=False)
         assert obs.metrics == {}
 
-    def test_unit_tags_filled(self):
-        obs = Observation({"latency": 1.0, "power": 2.0, "area": 3.0})
-        assert obs.units == {"latency": "s", "power": "W", "area": "mm2"}
-
 
 class TestRewardSpecValidation:
     def test_mode_fields_enforced(self):
