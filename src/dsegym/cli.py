@@ -94,8 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--delay-ms", type=float, default=0.0)
     p.add_argument("--parallel", type=int, default=1,
-                   help="worker processes; each caps its OpenBLAS threads at "
-                        "max(1, cores // N), never raising them")
+                   help="worker processes (>= 1); each caps its OpenBLAS threads at "
+                        "max(1, cores // N), never raising them, and the cap "
+                        "starts no thread of its own")
     p.add_argument("--no-trajectories", action="store_true",
                    help="skip trajectory logging (summary only)")
 
@@ -180,7 +181,6 @@ def _cmd_sweep(args) -> int:
             doc = yaml.safe_load(f)
         grids = {agent: sweep_configs(agent, grid) for agent, grid in doc.items()}
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = orch.SweepConfig(
         env_id=args.env,
         workload_id=args.workload,
@@ -193,6 +193,7 @@ def _cmd_sweep(args) -> int:
         out_dir=None if args.no_trajectories else str(out_dir / "trajectories"),
         parallelism=args.parallel,
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary = orch.run_sweep(config)
     summary.save(out_dir / "summary.json")
     print(f"wrote {out_dir / 'summary.json'}")

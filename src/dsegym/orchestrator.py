@@ -13,6 +13,9 @@ OpenBLAS library it has loaded at max(1, usable cores // workers) threads
 before its first trial, and never raises a count it inherited; the caller's
 own thread counts and environment are left alone.  Without the cap each
 worker's BLAS calls spin on every core and the workers slow each other down.
+The cap starts no thread of its own: lowering a count restarts OpenBLAS's
+thread server, so the worker shuts that server down again at once, and a
+worker capped at 1 runs on its main thread alone.
 """
 
 from __future__ import annotations
@@ -186,6 +189,8 @@ class SweepConfig:
             raise ValueError("at least one seed is required")
         if not self.budgets or min(self.budgets) < 1:
             raise ValueError("budgets must be >= 1")
+        if self.parallelism < 1:
+            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
 
 
 def _sweep_specs(config: SweepConfig) -> list[TrialSpec]:
@@ -237,14 +242,37 @@ def _openblas_thread_controls() -> list[tuple]:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
+        control = _thread_control(lib)
+        if control is not None:
+            controls.append(control)
     return controls
+
+
+def _thread_control(lib) -> tuple | None:
+    """(get, set) of one OpenBLAS library, or None if it exports neither pair.
+
+    Setting the count restarts the library's thread server, and each thread
+    it starts busy-waits for a while before it sleeps.  So `set` then runs the
+    library's `blas_thread_shutdown_` (the same call OpenBLAS's own fork
+    handler makes), which joins those threads; a later threaded BLAS call
+    starts at most the new count again, and none at 1.
+    """
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            if not hasattr(lib, "blas_thread_shutdown_"):
+                return get, set_
+            shutdown = lib.blas_thread_shutdown_
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+
+            def set_and_shut_down(n: int) -> None:
+                set_(n)
+                shutdown()
+
+            return get, set_and_shut_down
+    return None
 
 
 def _cap_blas_threads(parallelism: int) -> None:
@@ -303,8 +331,8 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
 
     With parallelism > 1 the trials run in that many worker processes, each
     with every loaded OpenBLAS capped at max(1, usable cores // parallelism)
-    threads (never raised); parallelism 1 runs in the caller's process with
-    its own BLAS settings.
+    threads (never raised, and the cap starts no thread of its own);
+    parallelism 1 runs in the caller's process with its own BLAS settings.
     """
     specs = _sweep_specs(config)
     if config.parallelism > 1:

@@ -97,6 +97,15 @@ def test_sweep_with_a_failed_trial_exits_with_failure(tmp_path, monkeypatch, cap
     assert (tmp_path / "sw" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("parallel", ["0", "-1"])
+def test_sweep_rejects_parallel_below_one(parallel, tmp_path, capsys):
+    argv = ["sweep", *ENV, "--agents", "RW", "--budgets", "2", "--parallel", parallel,
+            "--out", str(tmp_path / "sw")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "parallelism must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
 def _printed_json(capsys):
     return json.loads(capsys.readouterr().out)
 

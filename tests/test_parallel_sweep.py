@@ -3,16 +3,18 @@
 import builtins
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dsegym import orchestrator
-from dsegym.agents import AGENT_TYPES
+from dsegym.agents import AGENT_TYPES, sweep_configs
 from dsegym.orchestrator import (
     SweepConfig,
     _cap_blas_threads,
     _openblas_thread_controls,
+    _thread_control,
     run_sweep,
 )
 
@@ -115,3 +117,64 @@ def test_cap_shares_the_usable_cores(monkeypatch, parallelism, inherited, expect
     )
     _cap_blas_threads(parallelism)
     assert calls == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_capped_workers_start_no_blas_thread(monkeypatch, tmp_path):
+    # two cores shared by two workers: every forked worker computes limit 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    real_run_trial = orchestrator.run_trial
+    spool = tmp_path / "threads"
+    spool.mkdir()
+
+    def spy(spec):
+        before = len(os.listdir("/proc/self/task"))
+        result = real_run_trial(spec)
+        after = len(os.listdir("/proc/self/task"))
+        with open(spool / f"{os.getpid()}.jsonl", "a") as f:
+            f.write(json.dumps([before, after]) + "\n")
+        return result
+
+    monkeypatch.setattr(orchestrator, "run_trial", spy)
+    _sweep(tmp_path / "trajectories", 2)
+    counts = [json.loads(line) for p in spool.iterdir() for line in p.read_text().splitlines()]
+    assert len(counts) == 2 * sum(len(sweep_configs(agent)) for agent in AGENT_TYPES)
+    assert all(c == [1, 1] for c in counts), counts
+
+
+def _fake_openblas(name, threads, log, shutdown=True):
+    """A library object exporting numpy's get/set pair, logging every call."""
+    lib = SimpleNamespace(
+        scipy_openblas_get_num_threads64_=lambda: threads,
+        scipy_openblas_set_num_threads64_=lambda n: log.append((name, "set", n)),
+    )
+    if shutdown:
+        lib.blas_thread_shutdown_ = lambda: log.append((name, "shutdown"))
+    return lib
+
+
+def test_cap_shuts_down_each_lowered_thread_server_once(monkeypatch):
+    log = []
+    libs = [
+        _fake_openblas("lowered", 8, log),
+        _fake_openblas("at-limit", 2, log),
+        _fake_openblas("no-shutdown-symbol", 8, log, shutdown=False),
+    ]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(
+        orchestrator, "_openblas_thread_controls", lambda: [_thread_control(lib) for lib in libs]
+    )
+    _cap_blas_threads(4)
+    assert log == [
+        ("lowered", "set", 2),
+        ("lowered", "shutdown"),
+        ("no-shutdown-symbol", "set", 2),
+    ]
+    assert _thread_control(SimpleNamespace(blas_thread_shutdown_=lambda: 0)) is None
+
+
+@pytest.mark.parametrize("parallelism", [0, -1])
+def test_sweep_config_rejects_parallelism_below_one(parallelism):
+    with pytest.raises(ValueError, match="parallelism must be >= 1"):
+        SweepConfig("dram-small", "cloud-1", "low-latency", ("RW",), (4,), (0,),
+                    parallelism=parallelism)
