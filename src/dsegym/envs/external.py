@@ -14,10 +14,6 @@ calls it once per step, like a built-in cost model::
     env = SyntheticEnv("my-sim", space, workload, reward_spec, cost_fn=sim,
                        constants={}, reference_design=reference)
 
-Timeouts: ``timeout_s`` bounds each request; ``handshake_timeout_s`` bounds
-the handshake of every launch and restart (``None``: ``timeout_s``), so a
-simulator that starts slowly but answers fast keeps a short request timeout.
-
 Failure policy: when a request times out or the child dies, the child is
 killed (pipes closed, reader joined) and relaunched while restarts remain;
 the failed request still raises, and once no restart is left every later
@@ -111,32 +107,22 @@ class _Child:
 class SimulatorProcess:
     """``CostFn`` that asks a simulator child process for each design's metrics."""
 
-    def __init__(
-        self,
-        command: list[str],
-        timeout_s: float = 10.0,
-        max_restarts: int = 0,
-        handshake_timeout_s: float | None = None,
-    ):
+    def __init__(self, command: list[str], timeout_s: float = 10.0, max_restarts: int = 0):
         if timeout_s <= 0:
             raise ValueError(f"timeout must be positive, got {timeout_s}")
-        if handshake_timeout_s is not None and handshake_timeout_s <= 0:
-            raise ValueError(f"handshake timeout must be positive, got {handshake_timeout_s}")
         if max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         self.command = list(command)
         self.timeout_s = timeout_s
-        self.handshake_timeout_s = handshake_timeout_s
         self.max_restarts = max_restarts
         self.restarts_used = 0
         self._next_id = 0
         self._child: _Child | None = self._launch()
 
     def _launch(self) -> _Child:
-        timeout_s = self.timeout_s if self.handshake_timeout_s is None else self.handshake_timeout_s
         child = _Child(self.command)
         try:
-            line = child.read_line(timeout_s)
+            line = child.read_line(self.timeout_s)
             try:
                 handshake = json.loads(line)
             except json.JSONDecodeError:

@@ -4,11 +4,10 @@ wire protocol of :mod:`dsegym.envs.external`.
     python stub_simulator.py MODE [AT]
 
 ``ok`` answers every request.  Handshake modes misbehave before any
-request: ``silent`` never handshakes, ``slow-handshake`` handshakes after AT
-milliseconds and then answers like ``ok``, ``bad-json`` and ``not-object``
-send a handshake that is not JSON or not an object, ``version`` announces
-protocol 2.  Request modes answer every request except the one with id AT
-(default 0): ``hang`` never answers it, ``crash`` exits with code 3, ``garbage``
+request: ``silent`` never handshakes, ``bad-json`` and ``not-object`` send a
+handshake that is not JSON or not an object, ``version`` announces protocol
+2.  Request modes answer every request except the one with id AT (default
+0): ``hang`` never answers it, ``crash`` exits with code 3, ``garbage``
 answers with a line that is not JSON, ``wrong-id`` with the next id,
 ``nan`` with a non-finite metric, ``text`` with a metric given as a string,
 ``valid-text`` with ``"valid": "false"``, ``no-metrics`` with an empty
@@ -46,9 +45,6 @@ def main(mode: str, at: int) -> None:
     if mode == "silent":
         time.sleep(60)
         return
-    if mode == "slow-handshake":
-        time.sleep(at / 1000)
-        mode = "ok"
     handshake = {"protocol": 1, "metrics": ["latency", "power", "energy"]}
     send(HANDSHAKES.get(mode, json.dumps(handshake)))
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))

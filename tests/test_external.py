@@ -24,13 +24,9 @@ STUB = str(Path(__file__).with_name("stub_simulator.py"))
 ANSWER_TIMEOUT_S = 30.0
 
 
-def _stub(mode="ok", at=0, timeout_s=ANSWER_TIMEOUT_S, max_restarts=0,
-          handshake_timeout_s=None):
+def _stub(mode="ok", at=0, timeout_s=ANSWER_TIMEOUT_S, max_restarts=0):
     return SimulatorProcess(
-        [sys.executable, STUB, mode, str(at)],
-        timeout_s=timeout_s,
-        max_restarts=max_restarts,
-        handshake_timeout_s=handshake_timeout_s,
+        [sys.executable, STUB, mode, str(at)], timeout_s=timeout_s, max_restarts=max_restarts
     )
 
 
@@ -125,33 +121,9 @@ class TestHandshake:
             _stub(mode, timeout_s=timeout_s)
         assert len(children) == 1 and _exited(children[0])
 
-    def test_handshake_slower_than_its_timeout_leaves_no_child(self, children):
-        with pytest.raises(SimulatorTimeout):
-            _stub("slow-handshake", at=5000, handshake_timeout_s=0.5)
-        assert len(children) == 1 and _exited(children[0])
-
-    def test_slow_handshake_inside_its_own_timeout(self, children):
-        design = _design()
-        workload = _builtin().workload()
-        # the handshake takes 1 s, twice the request timeout
-        with _stub("slow-handshake", at=1000, timeout_s=0.5, max_restarts=1,
-                   handshake_timeout_s=ANSWER_TIMEOUT_S) as sim:
-            assert children[0].poll() is None
-            children[0].kill()
-            with pytest.raises(SimulatorCrashed):
-                sim(design, workload, {})
-            # the restart's handshake is bounded by handshake_timeout_s too
-            assert sim.restarts_used == 1
-            assert len(children) == 2 and children[1].poll() is None
-            sim.timeout_s = ANSWER_TIMEOUT_S  # the new child imports dsegym first
-            assert sim(design, workload, {}) == _expected(design)
-        assert all(_exited(p) for p in children)
-
     def test_bad_settings_start_nothing(self, children):
         with pytest.raises(ValueError, match="timeout"):
             _stub(timeout_s=0)
-        with pytest.raises(ValueError, match="handshake timeout"):
-            _stub(handshake_timeout_s=0)
         with pytest.raises(ValueError, match="max_restarts"):
             _stub(max_restarts=-1)
         assert children == []

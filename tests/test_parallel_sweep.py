@@ -120,6 +120,9 @@ def test_cap_shares_the_usable_cores(monkeypatch, parallelism, inherited, expect
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.skipif(
+    not _numpy_uses_openblas(), reason="the cap acts on OpenBLAS only; another BLAS may start threads"
+)
 def test_capped_workers_start_no_blas_thread(monkeypatch, tmp_path):
     # two cores shared by two workers: every forked worker computes limit 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
