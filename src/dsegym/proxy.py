@@ -5,6 +5,12 @@ a per-node random feature subset, thresholds at midpoints between adjacent
 sorted feature values.  Forest predictions average the trees, so they stay
 inside the training target range.  Features come from the same one-hot /
 min-max encoding the surrogate-based agents use.
+
+A fitted tree is one flat list of node tuples in preorder (see
+`RegressionTree`), and a query walks it over plain Python floats: indexing
+numpy arrays per level costs more than the comparison it feeds.  On disk a
+model keeps format_version 1, whose trees are lists of node dicts;
+`RandomForestModel.load` checks their structure before it converts them.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .rng import spawn_seeds
 from .spaces import (
     ParameterSpace,
     encode_batch,
+    encode_dim,
     point_from_map,
     space_from_config,
     space_to_config,
@@ -47,13 +54,18 @@ DEFAULT_HYPERPARAMS = {
 
 
 class RegressionTree:
-    """CART regression tree stored as a flat node list (root at 0).
+    """CART regression tree stored as one flat node list in preorder.
 
-    Split nodes are (feature, threshold, left, right); leaves hold the mean
-    of their training targets and always cover >= min_samples_leaf rows.
+    ``nodes[i]`` is a tuple ``(feature, threshold, right, value)``.  A split
+    has ``feature >= 0`` and ``value`` None; it sends ``x[feature] <=
+    threshold`` to its left child, which is always ``i + 1`` because the
+    left subtree is built first, and the rest to ``right``.  A leaf has
+    ``feature`` -1, ``threshold`` and ``right`` None, and ``value`` the mean
+    of its training targets; it covers >= min_samples_leaf rows.  Every
+    child comes after its parent, so a walk from the root ends at a leaf.
     """
 
-    def __init__(self, nodes: list[dict]):
+    def __init__(self, nodes: list[tuple]):
         self.nodes = nodes
 
     @classmethod
@@ -68,6 +80,8 @@ class RegressionTree:
     ) -> "RegressionTree":
         if len(y) == 0:
             raise ValueError("cannot fit a tree on no rows")
+        if max_depth is not None and not (_is_int(max_depth) and max_depth >= 0):
+            raise ValueError(f"max_depth must be None or an int >= 0, got {max_depth!r}")
         if min_samples_leaf < 1:
             raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
         if len(y) < min_samples_leaf:
@@ -78,11 +92,11 @@ class RegressionTree:
             raise ValueError(f"feature_subsample must lie in (0, 1], got {feature_subsample}")
         n_features = X.shape[1]
         n_sub = max(1, int(math.ceil(feature_subsample * n_features)))
-        nodes: list[dict] = []
+        nodes: list[tuple] = []
 
         def build(idx: np.ndarray, depth: int) -> int:
             node_id = len(nodes)
-            nodes.append({})
+            nodes.append(None)
             yn = y[idx]
             best = None
             depth_ok = max_depth is None or depth < max_depth
@@ -90,22 +104,74 @@ class RegressionTree:
                 features = rng.choice(n_features, size=n_sub, replace=False)
                 best = _best_split(X, y, idx, features, min_samples_leaf)
             if best is None:
-                nodes[node_id] = {"v": float(np.mean(yn)), "n": int(len(idx))}
+                nodes[node_id] = (-1, None, None, float(np.mean(yn)))
                 return node_id
             feature, threshold, mask = best
-            left = build(idx[mask], depth + 1)
+            build(idx[mask], depth + 1)
             right = build(idx[~mask], depth + 1)
-            nodes[node_id] = {"f": int(feature), "t": float(threshold), "l": left, "r": right}
+            nodes[node_id] = (int(feature), float(threshold), right, None)
             return node_id
 
         build(np.arange(len(y)), 0)
         return cls(nodes)
 
-    def predict_one(self, x: np.ndarray) -> float:
-        node = self.nodes[0]
-        while "v" not in node:
-            node = self.nodes[node["l"] if x[node["f"]] <= node["t"] else node["r"]]
-        return node["v"]
+    def predict_one(self, x: list[float]) -> float:
+        """The leaf value for features ``x``, given as a list of floats."""
+        nodes = self.nodes
+        i = 0
+        feature, threshold, right, value = nodes[0]
+        while feature >= 0:
+            i = i + 1 if x[feature] <= threshold else right
+            feature, threshold, right, value = nodes[i]
+        return value
+
+    def to_v1(self) -> list[dict]:
+        """The format_version 1 node dicts: ``{"f", "t", "l", "r"}`` per
+        split, ``{"v"}`` per leaf."""
+        return [
+            {"v": value} if feature < 0 else {"f": feature, "t": threshold, "l": i + 1, "r": right}
+            for i, (feature, threshold, right, value) in enumerate(self.nodes)
+        ]
+
+    @classmethod
+    def from_v1(cls, nodes: list, n_features: int, tree: int) -> "RegressionTree":
+        """Read `to_v1` output (parsed JSON), rejecting any node a walk
+        could not leave: a left child other than ``i + 1``, a right child
+        outside ``(i + 1, len(nodes))``, or a feature outside
+        ``[0, n_features)``."""
+        if not nodes:
+            raise ValueError(f"tree {tree} has no nodes")
+        out = []
+        for i, node in enumerate(nodes):
+            keys = node.keys() if type(node) is dict else set()
+            if "v" in keys:
+                value = node["v"]
+                if type(value) not in (int, float):
+                    raise ValueError(f"tree {tree}, node {i}: leaf value {value!r} is no number")
+                out.append((-1, None, None, float(value)))
+                continue
+            if not keys >= {"f", "t", "l", "r"}:
+                raise ValueError(f"tree {tree}, node {i}: expected a leaf {{v}} or a split "
+                                 f"{{f, t, l, r}}, got {node!r}")
+            feature, threshold, left, right = node["f"], node["t"], node["l"], node["r"]
+            if type(feature) is not int or not 0 <= feature < n_features:
+                raise ValueError(
+                    f"tree {tree}, node {i}: feature {feature!r} outside [0, {n_features})"
+                )
+            if type(threshold) not in (int, float):
+                raise ValueError(f"tree {tree}, node {i}: threshold {threshold!r} is no number")
+            if type(left) is not int or left != i + 1:
+                raise ValueError(f"tree {tree}, node {i}: left child {left!r} is not {i + 1}")
+            if type(right) is not int or not i + 1 < right < len(nodes):
+                raise ValueError(
+                    f"tree {tree}, node {i}: right child {right!r} outside ({i + 1}, {len(nodes)})"
+                )
+            out.append((feature, float(threshold), right, None))
+        return cls(out)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _best_split(X, y, idx, features, min_leaf):
@@ -156,7 +222,12 @@ class RandomForestModel:
     n_train: int = 0
 
     def predict_features(self, x: np.ndarray) -> float:
-        return float(np.mean([t.predict_one(np.asarray(x)) for t in self.trees]))
+        x = x.tolist()
+        values = [tree.predict_one(x) for tree in self.trees]
+        if len(values) == 1:
+            return values[0]
+        # np.mean's pairwise sum and division, bit for bit, without its overhead
+        return float(np.add.reduce(values)) / len(values)
 
     def save(self, path) -> None:
         doc = {
@@ -168,7 +239,7 @@ class RandomForestModel:
             "n_train": self.n_train,
             "train_range": [self.train_min, self.train_max],
             "feature_space": space_to_config(self.space),
-            "trees": [t.nodes for t in self.trees],
+            "trees": [t.to_v1() for t in self.trees],
         }
         with open(path, "w", encoding="utf-8") as f:
             json.dump(doc, f, sort_keys=True)
@@ -180,9 +251,13 @@ class RandomForestModel:
             doc = json.load(f)
         if doc.get("format_version") != 1:
             raise ValueError(f"unsupported model format {doc.get('format_version')!r}")
+        if not doc["trees"]:
+            raise ValueError("model has no trees")
+        space = space_from_config(doc["feature_space"])
+        width = encode_dim(space)
         return cls(
-            trees=[RegressionTree(nodes) for nodes in doc["trees"]],
-            space=space_from_config(doc["feature_space"]),
+            trees=[RegressionTree.from_v1(t, width, k) for k, t in enumerate(doc["trees"])],
+            space=space,
             target=doc["target"],
             hyperparams=doc["hyperparams"],
             seed=doc["seed"],
@@ -243,6 +318,8 @@ def train_forest(
     unknown = set(hp) - set(DEFAULT_HYPERPARAMS)
     if unknown:
         raise ValueError(f"unknown proxy hyperparameters: {sorted(unknown)}")
+    if not (_is_int(hp["n_trees"]) and hp["n_trees"] >= 1):
+        raise ValueError(f"n_trees must be an int >= 1, got {hp['n_trees']!r}")
     X, y = dataset_matrix(dataset, target, space)
     trees = []
     for tree_seed in spawn_seeds(seed, hp["n_trees"]):

@@ -5,10 +5,13 @@ deletion here fails this test instead of only the slow benchmark smoke run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import dsegym.orchestrator as orchestrator
+import dsegym.proxy as proxy
 import dsegym.spaces as spaces
+from dsegym.dataset import load_dataset
 from dsegym.envs.base import SyntheticEnv
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -36,3 +39,30 @@ def test_install_then_unpatch(tmp_path):
         tracer.unpatch()
     assert dict(SyntheticEnv.__dict__) == env_methods
     assert (spaces.design_map, orchestrator.run_trial) == functions
+
+
+def test_proxy_reads_and_wrappers(tmp_path):
+    """The per-layer proxy metrics count `len(tree.nodes)` over each tree of
+    a `train_forest` model and save it, and the tracer wraps
+    `train_forest` and `predict_features`."""
+    tracing = _load_tracing()
+    spec = orchestrator.TrialSpec("dram-small", "stream", "low-power", "RW", 12, seed=0,
+                                  out_dir=str(tmp_path))
+    dataset = load_dataset(orchestrator.run_trial(spec).trajectory_file)
+    predict = proxy.RandomForestModel.__dict__["predict_features"]
+    tracer = tracing.Tracer(tmp_path)
+    try:
+        tracing.install(tracer)
+        model = proxy.train_forest(dataset, "power", {"n_trees": 2})
+        X, _ = proxy.dataset_matrix(dataset, "power", model.space)
+        for x in X:
+            model.predict_features(x)
+        assert tracer.count(("setup",), "proxy.train_forest.power") == 1
+        assert tracer.count(("setup",), "proxy.predict") == len(X)
+    finally:
+        tracer.unpatch()
+    assert proxy.RandomForestModel.__dict__["predict_features"] is predict
+    path = tmp_path / "model.json"
+    model.save(path)
+    saved = json.loads(path.read_text(encoding="utf-8"))["trees"]
+    assert [len(tree.nodes) for tree in model.trees] == [len(nodes) for nodes in saved]

@@ -166,6 +166,31 @@ def test_bench_proxy_on_the_undelayed_env(tmp_path, capsys):
     assert printed["n_queries"] == 12
 
 
+@pytest.mark.parametrize("setting", ["n_trees=0", "max_depth=-1"])
+def test_train_proxy_rejects_an_empty_or_negative_forest_size(setting, tmp_path, capsys):
+    _run(tmp_path, "RW", 6)
+    (path,) = _trajectory_files(tmp_path)
+    model = tmp_path / "model.json"
+    argv = ["train-proxy", "--data", path, "--target", "power", "--out", str(model),
+            "--set", setting]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"{setting.split('=')[0]} must be" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_proxy_commands_reject_a_model_whose_walk_leaves_the_tree(tmp_path, capsys):
+    _run(tmp_path, "RW", 6)
+    (path,) = _trajectory_files(tmp_path)
+    doc = json.loads((Path(__file__).parent / "data" / "model_v1.json").read_text("utf-8"))
+    doc["trees"][1][0]["r"] = len(doc["trees"][1])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["eval-proxy", "--model", str(model), "--data", path],
+                 ["bench-proxy", "--model", str(model), *ENV, "--delay-ms", "0"]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "tree 1, node 0: right child" in capsys.readouterr().err
+
+
 def test_report_writes_its_four_tables(tmp_path, capsys):
     sweep = tmp_path / "sw"
     argv = ["sweep", *ENV, "--agents", "RW,GA", "--budgets", "2,4", "--out", str(sweep),

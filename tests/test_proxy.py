@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,18 +8,31 @@ import pytest
 from dsegym.dataset import load_dataset
 from dsegym.envs import make_env
 from dsegym.orchestrator import TrialSpec, run_trial
-from dsegym.proxy import RandomForestModel, speed_benchmark, train_forest
+from dsegym.proxy import RandomForestModel, RegressionTree, speed_benchmark, train_forest
 from dsegym.rng import make_rng
 from dsegym.spaces import encode_batch, sample_uniform_indices
 
+# Saved by the dict-node trees, whose leaves also carried their row count
+# "n": train_forest(..., "power", {"n_trees": 3, "max_depth": 4}, seed=2)
+# on the log of TrialSpec("dram-small", "stream", "low-power", "RW", 40,
+# seed=1), and its predictions for sample_uniform_indices(space,
+# make_rng(3), 32).
+MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
+MODEL_V1_PREDICTIONS = Path(__file__).parent / "data" / "model_v1_predictions.json"
+
 
 @pytest.fixture(scope="module")
-def model(tmp_path_factory):
+def dataset(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("logs")
     result = run_trial(
         TrialSpec("dram-small", "stream", "low-power", "RW", 80, seed=1, out_dir=str(out_dir))
     )
-    return train_forest(load_dataset(result.trajectory_file), "power", {"n_trees": 4}, seed=2)
+    return load_dataset(result.trajectory_file)
+
+
+@pytest.fixture(scope="module")
+def model(dataset):
+    return train_forest(dataset, "power", {"n_trees": 4}, seed=2)
 
 
 def _points(space, n=32):
@@ -36,7 +51,11 @@ def test_save_load_round_trips_predictions(model, tmp_path):
     path = tmp_path / "model.json"
     model.save(path)
     loaded = RandomForestModel.load(path)
-    assert [t.nodes for t in loaded.trees] == [t.nodes for t in model.trees]
+    saved = json.loads(path.read_text(encoding="utf-8"))["trees"]
+    assert [
+        [(-1, None, None, n["v"]) if "v" in n else (n["f"], n["t"], n["r"], None) for n in t]
+        for t in saved
+    ] == [t.nodes for t in loaded.trees] == [t.nodes for t in model.trees]
     assert (loaded.space, loaded.target, loaded.train_min, loaded.train_max) == (
         model.space, model.target, model.train_min, model.train_max
     )
@@ -44,3 +63,100 @@ def test_save_load_round_trips_predictions(model, tmp_path):
     before = np.array([model.predict_features(x) for x in X])
     after = np.array([loaded.predict_features(x) for x in X])
     assert before.tobytes() == after.tobytes()
+
+
+def test_a_v1_file_predicts_as_it_did():
+    model = RandomForestModel.load(MODEL_V1)
+    expected = json.loads(MODEL_V1_PREDICTIONS.read_text(encoding="utf-8"))
+    X = encode_batch(model.space, np.array(expected["points"]))
+    preds = np.array([model.predict_features(x) for x in X])
+    assert preds.tobytes() == np.array(expected["predictions"]).tobytes()
+    # saving again writes the same nodes, less the unread row counts
+    trees = json.loads(MODEL_V1.read_text(encoding="utf-8"))["trees"]
+    without_n = [[{k: v for k, v in node.items() if k != "n"} for node in t] for t in trees]
+    assert [t.to_v1() for t in model.trees] == without_n
+
+
+def test_a_tree_is_a_preorder_tuple_list(model):
+    for tree in model.trees:
+        for i, (feature, threshold, right, value) in enumerate(tree.nodes):
+            if feature < 0:
+                assert (feature, threshold, right) == (-1, None, None)
+                assert isinstance(value, float)
+            else:
+                assert isinstance(threshold, float) and value is None
+                assert i + 1 < right < len(tree.nodes)
+        assert tree.nodes[-1][0] == -1
+
+
+@pytest.mark.parametrize(
+    "hyperparams, message",
+    [
+        ({"n_trees": 0}, "n_trees must be an int >= 1"),
+        ({"n_trees": -2}, "n_trees must be an int >= 1"),
+        ({"n_trees": 2.5}, "n_trees must be an int >= 1"),
+        ({"n_trees": True}, "n_trees must be an int >= 1"),
+        ({"max_depth": -1}, "max_depth must be None or an int >= 0"),
+        ({"max_depth": 1.5}, "max_depth must be None or an int >= 0"),
+    ],
+)
+def test_train_forest_rejects_bad_sizes(dataset, hyperparams, message):
+    with pytest.raises(ValueError, match=message):
+        train_forest(dataset, "power", hyperparams)
+
+
+def test_depth_zero_fits_one_leaf_per_tree(model):
+    X = encode_batch(model.space, _points(model.space, 8))
+    tree = RegressionTree.fit(X, np.arange(8.0), 0, 1, 1.0, make_rng(0))
+    assert tree.nodes == [(-1, None, None, 3.5)]
+
+
+def _edit_v1(tmp_path, edit):
+    doc = json.loads(MODEL_V1.read_text(encoding="utf-8"))
+    edit(doc["trees"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _set(tree, key, value):
+    """Edit the root split of one tree."""
+    def edit(trees):
+        trees[tree][0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_set(1, "r", 0), r"tree 1, node 0: right child 0 outside \(1, 23\)",
+                     id="right-to-root"),
+        pytest.param(_set(1, "r", 1), r"tree 1, node 0: right child 1 outside",
+                     id="right-is-left"),
+        pytest.param(_set(2, "r", 27), r"tree 2, node 0: right child 27 outside \(1, 27\)",
+                     id="right-past-end"),
+        pytest.param(_set(0, "l", 0), r"tree 0, node 0: left child 0 is not 1", id="left-to-self"),
+        pytest.param(_set(0, "l", 16), r"tree 0, node 0: left child 16 is not 1",
+                     id="left-not-next"),
+        pytest.param(_set(0, "f", 14), r"tree 0, node 0: feature 14 outside \[0, 14\)",
+                     id="feature-past-width"),
+        pytest.param(_set(0, "f", -1), r"tree 0, node 0: feature -1 outside",
+                     id="feature-negative"),
+        pytest.param(_set(0, "f", 1.0), r"tree 0, node 0: feature 1.0 outside",
+                     id="feature-float"),
+        pytest.param(_set(0, "t", "0.5"), r"tree 0, node 0: threshold .0.5. is no number",
+                     id="threshold-string"),
+        pytest.param(lambda trees: trees[0][-1].update(v=None),
+                     r"tree 0, node 24: leaf value None is no number", id="leaf-value-null"),
+        pytest.param(lambda trees: trees[2][-1].pop("v"),
+                     r"tree 2, node 26: expected a leaf {v} or a split", id="leaf-without-value"),
+        pytest.param(lambda trees: trees[1].__setitem__(3, [0.5]),
+                     r"tree 1, node 3: expected a leaf {v} or a split", id="node-not-object"),
+        pytest.param(lambda trees: trees[1].clear(), r"tree 1 has no nodes", id="empty-tree"),
+        pytest.param(lambda trees: trees.clear(), r"model has no trees", id="no-trees"),
+    ],
+)
+def test_load_rejects_a_tree_a_walk_could_not_leave(tmp_path, edit, message):
+    path = _edit_v1(tmp_path, edit)
+    with pytest.raises(ValueError, match=message):
+        RandomForestModel.load(path)
