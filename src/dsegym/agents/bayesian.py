@@ -7,6 +7,13 @@ offset xi, maximized over a uniform candidate pool (the space is a finite
 grid, so no gradient ascent).  To keep per-step cost bounded on long
 trials the GP trains on a sliding window of the most recent observations;
 the incumbent is still tracked over the full history.
+
+The GP needs numpy alone (Rasmussen & Williams, GPML, Alg. 2.1): `fit`
+factors the kernel matrix with `np.linalg.cholesky`, adding jitter in
+decades until it is positive definite, and `predict` makes one
+`np.linalg.solve` against that factor for the targets and the
+cross-covariances together (numpy has no triangular solve, so this is an
+LU solve).  The normal CDF in EI uses `math.erf`.
 """
 
 from __future__ import annotations
@@ -14,15 +21,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import erf
 
 from ..spaces import DesignPoint, encode_batch, sample_uniform, sample_uniform_indices
 from .base import Agent
 
 
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
 def _norm_cdf(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+    return 0.5 * (1.0 + np.asarray(_erf(z / math.sqrt(2.0)), dtype=float))
 
 
 def _norm_pdf(z: np.ndarray) -> np.ndarray:
@@ -66,6 +74,8 @@ class GaussianProcess:
         y = np.asarray(y, dtype=float)
         if len(y) < 1:
             raise ValueError("need at least one observation")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("X and y must be finite")
         self.y_mean = float(np.mean(y))
         self.y_std = float(np.std(y)) or 1.0
         y_std = (y - self.y_mean) / self.y_std
@@ -73,14 +83,14 @@ class GaussianProcess:
         jitter = self.noise_var
         for _ in range(4):
             try:
-                self._chol = cho_factor(K + jitter * np.eye(len(y)), lower=True)
+                self._L = np.linalg.cholesky(K + jitter * np.eye(len(y)))
                 break
-            except LinAlgError:
+            except np.linalg.LinAlgError:
                 jitter *= 10.0
         else:
-            raise LinAlgError("kernel matrix singular even after jitter escalation")
+            raise np.linalg.LinAlgError("kernel matrix singular even after jitter escalation")
         self.jitter = jitter
-        self._alpha = cho_solve(self._chol, y_std)
+        self._y = y_std
         self._X = X
         return self
 
@@ -93,9 +103,10 @@ class GaussianProcess:
             raise RuntimeError("predict before fit")
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
         Ks = self._kernel(Xq, self._X)
-        mean = Ks @ self._alpha
-        v = cho_solve(self._chol, Ks.T)
-        var = self.signal_var - np.sum(Ks * v.T, axis=1)
+        # w = L^-1 [y, Ks^T]: mean = (L^-1 Ks^T)^T L^-1 y, var = k** - |L^-1 Ks^T|^2
+        w = np.linalg.solve(self._L, np.column_stack([self._y, Ks.T]))
+        mean = w[:, 1:].T @ w[:, 0]
+        var = self.signal_var - np.sum(w[:, 1:] ** 2, axis=0)
         return mean, np.maximum(var, 0.0)
 
 

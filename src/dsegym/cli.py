@@ -2,7 +2,8 @@
 
 Subcommands: run, sweep, aggregate, mix, train-proxy, eval-proxy,
 bench-proxy, report, enumerate-oracle.  Exit codes: 0 success, 1 usage
-error, 2 trial/environment failure.
+error, 2 trial/environment failure, 3 bad input data (a corrupt or repeated
+trajectory record, a malformed model file).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .spaces import sample_uniform_indices
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILURE = 2
+EXIT_DATA = 3
 
 
 class UsageError(Exception):
@@ -119,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search", type=int, default=0,
                    help="random hyperparameter search budget (0 = defaults)")
     p.add_argument("--val-fraction", type=float, default=0.2)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE", dest="hyperparams")
+    p.add_argument("--set", action="append", metavar="KEY=VALUE", dest="hyperparams",
+                   help="override one hyperparameter (repeatable; not with --search)")
 
     p = sub.add_parser("eval-proxy", help="evaluate proxy RMSE on a dataset")
     p.add_argument("--model", required=True)
@@ -234,6 +237,9 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_train_proxy(args) -> int:
+    if args.search > 0 and args.hyperparams:
+        raise UsageError("--set cannot be combined with --search, which picks every "
+                         "hyperparameter itself")
     data = ds.load_dataset(args.data)
     if args.search > 0:
         rng = make_rng(args.seed)
@@ -311,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ds.DataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -30,6 +30,12 @@ from .spaces import DesignPoint, ParameterSpace
 
 SCHEMA_VERSION = 1
 
+
+class DataError(ValueError):
+    """A trajectory or model file whose contents cannot be used: a corrupt
+    or repeated record, or a malformed model document."""
+
+
 _FIELDS = (
     "schema_version",
     "experiment_id",
@@ -224,7 +230,7 @@ def load_dataset(path, validate: bool = True) -> Dataset:
             if i == len(lines) - 1 and not ends_clean:
                 warnings.warn(f"dropping partial trailing line in {path}")
                 break
-            raise ValueError(f"{path}:{i + 1}: corrupt record: {exc}") from exc
+            raise DataError(f"{path}:{i + 1}: corrupt record: {exc}") from exc
     if validate:
         _validate_records(records, path)
     return Dataset.from_records(records)
@@ -240,7 +246,7 @@ def _validate_records(records: list[TrajectoryRecord], path) -> None:
     for r in records:
         key = (r.experiment_id, r.step_index)
         if key in seen:
-            raise ValueError(
+            raise DataError(
                 f"{path}: experiment {r.experiment_id!r} step_index {r.step_index} occurs twice"
             )
         seen.add(key)

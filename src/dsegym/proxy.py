@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import DataError, Dataset
 from .rng import spawn_seeds
 from .spaces import (
     ParameterSpace,
@@ -209,6 +209,11 @@ def _best_split(X, y, idx, features, min_leaf):
     return best
 
 
+# Keys `RandomForestModel.load` requires; `n_train` may be absent (read as 0).
+_MODEL_KEYS = ("format_version", "env_id", "target", "hyperparams", "seed", "train_range",
+               "feature_space", "trees")
+
+
 @dataclass
 class RandomForestModel:
     trees: list[RegressionTree]
@@ -247,14 +252,30 @@ class RandomForestModel:
 
     @classmethod
     def load(cls, path) -> "RandomForestModel":
+        """Read a file `save` wrote; a malformed one raises `DataError`
+        naming the file and the fault."""
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-        if doc.get("format_version") != 1:
-            raise ValueError(f"unsupported model format {doc.get('format_version')!r}")
+            try:
+                return cls._from_v1(json.load(f))
+            except KeyError as exc:  # a parameter entry of feature_space
+                raise DataError(f"{path}: missing key {exc}") from exc
+            except (ValueError, TypeError) as exc:
+                raise DataError(f"{path}: {exc}") from exc
+
+    @classmethod
+    def _from_v1(cls, doc) -> "RandomForestModel":
+        if type(doc) is not dict:
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        for key in _MODEL_KEYS:
+            if key not in doc:
+                raise ValueError(f"model file lacks key {key!r}")
+        if doc["format_version"] != 1:
+            raise ValueError(f"unsupported model format {doc['format_version']!r}")
         if not doc["trees"]:
             raise ValueError("model has no trees")
         space = space_from_config(doc["feature_space"])
         width = encode_dim(space)
+        train_min, train_max = doc["train_range"]
         return cls(
             trees=[RegressionTree.from_v1(t, width, k) for k, t in enumerate(doc["trees"])],
             space=space,
@@ -262,8 +283,8 @@ class RandomForestModel:
             hyperparams=doc["hyperparams"],
             seed=doc["seed"],
             env_id=doc["env_id"],
-            train_min=doc["train_range"][0],
-            train_max=doc["train_range"][1],
+            train_min=train_min,
+            train_max=train_max,
             n_train=doc.get("n_train", 0),
         )
 

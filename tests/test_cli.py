@@ -82,7 +82,7 @@ def test_aggregate_of_a_corrupt_file_reports_its_location(tmp_path, capsys):
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     lines[1] = "[1,2]"
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert cli.main(["aggregate", path, "--out", str(tmp_path / "agg")]) == cli.EXIT_USAGE
+    assert cli.main(["aggregate", path, "--out", str(tmp_path / "agg")]) == cli.EXIT_DATA
     assert f"{path}:2: corrupt record" in capsys.readouterr().err
 
 
@@ -187,8 +187,40 @@ def test_proxy_commands_reject_a_model_whose_walk_leaves_the_tree(tmp_path, caps
     model.write_text(json.dumps(doc), encoding="utf-8")
     for argv in (["eval-proxy", "--model", str(model), "--data", path],
                  ["bench-proxy", "--model", str(model), *ENV, "--delay-ms", "0"]):
-        assert cli.main(argv) == cli.EXIT_USAGE
+        assert cli.main(argv) == cli.EXIT_DATA
         assert "tree 1, node 0: right child" in capsys.readouterr().err
+
+
+def test_aggregate_of_a_trial_logged_twice_is_a_data_error(tmp_path, capsys):
+    _run(tmp_path, "RW", 3)
+    (path,) = _trajectory_files(tmp_path)
+    twice = tmp_path / "twice.jsonl"
+    twice.write_text(Path(path).read_text(encoding="utf-8") * 2, encoding="utf-8")
+    assert cli.main(["aggregate", str(twice), "--out", str(tmp_path / "agg")]) == cli.EXIT_DATA
+    assert "step_index 0 occurs twice" in capsys.readouterr().err
+    assert not (tmp_path / "agg").exists()
+
+
+def test_eval_proxy_names_the_key_a_model_file_lacks(tmp_path, capsys):
+    _run(tmp_path, "RW", 6)
+    (path,) = _trajectory_files(tmp_path)
+    doc = json.loads((Path(__file__).parent / "data" / "model_v1.json").read_text("utf-8"))
+    del doc["target"]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["eval-proxy", "--model", str(model), "--data", path]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {model}: model file lacks key 'target'\n"
+
+
+def test_train_proxy_refuses_set_with_search(tmp_path, capsys):
+    _run(tmp_path, "RW", 30)
+    (path,) = _trajectory_files(tmp_path)
+    model = tmp_path / "model.json"
+    argv = ["train-proxy", "--data", path, "--target", "power", "--out", str(model),
+            "--search", "2", "--set", "n_trees=1"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "--set cannot be combined with --search" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_report_writes_its_four_tables(tmp_path, capsys):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsegym.dataset import load_dataset
+from dsegym.dataset import DataError, load_dataset
 from dsegym.envs import make_env
 from dsegym.orchestrator import TrialSpec, run_trial
 from dsegym.proxy import RandomForestModel, RegressionTree, speed_benchmark, train_forest
@@ -158,5 +158,57 @@ def _set(tree, key, value):
 )
 def test_load_rejects_a_tree_a_walk_could_not_leave(tmp_path, edit, message):
     path = _edit_v1(tmp_path, edit)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(DataError, match=message):
         RandomForestModel.load(path)
+
+
+def _write_v1_without(tmp_path, key):
+    doc = json.loads(MODEL_V1.read_text(encoding="utf-8"))
+    del doc[key]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "key", sorted(set(json.loads(MODEL_V1.read_text(encoding="utf-8"))) - {"n_train"})
+)
+def test_load_names_the_key_a_model_file_lacks(tmp_path, key):
+    path = _write_v1_without(tmp_path, key)
+    with pytest.raises(DataError) as info:
+        RandomForestModel.load(path)
+    assert str(info.value) == f"{path}: model file lacks key {key!r}"
+
+
+def test_load_reads_a_missing_n_train_as_zero(tmp_path):
+    model = RandomForestModel.load(_write_v1_without(tmp_path, "n_train"))
+    full = RandomForestModel.load(MODEL_V1)
+    assert model.n_train == 0 and full.n_train > 0
+    assert [t.nodes for t in model.trees] == [t.nodes for t in full.trees]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("{", "Expecting property name", id="not-json"),
+        pytest.param("[1]", "expected a JSON object, got list", id="not-an-object"),
+        pytest.param(lambda doc: doc.update(format_version=2), "unsupported model format 2",
+                     id="format-version"),
+        pytest.param(lambda doc: doc.update(train_range=[0.0]), "not enough values to unpack",
+                     id="short-train-range"),
+        pytest.param(lambda doc: doc["feature_space"][0].pop("name"), "missing key 'name'",
+                     id="parameter-without-name"),
+        pytest.param(lambda doc: doc.update(feature_space=3), "not iterable",
+                     id="feature-space-not-a-list"),
+    ],
+)
+def test_load_reports_a_malformed_document_as_a_data_error(tmp_path, text, message):
+    if callable(text):
+        doc = json.loads(MODEL_V1.read_text(encoding="utf-8"))
+        text(doc)
+        text = json.dumps(doc)
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=message) as info:
+        RandomForestModel.load(path)
+    assert str(info.value).startswith(f"{path}: ")
