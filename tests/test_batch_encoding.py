@@ -82,6 +82,7 @@ class ReferenceBayesOpt(BayesOpt):
     def __init__(self, space, hyperparams=None):
         super().__init__(space, hyperparams)
         self._features = []
+        self._rewards = []
 
     propose = reference_bo_propose
     _on_observe = reference_bo_observe
@@ -95,7 +96,8 @@ def _bits(array):
 def test_encode_batch_matches_reference(space_name):
     space = FLOAT_GRID if space_name == "float-grid" else get_space(space_name)
     rng = make_rng(11)
-    rows = [sample_uniform(space, rng) for _ in range(256)]
+    # enough rows that `encode_batch` scatters them in more than one block
+    rows = [sample_uniform(space, rng) for _ in range(2_000)]
     rows += [(0,) * len(space), tuple(s - 1 for s in space.sizes)]
     expected = np.stack([reference_encode(space, r) for r in rows])
     assert _bits(encode_batch(space, rows)) == _bits(expected)
@@ -130,6 +132,19 @@ class TestEncodeBatchRejects:
         name = self.space.parameters[column].name
         message = f"index {bad} out of range for parameter '{name}'"
         with pytest.raises(ValueError, match=re.escape(message)):
+            encode_batch(self.space, rows)
+
+    def test_reports_the_first_parameter_then_its_first_row(self):
+        """Row 0 has a bad index only in a later parameter; parameter 2 has
+        two bad rows, so the message names parameter 2 and row 1's index."""
+        rows = np.zeros((4, 7), dtype=int)
+        rows[0, 5] = -7
+        rows[1, 2] = self.space.sizes[2] + 3
+        rows[3, 2] = -1
+        rows[3, 6] = self.space.sizes[6]
+        name = self.space.parameters[2].name
+        message = f"index {self.space.sizes[2] + 3} out of range for parameter '{name}'"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             encode_batch(self.space, rows)
 
 

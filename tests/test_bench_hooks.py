@@ -11,6 +11,7 @@ from pathlib import Path
 import dsegym.orchestrator as orchestrator
 import dsegym.proxy as proxy
 import dsegym.spaces as spaces
+from dsegym.agents import AGENT_CLASSES, Agent
 from dsegym.dataset import load_dataset
 from dsegym.envs.base import SyntheticEnv
 
@@ -66,3 +67,12 @@ def test_proxy_reads_and_wrappers(tmp_path):
     model.save(path)
     saved = json.loads(path.read_text(encoding="utf-8"))["trees"]
     assert [len(tree.nodes) for tree in model.trees] == [len(nodes) for nodes in saved]
+
+
+def test_agents_inherit_the_traced_observe():
+    """The tracer times `observe` on `Agent` alone, so a subclass that
+    overrode it would hide its update work (BO's GP update among them) from
+    `agents.<type>.observe`; subclasses hook in through `_on_observe`."""
+    for cls in AGENT_CLASSES.values():
+        assert cls.observe is Agent.observe, cls.agent_type
+    assert "_on_observe" in AGENT_CLASSES["BO"].__dict__

@@ -3,8 +3,10 @@
 A numpy row or numpy integers would pass most checks and still break
 callers: a row's `==` is elementwise (GA matches its pending individual
 with `==`), and numpy integers change how a point hashes and prints.
-`reference_sample_uniform` is the per-point draw `sample_uniform` replaced;
-it and the one-row batch must consume the rng identically.
+`reference_sample_uniform` is the per-point draw `sample_uniform` replaced,
+and `reference_sample_uniform_indices` the per-parameter loop that
+`sample_uniform_indices` replaced; each must draw the same indices and
+leave the rng in the same state.
 """
 
 import numpy as np
@@ -14,6 +16,10 @@ from dsegym.agents import AGENT_TYPES, make_agent
 from dsegym.envs import get_space
 from dsegym.rng import make_rng
 from dsegym.spaces import (
+    Categorical,
+    Numeric,
+    ParameterSpace,
+    ParameterSpec,
     cardinality,
     design_map,
     enumerate_points,
@@ -27,6 +33,18 @@ from dsegym.spaces import (
 from .test_agents_common import FAST_HP
 
 SHIPPED = ["dram", "accel", "soc", "dram-small", "accel-small", "soc-small"]
+# size-1 parameters, which a draw returns without consuming the rng, between others
+WITH_SIZE_ONE = ParameterSpace(
+    (
+        ParameterSpec("a", Numeric(4, 4, 1)),
+        ParameterSpec("b", Categorical(("x", "y", "z"))),
+        ParameterSpec("c", Categorical(("only",))),
+        ParameterSpec("d", Numeric(0, 70, 10)),
+        ParameterSpec("e", Numeric(2, 2, 1)),
+    )
+)
+SPACES = {name: get_space(name) for name in SHIPPED}
+SPACES.update({"with-size-one": WITH_SIZE_ONE, "empty": ParameterSpace(())})
 # past every agent's first policy update, BO's initial design and GA's first generation
 STEPS = 40
 
@@ -35,15 +53,22 @@ def reference_sample_uniform(space, rng):
     return tuple(int(rng.integers(0, s)) for s in space.sizes)
 
 
+def reference_sample_uniform_indices(space, rng, n):
+    out = np.empty((n, len(space)), dtype=np.int64)
+    for j, s in enumerate(space.sizes):
+        out[:, j] = rng.integers(0, s, size=n)
+    return out
+
+
 def assert_point(space, point):
     assert type(point) is tuple
     assert all(type(k) is int for k in point)
     space.validate_point(point)
 
 
-@pytest.mark.parametrize("space_name", SHIPPED)
+@pytest.mark.parametrize("space_name", SPACES)
 def test_sample_uniform_matches_per_point_draw(space_name):
-    space = get_space(space_name)
+    space = SPACES[space_name]
     rng, ref_rng, row_rng = make_rng(31), make_rng(31), make_rng(31)
     for _ in range(2_000):
         point = sample_uniform(space, rng)
@@ -52,6 +77,19 @@ def test_sample_uniform_matches_per_point_draw(space_name):
         assert_point(space, point)
     # all three streams consumed the same number of draws
     assert rng.integers(2**63) == ref_rng.integers(2**63) == row_rng.integers(2**63)
+
+
+@pytest.mark.parametrize("space_name", SPACES)
+def test_sample_uniform_indices_matches_per_parameter_draws(space_name):
+    space = SPACES[space_name]
+    rng, ref_rng = make_rng(17), make_rng(17)
+    for n in (1, 2, 7, 48, 256, 1000, 0, 3):
+        batch = sample_uniform_indices(space, rng, n)
+        expected = reference_sample_uniform_indices(space, ref_rng, n)
+        assert batch.dtype == np.int64 and batch.shape == (n, len(space))
+        assert np.array_equal(batch, expected)
+        # both generators are left in the same state
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
 @pytest.mark.parametrize("space_name", SHIPPED)
