@@ -12,9 +12,24 @@ rank (ASrank, Bullnheimer, Hartl & Strauss 1999).
 Deposits depend only on the order of the rewards within a batch, so any
 finite reward works whatever its scale or sign.  No ant deposits more than
 `deposit`, so the trails stay bounded without a tau_max.
+
+The trails of all parameters live end to end in one flat vector, and
+`pheromone` holds a view per parameter.  Each parameter's cumulative
+tau^beta table changes only in `update`, so it is built there and reused by
+every proposal until the next one.  The tables are Python lists because a
+proposal picks one value per parameter: `bisect.bisect_right` on a list
+makes the same comparisons on the same doubles as
+`np.searchsorted(side="right")` on the array (both return the number of
+entries <= the draw in a nondecreasing table) without a numpy call per
+parameter.  The draws stay scalar: the epsilon branch interleaves
+`integers` calls with the uniforms, so batching them would reorder the
+stream.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -66,16 +81,21 @@ class AntColony(Agent):
 
     def _tabulate(self) -> None:
         """Cumulative tau^beta per parameter; the trail changes only in `update`."""
-        self._cum = [np.cumsum(tau ** self._hyperparams["beta"]) for tau in self.pheromone]
+        weights = (self._trail ** self._hyperparams["beta"]).tolist()
+        # accumulate adds in np.cumsum's order: one running sum, left to right
+        self._cum = [
+            list(accumulate(weights[o : o + s])) for o, s in zip(self._offsets, self.space.sizes)
+        ]
 
     def propose(self, rng: np.random.Generator) -> DesignPoint:
         epsilon = self._hyperparams["epsilon"]
+        random = rng.random
         indices = []
         for cum in self._cum:
-            if epsilon > 0 and rng.random() < epsilon:
+            if epsilon > 0 and random() < epsilon:
                 indices.append(int(rng.integers(0, len(cum))))
             else:
-                indices.append(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")))
+                indices.append(bisect_right(cum, random() * cum[-1]))
         return tuple(indices)
 
     def _on_observe(self, point: DesignPoint, reward: float) -> None:

@@ -30,11 +30,16 @@ def uniform_crossover(
     rng: np.random.Generator,
     order: np.ndarray | None = None,
 ) -> DesignPoint:
-    """Per-gene 50/50 mix of two parents, visited in `order` if given."""
+    """Per-gene 50/50 mix of two parents, visited in `order` if given.
+
+    The coins are one `rng.random(n)` batch used in visiting order: the
+    same doubles as n scalar draws.
+    """
     indices = list(a)
     positions = order if order is not None else range(len(indices))
-    for pos in positions:
-        if rng.random() < 0.5:
+    coins = rng.random(len(positions)).tolist()
+    for pos, coin in zip(positions, coins):
+        if coin < 0.5:
             indices[pos] = b[pos]
     return tuple(indices)
 

@@ -5,9 +5,25 @@ softmax independently (one sample is one env step with no state to
 condition on, so the policy is context-free).  Updates use batch
 advantages against an exponential moving-average baseline, plus an
 optional entropy bonus.
+
+The logits of all parameters live end to end in one flat vector, and
+`logits` holds a view per parameter.  The softmaxes and each parameter's
+cumulative table change only in `update`, so they are computed there and
+reused by every proposal until the next one.  The tables are Python lists
+because a proposal picks one value per parameter: `bisect.bisect_right`
+on a list makes the same comparisons on the same doubles as
+`np.searchsorted(side="right")` on the array (both return the number of
+entries <= the draw in a nondecreasing table) without a numpy call per
+parameter.  `update` accumulates the score-function gradient on the flat
+vector; every element still sees the same additions in the same order as
+a per-parameter loop, so the policy is bit-identical to it.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -16,15 +32,25 @@ from .base import Agent
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits)
+    z = logits - logits.max()
     e = np.exp(z)
-    return e / np.sum(e)
+    return e / e.sum()
 
 
-def entropy_gradient(probs: np.ndarray) -> np.ndarray:
-    """d/dlogits of H(softmax) = -p * (log p + H)."""
+def entropy_gradient(probs: np.ndarray, sizes: Sequence[int] | None = None) -> np.ndarray:
+    """d/dlogits of H(softmax) = -p * (log p + H).
+
+    With `sizes`, `probs` holds several parameters' softmaxes end to end and
+    each part gets the gradient of its own entropy.
+    """
     logp = np.log(np.maximum(probs, 1e-300))
-    h = -np.sum(probs * logp)
+    plogp = probs * logp
+    if sizes is None:
+        h = -plogp.sum()
+    else:
+        # one pairwise sum per parameter, as on that parameter alone
+        ends = np.cumsum(sizes).tolist()
+        h = np.repeat([-plogp[e - s : e].sum() for e, s in zip(ends, sizes)], sizes)
     return -probs * (logp + h)
 
 
@@ -39,16 +65,38 @@ def policy_logprob(logits: list[np.ndarray], choices: list[DesignPoint],
     return float(total)
 
 
+def _flat_policy_gradient(probs: np.ndarray, offsets: np.ndarray,
+                          choices: list[DesignPoint], advantages: np.ndarray) -> np.ndarray:
+    """`policy_gradient` with every parameter's softmax laid end to end in
+    `probs`, parameter j starting at `offsets[j]`.
+
+    Element e of the gradient starts at 0 and, for each point s in turn,
+    gains A_s if s chose e and then loses A_s * p_e.  Row 2s + 1 of `terms`
+    holds the gains (-0.0, which leaves any sum unchanged, where s chose
+    another value) and row 2s + 2 the losses.  Summed down the columns of a
+    C-ordered array, the rows are added one at a time in order (numpy sums
+    pairwise only along the contiguous axis), so each element gets the same
+    terms in the same order as in that loop.
+    """
+    n = len(choices)
+    advantages = np.asarray(advantages, dtype=float)
+    rows = np.array(choices, dtype=np.intp).reshape(n, len(offsets)) + offsets
+    terms = np.full((2 * n + 1, probs.size), -0.0)
+    terms[0] = 0.0
+    terms[2 * np.arange(n)[:, None] + 1, rows] = advantages[:, None]
+    # x - y is x + (-y), and (-a) * p is -(a * p)
+    np.multiply.outer(-advantages, probs, out=terms[2::2])
+    return terms.sum(axis=0)
+
+
 def policy_gradient(logits: list[np.ndarray], choices: list[DesignPoint],
                     advantages: np.ndarray) -> list[np.ndarray]:
     """Analytic gradient of `policy_logprob` at the current logits."""
-    probs = [softmax(l) for l in logits]
-    grads = [np.zeros_like(l) for l in logits]
-    for point, a in zip(choices, advantages):
-        for j, k in enumerate(point):
-            grads[j][k] += a
-            grads[j] -= a * probs[j]
-    return grads
+    sizes = [len(l) for l in logits]
+    bounds = np.cumsum(sizes)
+    probs = np.concatenate([softmax(l) for l in logits])
+    grad = _flat_policy_gradient(probs, bounds - sizes, choices, advantages)
+    return np.split(grad, bounds[:-1])
 
 
 class Reinforce(Agent):
@@ -71,7 +119,11 @@ class Reinforce(Agent):
             raise ValueError(f"baseline_decay must lie in [0, 1), got {hp['baseline_decay']}")
         if hp["batch_size"] < 1:
             raise ValueError(f"batch_size must be >= 1, got {hp['batch_size']}")
-        self.logits = [np.zeros(s) for s in space.sizes]
+        sizes = space.sizes
+        self._logits = np.zeros(sum(sizes))
+        self._offsets = np.cumsum((0,) + sizes[:-1])
+        # one view per parameter into the flat logits
+        self.logits = [self._logits[o : o + s] for o, s in zip(self._offsets, sizes)]
         self.baseline: float | None = None
         self._batch: list[tuple[DesignPoint, float]] = []
         self._tabulate()
@@ -80,14 +132,15 @@ class Reinforce(Agent):
         return [softmax(l) for l in self.logits]
 
     def _tabulate(self) -> None:
-        """Cumulative softmax per parameter; the logits change only in `update`."""
-        self._cum = [np.cumsum(p) for p in self.probabilities()]
+        """Flat softmax and cumulative tables; the logits change only in `update`."""
+        probs = self.probabilities()
+        self._probs = np.concatenate(probs)
+        # accumulate adds in np.cumsum's order: one running sum, left to right
+        self._cum = [list(accumulate(p.tolist())) for p in probs]
 
     def propose(self, rng: np.random.Generator) -> DesignPoint:
-        draws = rng.random(len(self._cum))
-        return tuple(
-            int(np.searchsorted(cum, u * cum[-1], side="right")) for cum, u in zip(self._cum, draws)
-        )
+        draws = rng.random(len(self._cum)).tolist()
+        return tuple(bisect_right(cum, u * cum[-1]) for cum, u in zip(self._cum, draws))
 
     def _on_observe(self, point: DesignPoint, reward: float) -> None:
         self._batch.append((point, reward))
@@ -108,10 +161,9 @@ class Reinforce(Agent):
                 1.0 - hp["baseline_decay"]
             ) * mean
         advantages = rewards - self.baseline
-        grads = policy_gradient(self.logits, [p for p, _ in batch], advantages)
-        lr = hp["learning_rate"]
-        for j, grad in enumerate(grads):
-            if hp["entropy_weight"] > 0:
-                grad = grad + hp["entropy_weight"] * entropy_gradient(softmax(self.logits[j]))
-            self.logits[j] += lr * grad
+        # the softmaxes of the last `_tabulate` are current: the logits have not moved
+        grad = _flat_policy_gradient(self._probs, self._offsets, [p for p, _ in batch], advantages)
+        if hp["entropy_weight"] > 0:
+            grad += hp["entropy_weight"] * entropy_gradient(self._probs, self.space.sizes)
+        self._logits += hp["learning_rate"] * grad
         self._tabulate()

@@ -8,9 +8,13 @@ per-trial files, never concurrent writes to one file.
 
 `TrajectoryWriter` encodes each trial's constants once, when it opens, and
 each parameter's grid values once per space; a step then encodes only its
-observation, reward and wall time.  `TrajectoryWriter.append` and
-`TrajectoryRecord.to_json` emit identical bytes for the same fields: both
-use one encoder and the field order of `_FIELDS`.
+observation, reward and wall time.  It writes a finite `float` with
+`float.__repr__`, an `int` with `int.__repr__` and each metric name from a
+per-writer cache: the text json writes for them, without a call to the
+encoder, which builds a new C encoder each time.  Any other value goes
+through the encoder.  `TrajectoryWriter.append` and `TrajectoryRecord.to_json` emit identical
+bytes for the same fields: both use one encoder and the field order of
+`_FIELDS`.
 """
 
 from __future__ import annotations
@@ -54,6 +58,16 @@ _FIELDS = (
 _TRIAL_FIELDS = _FIELDS[: _FIELDS.index("step_index")]
 
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
+def _encode_value(value) -> str:
+    """`_ENCODER.encode(value)`, without the encoder for a finite float or an int."""
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    return _ENCODER.encode(value)
 
 
 @dataclass(frozen=True)
@@ -133,6 +147,7 @@ class TrajectoryWriter:
         self._prefix = head[:-1] + ',"step_index":'
         self._space = space
         self._fragments = _design_fragments(space)
+        self._names: dict[str, str] = {}  # metric name -> '"name":' as json writes it
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = open(self.path, "w", encoding="utf-8")
@@ -160,11 +175,28 @@ class TrajectoryWriter:
         except IndexError:
             self._space.validate_point(point)
             raise
-        tail = _ENCODER.encode(
-            {"observation": metrics, "reward": reward, "wall_time_ms": wall_time_ms}
+        observation = self._encode_metrics(metrics)
+        self._file.write(
+            f'{self._prefix}{step_index:d},"design":{{{design}}},"observation":{observation},'
+            f'"reward":{_encode_value(reward)},"wall_time_ms":{_encode_value(wall_time_ms)}}}\n'
         )
-        self._file.write(f'{self._prefix}{step_index:d},"design":{{{design}}},{tail[1:]}\n')
         self._file.flush()
+
+    def _encode_metrics(self, metrics: Mapping[str, float]) -> str:
+        """`_ENCODER.encode(metrics)`, built from parts for a dict with str keys."""
+        if type(metrics) is dict:
+            names = self._names
+            items = []
+            for name, value in metrics.items():
+                head = names.get(name)
+                if head is None:
+                    if type(name) is not str:
+                        break
+                    head = names[name] = _ENCODER.encode(name) + ":"
+                items.append(head + _encode_value(value))
+            else:
+                return "{" + ",".join(items) + "}"
+        return _ENCODER.encode(metrics)
 
     def close(self) -> None:
         self._file.close()

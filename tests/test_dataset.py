@@ -5,6 +5,7 @@ import struct
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -100,10 +101,34 @@ class TestWriterBytes:
         with TrajectoryWriter(path, space, **CONSTANTS) as writer:
             for step, point in enumerate(points):
                 metrics = {"latency": float(rng.random()) * 1e-7, "power": float(rng.normal())}
+                if step % 2:
+                    # values json writes by type: the writer must match it on each
+                    metrics.update(count=step, zero=-0.0, tiny=5e-324, huge=1e22,
+                                   np=np.float64(rng.normal()), flag=True, inf=-math.inf)
                 reward = float(rng.normal())
                 writer.append(step, point, metrics, reward, step % 3)
                 expected.append(_record(step, point, space, metrics, reward, step % 3).to_json())
         assert path.read_text(encoding="utf-8").splitlines() == expected
+
+    @pytest.mark.parametrize(
+        "metrics, reward",
+        [
+            ({}, 1.5),
+            ({1: 0.5, "b": 2}, 1.5),
+            ({'é"\n': 1.5, "n": None, "l": [1, 2.5]}, 1.5),
+            ({"nan": math.nan, "inf": math.inf}, 3),
+            ({"a": 1.0}, np.float64(-0.0)),
+        ],
+    )
+    def test_append_matches_to_json_on_other_values(self, metrics, reward, tmp_path):
+        space = get_space("dram-small")
+        path = tmp_path / "t.jsonl"
+        with TrajectoryWriter(path, space, **CONSTANTS) as writer:
+            for step in range(2):
+                writer.append(step, (0,) * len(space), metrics, reward, 4)
+        lines = [_record(step, (0,) * len(space), space, metrics, reward, 4).to_json()
+                 for step in range(2)]
+        assert path.read_text(encoding="utf-8").splitlines() == lines
 
     @given(spaces_with_points(), finite_floats, st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
