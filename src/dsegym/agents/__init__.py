@@ -1,12 +1,9 @@
-"""The five search agents and their hyperparameter fixtures."""
+"""The five search agents, their registry and their sweep grids."""
 
 from __future__ import annotations
 
 import itertools
-from importlib import resources
 from typing import Mapping
-
-import yaml
 
 from ..spaces import ParameterSpace
 from .ant_colony import AntColony
@@ -23,37 +20,36 @@ AGENT_CLASSES: dict[str, type[Agent]] = {
 
 AGENT_TYPES = tuple(sorted(AGENT_CLASSES))
 
-_FIXTURE_FILES = {"RW": "rw.yaml", "GA": "ga.yaml", "ACO": "aco.yaml", "BO": "bo.yaml", "RL": "rl.yaml"}
+
+def _agent_class(agent_type: str) -> type[Agent]:
+    if agent_type not in AGENT_CLASSES:
+        raise ValueError(f"unknown agent type {agent_type!r} (have {sorted(AGENT_CLASSES)})")
+    return AGENT_CLASSES[agent_type]
 
 
 def make_agent(
     agent_type: str, space: ParameterSpace, hyperparams: Mapping | None = None
 ) -> Agent:
-    if agent_type not in AGENT_CLASSES:
-        raise ValueError(f"unknown agent type {agent_type!r} (have {sorted(AGENT_CLASSES)})")
-    return AGENT_CLASSES[agent_type](space, hyperparams)
-
-
-def load_agent_fixture(agent_type: str) -> dict:
-    if agent_type not in _FIXTURE_FILES:
-        raise ValueError(f"unknown agent type {agent_type!r}")
-    ref = resources.files("dsegym.agents") / "fixtures" / _FIXTURE_FILES[agent_type]
-    with ref.open(encoding="utf-8") as f:
-        return yaml.safe_load(f)
+    return _agent_class(agent_type)(space, hyperparams)
 
 
 def expand_grid(grid: Mapping) -> list[dict]:
     """Cartesian product of per-hyperparameter value lists."""
-    if not grid:
-        return [{}]
     keys = sorted(grid)
     return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
 
 
 def sweep_configs(agent_type: str, grid: Mapping | None = None) -> list[dict]:
-    """Hyperparameter configs for a sweep: the shipped grid unless overridden."""
-    if grid is None:
-        grid = load_agent_fixture(agent_type).get("sweep_grid") or {}
+    """Hyperparameter configs for a sweep: the class's SWEEP_GRID unless overridden."""
+    shipped = _agent_class(agent_type).SWEEP_GRID
+    grid = shipped if grid is None else grid
+    if not isinstance(grid, Mapping) or not all(
+        isinstance(values, (list, tuple)) and values for values in grid.values()
+    ):
+        raise ValueError(
+            f"the sweep grid for {agent_type} must map hyperparameter names to non-empty"
+            f" lists of values, got {grid!r}"
+        )
     return expand_grid(grid)
 
 
@@ -71,7 +67,6 @@ __all__ = [
     "Reinforce",
     "expand_grid",
     "expected_improvement",
-    "load_agent_fixture",
     "make_agent",
     "sweep_configs",
 ]

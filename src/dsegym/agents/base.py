@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 from abc import ABC, abstractmethod
+from itertools import accumulate
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -56,6 +57,8 @@ class Agent(ABC):
 
     agent_type: str = "?"
     DEFAULTS: dict = {}
+    # hyperparameter -> values; a sweep runs the cartesian product
+    SWEEP_GRID: dict = {}
 
     def __init__(self, space: ParameterSpace, hyperparams: Mapping | None = None):
         merged = dict(self.DEFAULTS)
@@ -65,6 +68,12 @@ class Agent(ABC):
                 raise ValueError(
                     f"unknown hyperparameters for {self.agent_type}: {sorted(unknown)}"
                 )
+            for key, value in hyperparams.items():
+                kind = type(self.DEFAULTS[key])
+                # a float takes an int too; bool is an int subclass that only a bool takes
+                kinds = (int, float) if kind is float else kind
+                if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
+                    raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
             merged.update(hyperparams)
         self.space = space
         self._hyperparams = HyperparamSet(merged)
@@ -89,3 +98,54 @@ class Agent(ABC):
 
     def _on_observe(self, point: DesignPoint, reward: float) -> None:
         """Policy update hook; the default policy is stateless."""
+
+    def _require(self, key: str, ok: bool, rule: str) -> None:
+        """Reject hyperparameter `key` unless `ok`; `rule` is what it must do."""
+        if not ok:
+            raise ValueError(f"{key} must {rule}, got {self._hyperparams[key]}")
+
+
+class SamplingTableAgent(Agent):
+    """A policy of one weight per value of each parameter, updated in batches.
+
+    The policy of all parameters lives end to end in one flat vector,
+    `_flat`, with a view per parameter in `_views`.  A subclass supplies
+    `_weights`, the vector's sampling weights as a flat list, and
+    `update(batch)`, which changes the vector and then calls `_tabulate`;
+    `observe` hands it every `hyperparams()[BATCH_KEY]` (point, reward) pairs.
+
+    Each parameter's cumulative weight table changes only in `update`, so it
+    is built there and reused by every proposal until the next one.  The
+    tables are Python lists because a proposal picks one value per
+    parameter: `bisect.bisect_right` on a list makes the same comparisons on
+    the same doubles as `np.searchsorted(side="right")` on the array (both
+    return the number of entries <= the draw in a nondecreasing table)
+    without a numpy call per parameter.
+    """
+
+    BATCH_KEY: str
+
+    def __init__(self, space: ParameterSpace, hyperparams: Mapping | None, initial: float):
+        super().__init__(space, hyperparams)
+        sizes = space.sizes
+        self._flat = np.full(sum(sizes), initial)
+        self._offsets = np.cumsum((0,) + sizes[:-1])
+        self._views = [self._flat[o : o + s] for o, s in zip(self._offsets, sizes)]
+        self._batch: list[tuple[DesignPoint, float]] = []
+        self._tabulate()
+
+    @abstractmethod
+    def _weights(self) -> list[float]: ...
+
+    def _tabulate(self) -> None:
+        weights = self._weights()
+        # accumulate adds in np.cumsum's order: one running sum, left to right
+        self._cum = [
+            list(accumulate(weights[o : o + s])) for o, s in zip(self._offsets, self.space.sizes)
+        ]
+
+    def _on_observe(self, point: DesignPoint, reward: float) -> None:
+        self._batch.append((point, reward))
+        if len(self._batch) >= self._hyperparams[self.BATCH_KEY]:
+            self.update(self._batch)
+            self._batch = []

@@ -198,12 +198,12 @@ class BayesOpt(Agent):
         "n_initial": 8,
         "max_train_points": 96,
     }
+    SWEEP_GRID = {"length_scale": [0.1, 0.3, 1.0], "xi": [0, 0.01, 0.1]}
 
     def __init__(self, space, hyperparams=None):
         super().__init__(space, hyperparams)
         hp = self._hyperparams
-        if hp["xi"] < 0:
-            raise ValueError(f"xi must be >= 0, got {hp['xi']}")
+        self._require("xi", hp["xi"] >= 0, "be >= 0")
         if hp["candidate_pool"] < 1 or hp["n_initial"] < 1 or hp["max_train_points"] < 1:
             raise ValueError("candidate_pool, n_initial and max_train_points must be >= 1")
         self._gp = GaussianProcess(hp["length_scale"], hp["signal_var"], hp["noise_var"])

@@ -67,17 +67,15 @@ class GeneticAlgorithm(Agent):
         "growth_prob": 0.2,
         "reordering": False,
     }
+    SWEEP_GRID = {"mutation_prob": [0.01, 0.05, 0.1, 0.3], "population_size": [8, 32, 128]}
 
     def __init__(self, space, hyperparams=None):
         super().__init__(space, hyperparams)
         hp = self._hyperparams
-        if hp["population_size"] < 2:
-            raise ValueError(f"population_size must be >= 2, got {hp['population_size']}")
-        if hp["tournament_size"] < 2:
-            raise ValueError(f"tournament_size must be >= 2, got {hp['tournament_size']}")
+        self._require("population_size", hp["population_size"] >= 2, "be >= 2")
+        self._require("tournament_size", hp["tournament_size"] >= 2, "be >= 2")
         for key in ("mutation_prob", "crossover_prob", "growth_prob"):
-            if not 0.0 <= hp[key] <= 1.0:
-                raise ValueError(f"{key} must lie in [0, 1], got {hp[key]}")
+            self._require(key, 0.0 <= hp[key] <= 1.0, "lie in [0, 1]")
         self.population: list[Individual] = []
         self._pending: Individual | None = None
 

@@ -12,7 +12,6 @@ _BLOCK = 512
 
 class RandomWalker(Agent):
     agent_type = "RW"
-    DEFAULTS: dict = {}
 
     def __init__(self, space, hyperparams=None):
         super().__init__(space, hyperparams)

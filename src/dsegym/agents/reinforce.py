@@ -6,29 +6,23 @@ condition on, so the policy is context-free).  Updates use batch
 advantages against an exponential moving-average baseline, plus an
 optional entropy bonus.
 
-The logits of all parameters live end to end in one flat vector, and
-`logits` holds a view per parameter.  The softmaxes and each parameter's
-cumulative table change only in `update`, so they are computed there and
-reused by every proposal until the next one.  The tables are Python lists
-because a proposal picks one value per parameter: `bisect.bisect_right`
-on a list makes the same comparisons on the same doubles as
-`np.searchsorted(side="right")` on the array (both return the number of
-entries <= the draw in a nondecreasing table) without a numpy call per
-parameter.  `update` accumulates the score-function gradient on the flat
-vector; every element still sees the same additions in the same order as
-a per-parameter loop, so the policy is bit-identical to it.
+The logits of all parameters are the flat vector of a
+`SamplingTableAgent`, and `logits` holds a view per parameter.  The
+sampling weights are the softmaxes, which `update` reuses for its
+gradient.  It accumulates the score-function gradient on the flat vector;
+every element still sees the same additions in the same order as a
+per-parameter loop, so the policy is bit-identical to it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from ..spaces import DesignPoint
-from .base import Agent
+from .base import SamplingTableAgent
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -99,7 +93,7 @@ def policy_gradient(logits: list[np.ndarray], choices: list[DesignPoint],
     return np.split(grad, bounds[:-1])
 
 
-class Reinforce(Agent):
+class Reinforce(SamplingTableAgent):
     agent_type = "RL"
     DEFAULTS = {
         "learning_rate": 0.05,
@@ -107,46 +101,27 @@ class Reinforce(Agent):
         "baseline_decay": 0.9,
         "batch_size": 16,
     }
+    SWEEP_GRID = {"learning_rate": [0.01, 0.05, 0.2], "entropy_weight": [0, 0.01]}
+    BATCH_KEY = "batch_size"
 
     def __init__(self, space, hyperparams=None):
-        super().__init__(space, hyperparams)
+        super().__init__(space, hyperparams, 0.0)
         hp = self._hyperparams
-        if hp["learning_rate"] <= 0:
-            raise ValueError(f"learning_rate must be positive, got {hp['learning_rate']}")
-        if hp["entropy_weight"] < 0:
-            raise ValueError(f"entropy_weight must be >= 0, got {hp['entropy_weight']}")
-        if not 0.0 <= hp["baseline_decay"] < 1.0:
-            raise ValueError(f"baseline_decay must lie in [0, 1), got {hp['baseline_decay']}")
-        if hp["batch_size"] < 1:
-            raise ValueError(f"batch_size must be >= 1, got {hp['batch_size']}")
-        sizes = space.sizes
-        self._logits = np.zeros(sum(sizes))
-        self._offsets = np.cumsum((0,) + sizes[:-1])
-        # one view per parameter into the flat logits
-        self.logits = [self._logits[o : o + s] for o, s in zip(self._offsets, sizes)]
+        self._require("learning_rate", hp["learning_rate"] > 0, "be positive")
+        self._require("entropy_weight", hp["entropy_weight"] >= 0, "be >= 0")
+        self._require("baseline_decay", 0.0 <= hp["baseline_decay"] < 1.0, "lie in [0, 1)")
+        self._require("batch_size", hp["batch_size"] >= 1, "be >= 1")
+        self.logits = self._views
         self.baseline: float | None = None
-        self._batch: list[tuple[DesignPoint, float]] = []
-        self._tabulate()
 
-    def probabilities(self) -> list[np.ndarray]:
-        return [softmax(l) for l in self.logits]
-
-    def _tabulate(self) -> None:
-        """Flat softmax and cumulative tables; the logits change only in `update`."""
-        probs = self.probabilities()
-        self._probs = np.concatenate(probs)
-        # accumulate adds in np.cumsum's order: one running sum, left to right
-        self._cum = [list(accumulate(p.tolist())) for p in probs]
+    def _weights(self) -> list[float]:
+        # kept for `update`: the logits do not move until then
+        self._probs = np.concatenate([softmax(l) for l in self._views])
+        return self._probs.tolist()
 
     def propose(self, rng: np.random.Generator) -> DesignPoint:
         draws = rng.random(len(self._cum)).tolist()
         return tuple(bisect_right(cum, u * cum[-1]) for cum, u in zip(self._cum, draws))
-
-    def _on_observe(self, point: DesignPoint, reward: float) -> None:
-        self._batch.append((point, reward))
-        if len(self._batch) >= self._hyperparams["batch_size"]:
-            self.update(self._batch)
-            self._batch = []
 
     def update(self, batch: list[tuple[DesignPoint, float]]) -> None:
         if not batch:
@@ -165,5 +140,5 @@ class Reinforce(Agent):
         grad = _flat_policy_gradient(self._probs, self._offsets, [p for p, _ in batch], advantages)
         if hp["entropy_weight"] > 0:
             grad += hp["entropy_weight"] * entropy_gradient(self._probs, self.space.sizes)
-        self._logits += hp["learning_rate"] * grad
+        self._flat += hp["learning_rate"] * grad
         self._tabulate()

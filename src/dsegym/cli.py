@@ -182,6 +182,8 @@ def _cmd_sweep(args) -> int:
 
         with open(args.grid, encoding="utf-8") as f:
             doc = yaml.safe_load(f)
+        if not isinstance(doc, dict):
+            raise UsageError(f"--grid {args.grid}: expected a mapping of agent types to grids")
         grids = {agent: sweep_configs(agent, grid) for agent, grid in doc.items()}
     out_dir = Path(args.out)
     config = orch.SweepConfig(

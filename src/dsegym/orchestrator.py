@@ -34,7 +34,7 @@ import numpy as np
 
 from .agents import make_agent, sweep_configs
 from .dataset import TrajectoryWriter
-from .envs import get_objective, make_env
+from .envs import get_objective, get_space, make_env
 from .rng import digest_stream, make_rng
 from .spaces import SpaceTooLargeError, cardinality, design_map, enumerate_points
 
@@ -191,17 +191,24 @@ class SweepConfig:
             raise ValueError("budgets must be >= 1")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
+        # a bad config fails here, before any trial runs
+        space = get_space(self.env_id)
+        for agent_type in self.agent_types:
+            for hp in self.configs(agent_type):
+                make_agent(agent_type, space, hp)
+
+    def configs(self, agent_type: str) -> list[dict]:
+        """The hyperparameter configs the sweep runs for `agent_type`."""
+        if self.grids is not None and agent_type in self.grids:
+            return [dict(g) for g in self.grids[agent_type]]
+        return sweep_configs(agent_type)
 
 
 def _sweep_specs(config: SweepConfig) -> list[TrialSpec]:
     max_budget = max(config.budgets)
     specs = []
     for agent_type in config.agent_types:
-        if config.grids is not None and agent_type in config.grids:
-            grid = [dict(g) for g in config.grids[agent_type]]
-        else:
-            grid = sweep_configs(agent_type)
-        for hp in grid:
+        for hp in config.configs(agent_type):
             for seed in config.seeds:
                 specs.append(
                     TrialSpec(

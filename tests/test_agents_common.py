@@ -1,16 +1,20 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsegym.agents import AGENT_TYPES, load_agent_fixture, make_agent, sweep_configs
+from dsegym.agents import AGENT_CLASSES, AGENT_TYPES, make_agent, sweep_configs
 from dsegym.envs import make_env
 from dsegym.rng import make_rng
 from dsegym.spaces import Categorical, Numeric, ParameterSpace, ParameterSpec
 
 from .strategies import spaces
+
+DATA = Path(__file__).parent / "data"
 
 SMALL_SPACE = ParameterSpace(
     (
@@ -127,11 +131,16 @@ class TestHyperparams:
         assert HyperparamSet({"a": 1, "b": 2}).digest == HyperparamSet({"b": 2, "a": 1}).digest
 
     @pytest.mark.parametrize("agent_type", AGENT_TYPES)
-    def test_fixture_defaults_match_class_defaults(self, agent_type):
-        from dsegym.agents import AGENT_CLASSES
-
-        fixture = load_agent_fixture(agent_type)
-        assert fixture["defaults"] == AGENT_CLASSES[agent_type].DEFAULTS
+    def test_shipped_sweep_config_digests(self, agent_type):
+        # json.dumps of a value is part of the digest (0 and 0.0 hash apart),
+        # and the digest seeds each trial's rng stream, so this pins every
+        # shipped config's values and their types
+        pinned = json.loads((DATA / "sweep_config_digests.json").read_text(encoding="utf-8"))
+        digests = [
+            make_agent(agent_type, SMALL_SPACE, config).hyperparams().digest
+            for config in sweep_configs(agent_type)
+        ]
+        assert digests == pinned[agent_type]
 
     def test_shipped_sweep_grids(self):
         sizes = {at: len(sweep_configs(at)) for at in AGENT_TYPES}
@@ -139,6 +148,65 @@ class TestHyperparams:
         for at in AGENT_TYPES:
             for config in sweep_configs(at):
                 make_agent(at, SMALL_SPACE, config)  # every grid point constructs
+
+    @pytest.mark.parametrize("agent_type", AGENT_TYPES)
+    def test_string_values_rejected(self, agent_type):
+        for key in AGENT_CLASSES[agent_type].DEFAULTS:
+            with pytest.raises(ValueError, match=f"^{key} must be of type"):
+                make_agent(agent_type, SMALL_SPACE, {key: "abc"})
+
+    @pytest.mark.parametrize(
+        "hyperparams",
+        [{"population_size": True}, {"population_size": 8.0}, {"aging": 1},
+         {"mutation_prob": False}, {"mutation_prob": None}],
+    )
+    def test_values_of_another_type_rejected(self, hyperparams):
+        with pytest.raises(ValueError, match="must be of type"):
+            make_agent("GA", SMALL_SPACE, hyperparams)
+
+    def test_a_float_takes_an_int(self):
+        agent = make_agent("GA", SMALL_SPACE, {"mutation_prob": 0, "aging": True})
+        assert agent.hyperparams()["mutation_prob"] == 0
+
+
+# each of GA's opt-in operators alone, then all three; a short aging limit
+# lets elites age out within the test's budget
+AGING = {"aging": True, "aging_limit": 2}
+GA_OPERATORS = [AGING, {"growth": True}, {"reordering": True},
+                {**AGING, "growth": True, "reordering": True}]
+
+
+class TestGeneticOperators:
+    @pytest.mark.parametrize(
+        "env_args",
+        [("dram-small", "stream", "low-power"), ("soc-small", "audio_decoder", "budget")],
+        ids=["dram-small", "soc-small"],
+    )
+    @pytest.mark.parametrize(
+        "operators", GA_OPERATORS, ids=["aging", "growth", "reordering", "all"]
+    )
+    def test_opt_in_operators(self, operators, env_args):
+        size = 8
+
+        def run(hyperparams):
+            env = make_env(*env_args)
+            agent = make_agent("GA", env.space(), {"population_size": size, **hyperparams})
+            rng = make_rng(4)
+            points, lengths = [], []
+            for _ in range(300):
+                point = agent.propose(rng)
+                env.space().validate_point(point)
+                agent.observe(point, env.step(point).reward)
+                points.append(point)
+                lengths.append(len(agent.population))
+            return points, lengths
+
+        points, lengths = run(operators)
+        # growth adds one individual at most, and the next generation trims it
+        assert set(lengths) == ({size, size + 1} if operators.get("growth") else {size})
+        assert run(operators)[0] == points
+        # the operator took part: the run differs from one without it
+        assert run({})[0] != points
 
 
 class TestRandomWalker:

@@ -106,6 +106,39 @@ def test_sweep_rejects_parallel_below_one(parallel, tmp_path, capsys):
     assert not (tmp_path / "sw").exists()
 
 
+def test_run_rejects_a_hyperparameter_of_the_wrong_type(tmp_path, capsys):
+    argv = ["run", *ENV, "--agent", "GA", "--budget", "2", "--set", "population_size=abc",
+            "--out", str(tmp_path / "runs")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: population_size must be of type int") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "",
+        "GA:\n  population_size: 8\n",
+        "XX:\n  population_size: [8]\n",
+        "GA:\n  population_size: [8, 1]\n",
+        "GA:\n  population_size: [8, x]\n",
+    ],
+    ids=["empty-file", "scalar-values", "unknown-agent", "out-of-range", "wrong-type"],
+)
+def test_sweep_rejects_a_bad_grid_before_any_trial(grid, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(orch, "run_trial", lambda spec: calls.append(spec))
+    grid_file = tmp_path / "grid.yaml"
+    grid_file.write_text(grid, encoding="utf-8")
+    argv = ["sweep", *ENV, "--agents", "RW,GA", "--budgets", "2", "--grid", str(grid_file),
+            "--out", str(tmp_path / "sw")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert calls == []
+    assert not (tmp_path / "sw").exists()
+
+
 def _printed_json(capsys):
     return json.loads(capsys.readouterr().out)
 

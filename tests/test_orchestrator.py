@@ -3,7 +3,7 @@ import re
 import pytest
 
 import dsegym.envs
-from dsegym.agents import AGENT_TYPES, load_agent_fixture, make_agent
+from dsegym.agents import AGENT_TYPES, AntColony, make_agent
 from dsegym.dataset import load_dataset
 from dsegym.envs import make_env
 from dsegym.orchestrator import (
@@ -45,7 +45,7 @@ def _digest(agent_type, hyperparams):
 class TestRunTrialRecordsGivenHyperparams:
     @pytest.mark.parametrize(
         "hyperparams",
-        [{}, load_agent_fixture("ACO")["defaults"]],
+        [{}, AntColony.DEFAULTS],
         ids=["defaults", "explicit-fixture-defaults"],
     )
     def test_aco_on_budget_objective(self, hyperparams, tmp_path):
