@@ -3,7 +3,7 @@
 Subcommands: run, sweep, aggregate, mix, train-proxy, eval-proxy,
 bench-proxy, report, enumerate-oracle.  Exit codes: 0 success, 1 usage
 error, 2 trial/environment failure, 3 bad input data (a corrupt or repeated
-trajectory record, a malformed model file).
+trajectory record, a malformed model file or sweep summary).
 """
 
 from __future__ import annotations
@@ -184,6 +184,12 @@ def _cmd_sweep(args) -> int:
             doc = yaml.safe_load(f)
         if not isinstance(doc, dict):
             raise UsageError(f"--grid {args.grid}: expected a mapping of agent types to grids")
+        for agent, grid in doc.items():
+            if grid is None:
+                raise UsageError(
+                    f"--grid {args.grid}: {agent} has no grid; write `{agent}: {{}}` to run "
+                    "its defaults"
+                )
         grids = {agent: sweep_configs(agent, grid) for agent, grid in doc.items()}
     out_dir = Path(args.out)
     config = orch.SweepConfig(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 import weakref
 from collections import Counter
@@ -104,6 +105,14 @@ class TrajectoryRecord:
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {data.get('schema_version')!r}")
         kwargs = {name: data[name] for name in _FIELDS if name != "schema_version"}
+        for name in ("design", "observation"):
+            if not isinstance(kwargs[name], dict):
+                raise ValueError(f"{name} must be a JSON object, got {kwargs[name]!r}")
+        for metric, value in kwargs["observation"].items():
+            # bool is an int subclass; NaN fails the comparison, and json.loads
+            # reads Infinity and ints too large for a float
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"metric {metric!r} must be a finite number, got {value!r}")
         return cls(**kwargs)
 
 

@@ -8,6 +8,14 @@ curves monotone per trial.  One env step is one sample and one
 cost-model evaluation, so a budget-N trial evaluates exactly N designs;
 agent-internal computation is free.
 
+A sweep runs each trial once: `SweepConfig` refuses a repeated seed, budget
+or agent type, and two configs of one agent with the same hyperparameter
+digest, before any trial runs.  `summarize` expects results in (agent type,
+digest, seed) order, the order `run_sweep` sorts them into.  It builds each
+(agent, budget) pool of best rewards once, in that order, and
+`mean_normalized` sums each pool in that order, so another order can change
+its last bits.
+
 Parallel sweeps run trials in a process pool.  Each worker caps every
 OpenBLAS library it has loaded at max(1, usable cores // workers) threads
 before its first trial, and never raises a count it inherited; the caller's
@@ -20,20 +28,21 @@ worker capped at 1 runs on its main thread alone.
 
 from __future__ import annotations
 
+import csv
 import ctypes
 import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .agents import make_agent, sweep_configs
-from .dataset import TrajectoryWriter
+from .dataset import DataError, TrajectoryWriter
 from .envs import get_objective, get_space, make_env
 from .rng import digest_stream, make_rng
 from .spaces import SpaceTooLargeError, cardinality, design_map, enumerate_points
@@ -62,9 +71,6 @@ class TrialSpec:
     def hyperparams_tuple(hp: Mapping | None) -> tuple:
         return tuple(sorted((hp or {}).items()))
 
-    def hyperparams_dict(self) -> dict:
-        return dict(self.hyperparams)
-
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError(f"sample budget must be >= 1, got {self.budget}")
@@ -84,7 +90,6 @@ class TrialResult:
     wall_time_s: float
     trajectory_file: str | None
     best_at: dict[int, float] = field(default_factory=dict)
-    error: str | None = None
 
 
 def experiment_id(spec: TrialSpec, digest: str) -> str:
@@ -102,7 +107,7 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     the partial file, and a rerun replaces the earlier trajectory.
     """
     env = make_env(spec.env_id, spec.workload_id, spec.objective, delay_ms=spec.delay_ms)
-    agent = make_agent(spec.agent_type, env.space(), spec.hyperparams_dict())
+    agent = make_agent(spec.agent_type, env.space(), dict(spec.hyperparams))
     digest = agent.hyperparams().digest
     exp_id = experiment_id(spec, digest)
     rng = make_rng(spec.seed, digest_stream(digest))
@@ -191,17 +196,29 @@ class SweepConfig:
             raise ValueError("budgets must be >= 1")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        # a bad config fails here, before any trial runs
+        _reject_repeats("seed", self.seeds)
+        _reject_repeats("budget", self.budgets)
+        _reject_repeats("agent type", self.agent_types)
+        # a bad or repeated config fails here, before any trial runs
         space = get_space(self.env_id)
         for agent_type in self.agent_types:
-            for hp in self.configs(agent_type):
-                make_agent(agent_type, space, hp)
+            digests = [
+                make_agent(agent_type, space, hp).hyperparams().digest
+                for hp in self.configs(agent_type)
+            ]
+            _reject_repeats(f"{agent_type} hyperparameter digest", digests)
 
     def configs(self, agent_type: str) -> list[dict]:
         """The hyperparameter configs the sweep runs for `agent_type`."""
         if self.grids is not None and agent_type in self.grids:
             return [dict(g) for g in self.grids[agent_type]]
         return sweep_configs(agent_type)
+
+
+def _reject_repeats(what: str, values: Sequence) -> None:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"repeated {what} {value!r}: a sweep runs each trial once")
 
 
 def _sweep_specs(config: SweepConfig) -> list[TrialSpec]:
@@ -318,19 +335,23 @@ class SweepSummary:
     timing: dict  # agent -> mean/total wall seconds (not deterministic)
     failures: list
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSummary":
-        return cls(**json.loads(text))
-
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        text = json.dumps(asdict(self), sort_keys=True, indent=2)
+        Path(path).write_text(text + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "SweepSummary":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise DataError(f"{path}: not a JSON sweep summary: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise DataError(f"{path}: a sweep summary is a JSON object, not {type(doc).__name__}")
+        names = {f.name for f in fields(cls)}
+        if doc.keys() != names:
+            raise DataError(f"{path}: missing keys {sorted(names - doc.keys())}, "
+                            f"unknown keys {sorted(doc.keys() - names)}")
+        return cls(**doc)
 
 
 def run_sweep(config: SweepConfig) -> SweepSummary:
@@ -368,6 +389,7 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
 def summarize(
     config: SweepConfig, results: list[TrialResult], failures: list | None = None
 ) -> SweepSummary:
+    """Fold results, in (agent type, digest, seed) order, into a summary."""
     configs: dict = {}
     best_rewards: dict = {}
     timing: dict = {}
@@ -382,38 +404,25 @@ def summarize(
         t["trials"] += 1
 
     stats: dict = {}
+    pools: dict = {}  # agent -> budget -> best rewards of every config and seed
     for agent_type, by_digest in best_rewards.items():
-        stats[agent_type] = {}
         for budget in config.budgets:
-            pooled = []
-            best_digest, best_value = "", -math.inf
-            for digest, by_budget in sorted(by_digest.items()):
-                values = list(by_budget[str(budget)].values())
-                pooled.extend(values)
-                top = max(values)
-                if top > best_value:
-                    best_digest, best_value = digest, top
-            q1, q3, iqr = interquartile_range(pooled)
-            stats[agent_type][str(budget)] = {
+            key = str(budget)
+            pooled = [v for by_budget in by_digest.values() for v in by_budget[key].values()]
+            q1, median, q3 = map(float, np.percentile(pooled, [25, 50, 75]))
+            stats.setdefault(agent_type, {})[key] = {
                 "min": min(pooled),
                 "q1": q1,
-                "median": float(np.percentile(pooled, 50)),
+                "median": median,
                 "q3": q3,
                 "max": max(pooled),
-                "iqr": iqr,
+                "iqr": q3 - q1,
                 "n": len(pooled),
-                "best_digest": best_digest,
+                "best_digest": max(
+                    sorted(by_digest), key=lambda d: max(by_digest[d][key].values())
+                ),
             }
-
-    normalized = mean_normalized_reward(
-        {
-            agent: {
-                int(b): [v for by_b in by_digest.values() for v in by_b[b].values()]
-                for b in map(str, config.budgets)
-            }
-            for agent, by_digest in best_rewards.items()
-        }
-    )
+            pools.setdefault(agent_type, {})[budget] = pooled
 
     return SweepSummary(
         env_id=config.env_id,
@@ -426,7 +435,7 @@ def summarize(
         stats=stats,
         mean_normalized={
             agent: {str(b): v for b, v in by_budget.items()}
-            for agent, by_budget in normalized.items()
+            for agent, by_budget in mean_normalized_reward(pools).items()
         },
         timing=timing,
         failures=failures or [],
@@ -435,15 +444,6 @@ def summarize(
 
 # ---------------------------------------------------------------------------
 # Statistics
-
-
-def interquartile_range(values: Sequence[float]) -> tuple[float, float, float]:
-    """Linear-interpolation quartiles: quantile q sits at position q*(n-1)."""
-    if len(values) == 0:
-        raise ValueError("no values")
-    q1 = float(np.percentile(values, 25))
-    q3 = float(np.percentile(values, 75))
-    return q1, q3, q3 - q1
 
 
 def mean_normalized_reward(
@@ -518,14 +518,9 @@ def enumerate_oracle(
 # Report files
 
 
-def _csv_cell(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows([header, *rows])
 
 
 def report(summary: SweepSummary, out_dir) -> list[str]:

@@ -430,6 +430,8 @@ def speed_benchmark(
 ) -> SpeedupReport:
     """Wall time of n env steps vs n model predictions on the same points:
     the rows of an (m, len(space)) grid-index array, cycled to n queries."""
+    if n_queries < 1:
+        raise ValueError(f"n_queries must be >= 1, got {n_queries}")
     queries = points[np.arange(n_queries) % len(points)]
     steps = list(map(tuple, queries.tolist()))
     t0 = time.perf_counter()

@@ -122,8 +122,10 @@ def test_run_rejects_a_hyperparameter_of_the_wrong_type(tmp_path, capsys):
         "XX:\n  population_size: [8]\n",
         "GA:\n  population_size: [8, 1]\n",
         "GA:\n  population_size: [8, x]\n",
+        "GA:\n",
     ],
-    ids=["empty-file", "scalar-values", "unknown-agent", "out-of-range", "wrong-type"],
+    ids=["empty-file", "scalar-values", "unknown-agent", "out-of-range", "wrong-type",
+         "null-grid"],
 )
 def test_sweep_rejects_a_bad_grid_before_any_trial(grid, tmp_path, monkeypatch, capsys):
     calls = []
@@ -135,6 +137,18 @@ def test_sweep_rejects_a_bad_grid_before_any_trial(grid, tmp_path, monkeypatch, 
     assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert calls == []
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_refuses_a_repeated_seed_before_any_trial(tmp_path, monkeypatch, capsys):
+    # two workers would write the same trajectory file
+    calls = []
+    monkeypatch.setattr(orch, "run_trial", lambda spec: calls.append(spec))
+    argv = ["sweep", *ENV, "--agents", "RW", "--budgets", "2", "--seeds", "0,0",
+            "--parallel", "2", "--out", str(tmp_path / "sw")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: repeated seed 0: a sweep runs each trial once\n"
     assert calls == []
     assert not (tmp_path / "sw").exists()
 
@@ -197,6 +211,9 @@ def test_bench_proxy_on_the_undelayed_env(tmp_path, capsys):
     printed = _printed_json(capsys)
     assert set(printed) == {"speedup", "env_seconds", "model_seconds", "n_queries"}
     assert printed["n_queries"] == 12
+    argv = ["bench-proxy", "--model", str(model), *ENV, "--delay-ms", "0", "--queries", "0"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "n_queries must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting", ["n_trees=0", "max_depth=-1"])
@@ -268,6 +285,39 @@ def test_report_writes_its_four_tables(tmp_path, capsys):
     names = ["summary.json", "quartiles.csv", "normalized_rewards.csv", "time_to_completion.csv"]
     assert capsys.readouterr().out == "".join(f"wrote {out / n}\n" for n in names)
     assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{}", "missing keys ['best_rewards', "),
+        ('{"extra": 1}', "unknown keys ['extra']"),
+        ("[1]", "a sweep summary is a JSON object, not list"),
+        ('{"env_id": "dram-small"', "not a JSON sweep summary"),
+    ],
+    ids=["empty-object", "unknown-key", "array", "truncated"],
+)
+def test_report_of_a_malformed_summary_is_a_data_error(text, message, tmp_path, capsys):
+    summary = tmp_path / "summary.json"
+    summary.write_text(text, encoding="utf-8")
+    out = tmp_path / "report"
+    assert cli.main(["report", "--summary", str(summary), "--out", str(out)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {summary}: ") and message in err
+    assert not out.exists()
+
+
+def test_train_proxy_of_a_record_with_a_bad_design_is_a_data_error(tmp_path, capsys):
+    _run(tmp_path, "RW", 4)
+    (path,) = _trajectory_files(tmp_path)
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "design": 5})
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["train-proxy", "--data", str(bad), "--target", "power",
+            "--out", str(tmp_path / "model.json")]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"{bad}:2: corrupt record: design must be a JSON object" in capsys.readouterr().err
 
 
 def test_enumerate_oracle_prints_the_oracle(tmp_path, capsys):

@@ -247,8 +247,17 @@ class TestLoad:
             lambda line: json.dumps({**json.loads(line), "schema_version": 2}),
             lambda line: json.dumps({**json.loads(line), "reward": math.nan}),
             lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "design"}),
+            lambda line: json.dumps({**json.loads(line), "design": 5}),
+            lambda line: json.dumps({**json.loads(line), "observation": [1.0]}),
+            lambda line: json.dumps({**json.loads(line), "observation": {"m": "x"}}),
+            lambda line: json.dumps({**json.loads(line), "observation": {"m": True}}),
+            lambda line: json.dumps({**json.loads(line), "observation": {"m": None}}),
+            lambda line: json.dumps({**json.loads(line), "observation": {"m": math.inf}}),
+            lambda line: json.dumps({**json.loads(line), "observation": {"m": 10**400}}),
         ],
-        ids=["truncated", "array", "string", "null", "schema-2", "nan-reward", "no-design"],
+        ids=["truncated", "array", "string", "null", "schema-2", "nan-reward", "no-design",
+             "int-design", "list-observation", "string-metric", "bool-metric", "null-metric",
+             "infinite-metric", "huge-int-metric"],
     )
     def test_corrupt_middle_line_names_its_location(self, corrupt, tmp_path):
         lines = _lines(3)

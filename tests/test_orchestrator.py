@@ -65,7 +65,7 @@ class TestRunTrialRecordsGivenHyperparams:
 
 
 class TestSweepConfigs:
-    def test_digests_map_to_their_hyperparams(self):
+    def test_digests_map_to_their_hyperparams(self, tmp_path):
         env_id, workload_id, objective = BUDGET_ENV
         summary = run_sweep(
             SweepConfig(
@@ -88,8 +88,27 @@ class TestSweepConfigs:
                 assert hyperparams == agent.hyperparams().as_dict()
             for stats in summary.stats[agent_type].values():
                 assert stats["best_digest"] in by_digest
-        assert SweepSummary.from_json(summary.to_json()).configs == summary.configs
+        summary.save(tmp_path / "summary.json")
+        assert SweepSummary.load(tmp_path / "summary.json") == summary
 
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(seeds=(1, 2, 1)), "repeated seed 1"),
+        (dict(budgets=(8, 4, 8)), "repeated budget 8"),
+        (dict(agent_types=("GA", "RW", "GA")), "repeated agent type 'GA'"),
+        (dict(grids={"GA": [{}, {"population_size": 32}]}), "repeated GA hyperparameter digest"),
+    ],
+    ids=["seed", "budget", "agent", "config-digest"],
+)
+def test_sweep_config_refuses_a_repeated_trial(changes, message):
+    env_id, workload_id, objective = BUDGET_ENV
+    config = dict(env_id=env_id, workload_id=workload_id, objective=objective,
+                  agent_types=("GA", "RW"), budgets=(4, 8), seeds=(1, 2))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SweepConfig(**{**config, **changes})
 
 
 def _count_cost_calls(monkeypatch, family, fail_at=None):

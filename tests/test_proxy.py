@@ -47,6 +47,12 @@ def test_speed_benchmark_on_undelayed_env(model):
         assert math.isfinite(value) and value > 0
 
 
+def test_speed_benchmark_refuses_no_queries(model):
+    env = make_env("dram-small", "stream", "low-power", delay_ms=0.0)
+    with pytest.raises(ValueError, match="n_queries must be >= 1, got 0"):
+        speed_benchmark(model, env, _points(env.space()), 0)
+
+
 def test_save_load_round_trips_predictions(model, tmp_path):
     path = tmp_path / "model.json"
     model.save(path)

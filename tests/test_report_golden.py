@@ -1,0 +1,71 @@
+"""Golden bytes of the report files of six fixed sweeps.
+
+Each sweep runs at parallelism 1 and 2; its wall times are zeroed before
+`report`, so `summary.json` and the three CSVs depend on behaviour alone.
+A change to how a sweep is folded into its summary or written out must keep
+every digest below.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from dsegym.agents import AGENT_TYPES
+from dsegym.orchestrator import SweepConfig, report, run_sweep
+
+SWEEPS = {
+    "soc-small-budget": dict(
+        env_id="soc-small", workload_id="audio_decoder", objective="budget",
+        agent_types=tuple(AGENT_TYPES), budgets=(2, 8, 16), seeds=(0, 1),
+        grids={a: [{}] for a in AGENT_TYPES},
+    ),
+    "dram-small-unsorted": dict(
+        env_id="dram-small", workload_id="cloud-1", objective="low-power",
+        agent_types=("GA", "ACO", "RW"), budgets=(5, 20, 10), seeds=(3, 1, 2),
+        grids={"GA": [{"population_size": 4}, {"population_size": 8},
+                      {"mutation_prob": 0.3}]},
+    ),
+    "accel-small-shipped": dict(
+        env_id="accel-small", workload_id="mobile_cnn", objective="low-latency",
+        agent_types=("RL", "BO"), budgets=(4, 12), seeds=(0, 1),
+    ),
+}
+
+GOLDEN = {
+    "accel-small-shipped": {
+        "summary.json": "f08a636d2607155393bd74b5318ebd63f887518d5dad80128f86e1671ee6a7c6",
+        "quartiles.csv": "d9fbfbc3a9263925559c59a269de2f95508bbbdb510fd154920e6e0ee51be955",
+        "normalized_rewards.csv": "ebb1a56baf03c2114ea9d61208a390aa09a563c4d7d02cadc0e288818853ddfd",
+        "time_to_completion.csv": "7c6d5617f6f58437312a02e03a3812b075755afa1d2d16428b43c2193393dbe2",
+    },
+    "dram-small-unsorted": {
+        "summary.json": "43a1dc6a0f18fa710d5f71c44c078986de86a71f65d1946c13a392a701f0c82d",
+        "quartiles.csv": "e884834b3b4a66a77bfde5b46d6daf7b742c8f30b5d109a17f45bd07420f5fda",
+        "normalized_rewards.csv": "f7ee6590bde29bc75595b385446f0291c9ba0f8bce8b0b140efcb2aac4122af5",
+        "time_to_completion.csv": "ccb6964f3c2743f51a790f7d59a3b81157016cafdcb1303a8f9f183613b21f81",
+    },
+    "soc-small-budget": {
+        "summary.json": "29266b3ef4c9ad2e1766cb1617e7f9bfaf4fafbe4bb614c68278c0445933205d",
+        "quartiles.csv": "ac2b63f45cf7f1a57f21f887145ff9d768630decb205c03bbbc3d344e7857c0f",
+        "normalized_rewards.csv": "20619b1387592a4915bfd81f1b6c2bff27d9c252c3ad91fb06120b2c2795e489",
+        "time_to_completion.csv": "8763bcf6088216795f9a7b9e227f5fd7b6e33d903161e714ddc455ebcff693af",
+    },
+}
+
+
+def _digests(out_dir, sweep, parallelism):
+    summary = run_sweep(SweepConfig(**SWEEPS[sweep], parallelism=parallelism))
+    assert not summary.failures
+    for timing in summary.timing.values():
+        timing["total_wall_s"] = 0.0
+    return {
+        Path(name).name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+        for name in report(summary, out_dir)
+    }
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_report_bytes(sweep, parallelism, tmp_path):
+    assert _digests(tmp_path, sweep, parallelism) == GOLDEN[sweep]
