@@ -14,7 +14,6 @@ from .core import (
     StepResult,
     compute_budget_distance,
     compute_joint_reward,
-    compute_reciprocal_reward,
     compute_target_reward,
     score,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "cardinality",
     "compute_budget_distance",
     "compute_joint_reward",
-    "compute_reciprocal_reward",
     "compute_target_reward",
     "encode",
     "encode_batch",

@@ -1,19 +1,18 @@
 """Observations, rewards and objectives shared by environments and agents.
 
-Three reward modes cover the built-in environments:
+Two reward modes cover the built-in environments:
 
 * target proximity   r = target / |target - observed|, capped at a large
   finite value at the singularity (multiple targets combine by geometric
   mean);
 * budget distance    sum_m alpha_m * (D_m - B_m) / B_m, negated by `score`
-  so that higher is better in every mode;
-* reciprocal         r = 1 / x for a single positive metric.
+  so that higher is better in every mode.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -55,42 +54,28 @@ class Observation:
 class RewardMode(str, Enum):
     TARGET_PROXIMITY = "target"
     BUDGET_DISTANCE = "budget"
-    RECIPROCAL = "reciprocal"
 
 
 @dataclass(frozen=True)
 class RewardSpec:
     """Objective definition mapping an observation to a scalar reward.
 
-    Exactly the fields of the active mode are populated: `targets` holds
+    Exactly the field of the active mode is populated: `targets` holds
     (metric, target) pairs, `budgets` holds (metric, budget, weight)
-    triples, `reciprocal_metric` names the metric for reciprocal mode.
+    triples.
     """
 
     mode: RewardMode
     targets: tuple[tuple[str, float], ...] = ()
     budgets: tuple[tuple[str, float, float], ...] = ()
-    reciprocal_metric: str | None = None
-    singularity_cap: float = DEFAULT_SINGULARITY_CAP
 
     def __post_init__(self):
-        if self.singularity_cap <= 0:
-            raise ValueError("singularity cap must be positive")
-        populated = {
-            "targets": bool(self.targets),
-            "budgets": bool(self.budgets),
-            "reciprocal_metric": self.reciprocal_metric is not None,
-        }
-        wanted = {
-            RewardMode.TARGET_PROXIMITY: "targets",
-            RewardMode.BUDGET_DISTANCE: "budgets",
-            RewardMode.RECIPROCAL: "reciprocal_metric",
-        }[self.mode]
-        for name, present in populated.items():
-            if name == wanted and not present:
-                raise ValueError(f"mode {self.mode.value!r} requires {name}")
-            if name != wanted and present:
-                raise ValueError(f"mode {self.mode.value!r} must not set {name}")
+        target_mode = self.mode is RewardMode.TARGET_PROXIMITY
+        wanted, other = ("targets", "budgets") if target_mode else ("budgets", "targets")
+        if not getattr(self, wanted):
+            raise ValueError(f"mode {self.mode.value!r} requires {wanted}")
+        if getattr(self, other):
+            raise ValueError(f"mode {self.mode.value!r} must not set {other}")
         for metric, target in self.targets:
             if target <= 0:
                 raise ValueError(f"target for {metric!r} must be positive, got {target}")
@@ -105,7 +90,6 @@ class RewardSpec:
 class StepResult:
     observation: Observation
     reward: float
-    info: dict[str, str] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -157,44 +141,31 @@ def compute_budget_distance(
     return total
 
 
-def compute_reciprocal_reward(x: float) -> float:
-    if x <= 0:
-        raise ValueError(f"reciprocal reward needs a positive value, got {x}")
-    return 1.0 / x
-
-
 def score(spec: RewardSpec, obs: Observation) -> float:
     """Scalar reward for an observation; higher is better in every mode.
 
-    Infeasible observations score 0 (the environment flags them in the
-    step info instead of raising).
+    Infeasible observations score 0 (the observation's `valid` flag marks
+    them instead of an exception).
     """
     if not obs.valid:
         return 0.0
     if spec.mode is RewardMode.TARGET_PROXIMITY:
-        rewards = [
-            compute_target_reward(target, obs[metric], spec.singularity_cap)
-            for metric, target in spec.targets
-        ]
+        rewards = [compute_target_reward(target, obs[metric]) for metric, target in spec.targets]
         return rewards[0] if len(rewards) == 1 else compute_joint_reward(rewards)
-    if spec.mode is RewardMode.BUDGET_DISTANCE:
-        observed = [obs[m] for m, _, _ in spec.budgets]
-        return -compute_budget_distance(
-            observed, [b for _, b, _ in spec.budgets], [a for _, _, a in spec.budgets]
-        )
-    return compute_reciprocal_reward(obs[spec.reciprocal_metric])
+    observed = [obs[m] for m, _, _ in spec.budgets]
+    return -compute_budget_distance(
+        observed, [b for _, b, _ in spec.budgets], [a for _, _, a in spec.budgets]
+    )
 
 
 def reward_spec_from_config(config: dict) -> RewardSpec:
     """Build a RewardSpec from the objective schema used in fixture files."""
     mode = RewardMode(config["mode"])
-    cap = config.get("singularity_cap", DEFAULT_SINGULARITY_CAP)
+    unknown = sorted(set(config) - {"mode", "targets", "budgets"})
+    if unknown:
+        raise ValueError(f"unknown objective keys: {', '.join(unknown)}")
     if mode is RewardMode.TARGET_PROXIMITY:
         targets = tuple((m, float(t)) for m, t in config["targets"].items())
-        return RewardSpec(mode, targets=targets, singularity_cap=cap)
-    if mode is RewardMode.BUDGET_DISTANCE:
-        budgets = tuple(
-            (m, float(bw[0]), float(bw[1])) for m, bw in config["budgets"].items()
-        )
-        return RewardSpec(mode, budgets=budgets, singularity_cap=cap)
-    return RewardSpec(mode, reciprocal_metric=config["metric"], singularity_cap=cap)
+        return RewardSpec(mode, targets=targets)
+    budgets = tuple((m, float(bw[0]), float(bw[1])) for m, bw in config["budgets"].items())
+    return RewardSpec(mode, budgets=budgets)

@@ -27,7 +27,7 @@ def _bandwidth(c: dict, dataflow: str, l1_kib: float, l2_kib: float) -> float:
     return bw * reuse
 
 
-def cost_metrics(design: dict, workload: WorkloadSpec, c: dict) -> tuple[dict, bool, str]:
+def cost_metrics(design: dict, workload: WorkloadSpec, c: dict) -> tuple[dict, bool]:
     d = {**c["defaults"], **design}
     num_pes = d["NumPEs"]
     l1_kib = d["L1BufferKiB"]
@@ -36,7 +36,7 @@ def cost_metrics(design: dict, workload: WorkloadSpec, c: dict) -> tuple[dict, b
     precision = d["Precision"]
 
     if l1_kib + l2_kib > c["buffer_budget_kib"]:
-        return {}, False, "buffer budget exceeded"
+        return {}, False
 
     flops = workload["flops"]
     bytes_moved = workload["bytes"]
@@ -59,4 +59,4 @@ def cost_metrics(design: dict, workload: WorkloadSpec, c: dict) -> tuple[dict, b
         + latency * area * c["static_w_per_mm2"]
     )
 
-    return {"latency": latency, "energy": energy, "area": area}, True, ""
+    return {"latency": latency, "energy": energy, "area": area}, True

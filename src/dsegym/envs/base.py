@@ -49,8 +49,8 @@ def load_fixture(name: str) -> dict:
 
 
 # Cost function: (design name->value map, workload, constants) ->
-# (metrics dict, valid flag, reason string for invalid points)
-CostFn = Callable[[dict, WorkloadSpec, dict], tuple[dict, bool, str]]
+# (metrics dict, valid flag)
+CostFn = Callable[[dict, WorkloadSpec, dict], tuple[dict, bool]]
 
 
 class SyntheticEnv:
@@ -98,25 +98,22 @@ class SyntheticEnv:
         self._space.validate_point(point)
         if self.delay_s > 0:
             time.sleep(self.delay_s)
-        obs, reason = self._evaluate(point)
-        reward = score(self.reward_spec, obs)
-        info: dict[str, str] = {}
-        if not obs.valid:
-            info["invalid"] = reason or "infeasible"
-        return StepResult(observation=obs, reward=reward, info=info)
+        # not `observe`: the benchmark counts `observe` calls as evaluations beyond the steps
+        obs = self._evaluate(point)
+        return StepResult(observation=obs, reward=score(self.reward_spec, obs))
 
     # -- helpers -----------------------------------------------------------
 
     def observe(self, point: DesignPoint) -> Observation:
         """Metrics for a point, without the reward or the step delay."""
-        return self._evaluate(point)[0]
+        return self._evaluate(point)
 
-    def _evaluate(self, point: DesignPoint) -> tuple[Observation, str]:
+    def _evaluate(self, point: DesignPoint) -> Observation:
         design = design_map(self._space, point)
-        metrics, valid, reason = self._cost_fn(design, self._workload, self._constants)
+        metrics, valid = self._cost_fn(design, self._workload, self._constants)
         if not valid:
-            return Observation(metrics={}, valid=False), reason
-        return Observation(metrics=metrics), ""
+            return Observation(metrics={}, valid=False)
+        return Observation(metrics=metrics)
 
     def reference_point(self) -> DesignPoint:
         return self._reference

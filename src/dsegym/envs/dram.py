@@ -18,7 +18,7 @@ def _policy_factor(table: dict, policy: str, locality: float) -> float:
     return entry["base"] + entry["locality_coeff"] * (1.0 - locality)
 
 
-def cost_metrics(design: dict, workload: WorkloadSpec, c: dict) -> tuple[dict, bool, str]:
+def cost_metrics(design: dict, workload: WorkloadSpec, c: dict) -> tuple[dict, bool]:
     d = {**c["defaults"], **design}
     locality = workload["access_locality"]
     read_frac = workload["read_fraction"]
@@ -71,4 +71,4 @@ def cost_metrics(design: dict, workload: WorkloadSpec, c: dict) -> tuple[dict, b
         + c["power"]["refresh_pullin_cost"] * pulledin / 8.0
     )
 
-    return {"latency": lat, "power": pwr, "energy": lat * pwr}, True, ""
+    return {"latency": lat, "power": pwr, "energy": lat * pwr}, True

@@ -141,7 +141,7 @@ class SimulatorProcess:
 
     def __call__(
         self, design: dict, workload: WorkloadSpec, constants: dict
-    ) -> tuple[dict, bool, str]:
+    ) -> tuple[dict, bool]:
         if self._child is None:
             raise SimulatorCrashed("simulator crashed (not running)")
         request_id = self._next_id
@@ -170,7 +170,7 @@ class SimulatorProcess:
         self.close()
 
 
-def _parse_response(line: str, request_id: int) -> tuple[dict, bool, str]:
+def _parse_response(line: str, request_id: int) -> tuple[dict, bool]:
     try:
         response = json.loads(line)
         response_id, raw_metrics, valid = response["id"], response["metrics"], response["valid"]
@@ -191,6 +191,4 @@ def _parse_response(line: str, request_id: int) -> tuple[dict, bool, str]:
                 f"protocol error: metric {name!r} = {value!r} is not a finite number", raw=line
             )
         metrics[name] = float(value)
-    if not valid:
-        return {}, False, "reported by simulator"
-    return metrics, True, ""
+    return (metrics, True) if valid else ({}, False)

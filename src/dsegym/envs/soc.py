@@ -46,11 +46,11 @@ def _schedule(c: dict, graph: dict, pes: list[str], bus_width: float, mem_freq: 
     return max(finish.values())
 
 
-def cost_metrics(design: dict, workload: WorkloadSpec, c: dict) -> tuple[dict, bool, str]:
+def cost_metrics(design: dict, workload: WorkloadSpec, c: dict) -> tuple[dict, bool]:
     d = {**c["defaults"], **design}
     pes = [d[slot] for slot in ("PE0Type", "PE1Type", "PE2Type") if d[slot] != "None"]
     if not pes:
-        return {}, False, "no processing element instantiated"
+        return {}, False
     bus_width = d["NoCBusWidth"]
     mem_freq = d["MemFreqMHz"]
 
@@ -64,4 +64,4 @@ def cost_metrics(design: dict, workload: WorkloadSpec, c: dict) -> tuple[dict, b
         power += c["pe_types"][pe_type]["power_w"]
         area += c["pe_types"][pe_type]["area_mm2"]
 
-    return {"power": power, "performance": makespan, "area": area}, True, ""
+    return {"power": power, "performance": makespan, "area": area}, True

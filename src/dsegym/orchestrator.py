@@ -113,25 +113,24 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     rng = make_rng(spec.seed, digest_stream(digest))
 
     writer = None
-    path = None
-    if spec.out_dir is not None:
-        path = Path(spec.out_dir) / f"{exp_id}.jsonl"
-        writer = TrajectoryWriter(
-            path.with_name(path.name + ".partial"),
-            env.space(),
-            experiment_id=exp_id,
-            env_id=spec.env_id,
-            workload_id=spec.workload_id,
-            agent_type=spec.agent_type,
-            hyperparam_digest=digest,
-            seed=spec.seed,
-        )
-
+    path = None if spec.out_dir is None else Path(spec.out_dir) / f"{exp_id}.jsonl"
     checkpoints = set(spec.checkpoints) | {spec.budget}
     best_at: dict[int, float] = {}
     t_start = time.perf_counter()
     step = 0
     try:
+        if path is not None:
+            # a log that cannot be opened fails the trial, not the sweep
+            writer = TrajectoryWriter(
+                path.with_name(path.name + ".partial"),
+                env.space(),
+                experiment_id=exp_id,
+                env_id=spec.env_id,
+                workload_id=spec.workload_id,
+                agent_type=spec.agent_type,
+                hyperparam_digest=digest,
+                seed=spec.seed,
+            )
         for step in range(spec.budget):
             t0 = time.perf_counter()
             point = agent.propose(rng)
@@ -351,7 +350,62 @@ class SweepSummary:
         if doc.keys() != names:
             raise DataError(f"{path}: missing keys {sorted(names - doc.keys())}, "
                             f"unknown keys {sorted(doc.keys() - names)}")
+        for name, (ok, shape) in _SUMMARY_SHAPES.items():
+            if not ok(doc[name]):
+                raise DataError(f"{path}: {name} is not {shape}")
         return cls(**doc)
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _table(value, depth: int, leaf) -> bool:
+    """`depth` levels of JSON objects whose innermost values pass `leaf`."""
+    if depth == 0:
+        return leaf(value)
+    return isinstance(value, dict) and all(_table(v, depth - 1, leaf) for v in value.values())
+
+
+def _by_budget(value, leaf) -> bool:
+    """A JSON object keyed by decimal budgets whose values pass `leaf`."""
+    return isinstance(value, dict) and all(b.isdigit() and leaf(v) for b, v in value.items())
+
+
+_STAT_KEYS = {"min", "q1", "median", "q3", "max", "iqr", "n", "best_digest"}
+
+
+def _stat_record(value) -> bool:
+    return isinstance(value, dict) and _STAT_KEYS <= value.keys()
+
+
+def _wall_time(value) -> bool:
+    return (isinstance(value, dict) and value.keys() == {"total_wall_s", "trials"}
+            and all(map(_number, value.values())))
+
+
+_TEXT = (lambda v: isinstance(v, str), "a string")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(_number, v)), "a list of numbers")
+
+# field -> (check of its value, what the error calls the expected shape);
+# the nested checks cover what `report` reads
+_SUMMARY_SHAPES = {
+    "env_id": _TEXT,
+    "workload_id": _TEXT,
+    "objective": _TEXT,
+    "budgets": _NUMBERS,
+    "seeds": _NUMBERS,
+    "configs": (lambda v: _table(v, 2, lambda hp: isinstance(hp, dict)),
+                "agent -> digest -> hyperparameters"),
+    "best_rewards": (lambda v: _table(v, 4, _number),
+                     "agent -> digest -> budget -> seed -> reward"),
+    "stats": (lambda v: _table(v, 1, lambda by_b: _by_budget(by_b, _stat_record)),
+              "agent -> budget -> statistics record"),
+    "mean_normalized": (lambda v: _table(v, 1, lambda by_b: _by_budget(by_b, _number)),
+                        "agent -> budget -> number"),
+    "timing": (lambda v: _table(v, 1, _wall_time), "agent -> {total_wall_s, trials}"),
+    "failures": (lambda v: isinstance(v, list), "a list"),
+}
 
 
 def run_sweep(config: SweepConfig) -> SweepSummary:

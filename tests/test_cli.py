@@ -97,6 +97,17 @@ def test_sweep_with_a_failed_trial_exits_with_failure(tmp_path, monkeypatch, cap
     assert (tmp_path / "sw" / "summary.json").exists()
 
 
+def test_sweep_records_a_trial_whose_log_cannot_be_opened(tmp_path, capsys):
+    out = tmp_path / "sw"
+    out.mkdir()
+    (out / "trajectories").write_text("", encoding="utf-8")  # a file where the log dir goes
+    argv = ["sweep", *ENV, "--agents", "RW", "--budgets", "2", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_FAILURE
+    assert "1 trial(s) failed" in capsys.readouterr().err
+    (failure,) = orch.SweepSummary.load(out / "summary.json").failures
+    assert failure["agent_type"] == "RW" and "failed at step 0" in failure["error"]
+
+
 @pytest.mark.parametrize("parallel", ["0", "-1"])
 def test_sweep_rejects_parallel_below_one(parallel, tmp_path, capsys):
     argv = ["sweep", *ENV, "--agents", "RW", "--budgets", "2", "--parallel", parallel,
@@ -304,6 +315,27 @@ def test_report_of_a_malformed_summary_is_a_data_error(text, message, tmp_path, 
     assert cli.main(["report", "--summary", str(summary), "--out", str(out)]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith(f"error: {summary}: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("stats", 5), ("stats", {"RW": 5}), ("timing", {"RW": {}}), ("budgets", "x")],
+    ids=["stats-number", "stats-agent-number", "timing-empty-record", "budgets-string"],
+)
+def test_report_of_a_summary_with_a_bad_value_is_a_data_error(field, value, tmp_path, capsys):
+    sweep = tmp_path / "sw"
+    argv = ["sweep", *ENV, "--agents", "RW", "--budgets", "2", "--out", str(sweep),
+            "--no-trajectories"]
+    assert cli.main(argv) == cli.EXIT_OK
+    summary = sweep / "summary.json"
+    doc = json.loads(summary.read_text(encoding="utf-8"))
+    doc[field] = value
+    summary.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "report"
+    assert cli.main(["report", "--summary", str(summary), "--out", str(out)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {summary}: {field} is not ")
     assert not out.exists()
 
 

@@ -55,7 +55,7 @@ def _design(seed=0):
 def _expected(design):
     env = _builtin()
     obs = env.observe(point_from_map(env.space(), design))
-    return obs.metrics, obs.valid, ""
+    return obs.metrics, obs.valid
 
 
 @pytest.fixture
@@ -88,7 +88,6 @@ class TestEquivalence:
                 want, got = builtin.step(point), env.step(point)
                 assert got.observation == want.observation
                 assert got.reward == want.reward
-                assert got.info == want.info
         assert len(children) == 1 and _exited(children[0])
 
     def test_invalid_response(self, children):
@@ -96,7 +95,7 @@ class TestEquivalence:
             result = _external(sim).step(_builtin().reference_point())
         assert not result.observation.valid
         assert result.observation.metrics == {}
-        assert result.info == {"invalid": "reported by simulator"}
+        assert result.reward == 0.0
         assert _exited(children[0])
 
     def test_missing_objective_metric(self, children):

@@ -13,7 +13,6 @@ from dsegym.core import (
     RewardSpec,
     compute_budget_distance,
     compute_joint_reward,
-    compute_reciprocal_reward,
     compute_target_reward,
     reward_spec_from_config,
     score,
@@ -106,19 +105,6 @@ class TestBudgetDistance:
         assert doubled - base == pytest.approx(2 * (single - base), rel=1e-9, abs=1e-9)
 
 
-class TestReciprocal:
-    def test_hand_values(self):
-        assert compute_reciprocal_reward(2.0) == 0.5
-        assert compute_reciprocal_reward(1.0) == 1.0
-        assert compute_reciprocal_reward(0.25) == 4.0
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            compute_reciprocal_reward(0.0)
-        with pytest.raises(ValueError):
-            compute_reciprocal_reward(-1.0)
-
-
 def target_spec(**targets):
     return RewardSpec(RewardMode.TARGET_PROXIMITY, targets=tuple(targets.items()))
 
@@ -137,10 +123,6 @@ class TestScore:
         assert score(spec, obs) == 0.0
         over = Observation({"performance": 12.0, "power": 2.0, "area": 1.0})
         assert score(spec, over) == pytest.approx(-0.2)
-
-    def test_reciprocal(self):
-        spec = RewardSpec(RewardMode.RECIPROCAL, reciprocal_metric="latency")
-        assert score(spec, Observation({"latency": 4.0})) == 0.25
 
     def test_joint_targets_combine(self):
         spec = target_spec(latency=1.0, power=2.0)
@@ -195,11 +177,11 @@ class TestRewardSpecValidation:
     def test_mode_fields_enforced(self):
         with pytest.raises(ValueError, match="requires targets"):
             RewardSpec(RewardMode.TARGET_PROXIMITY)
-        with pytest.raises(ValueError, match="must not set"):
+        with pytest.raises(ValueError, match="must not set budgets"):
             RewardSpec(
                 RewardMode.TARGET_PROXIMITY,
                 targets=(("a", 1.0),),
-                reciprocal_metric="a",
+                budgets=(("a", 1.0, 1.0),),
             )
 
     def test_positivity(self):
@@ -214,3 +196,12 @@ class TestRewardSpecValidation:
         assert spec.targets == (("latency", 2.0),)
         bspec = reward_spec_from_config({"mode": "budget", "budgets": {"power": [1.0, 2.0]}})
         assert bspec.budgets == (("power", 1.0, 2.0),)
+
+    def test_from_config_rejects_reciprocal_mode(self):
+        with pytest.raises(ValueError, match="reciprocal"):
+            reward_spec_from_config({"mode": "reciprocal", "metric": "latency"})
+
+    def test_from_config_rejects_unread_keys(self):
+        config = {"mode": "target", "targets": {"latency": 2.0}, "singularity_cap": 1e6}
+        with pytest.raises(ValueError, match="singularity_cap"):
+            reward_spec_from_config(config)
