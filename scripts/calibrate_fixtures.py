@@ -15,6 +15,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -27,14 +28,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "src" / "dsegym" / "envs" / 
 
 def small_minima(family: str, workload: str, metrics: list[str]) -> dict[str, float]:
     env = make_env(f"{family}-small", workload, "budget" if family == "soc" else "low-latency")
-    best = {m: float("inf") for m in metrics}
-    for point in enumerate_points(env.space(), 100_000):
-        obs = env.observe(point)
-        if not obs.valid:
-            continue
-        for m in metrics:
-            best[m] = min(best[m], obs.metrics[m])
-    return best
+    columns, valid = env.metrics_batch(list(enumerate_points(env.space(), 100_000)))
+    return {m: float(np.min(columns[m][valid], initial=np.inf)) for m in metrics}
 
 
 def reference_metrics(family: str, workload: str) -> dict[str, float]:

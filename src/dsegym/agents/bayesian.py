@@ -208,20 +208,29 @@ class BayesOpt(Agent):
             raise ValueError("candidate_pool, n_initial and max_train_points must be >= 1")
         self._gp = GaussianProcess(hp["length_scale"], hp["signal_var"], hp["noise_var"])
         self._n_observed = 0
+        # the last point proposed from the candidate pool, and its encoded row
+        self._proposed: tuple[DesignPoint | None, np.ndarray | None] = (None, None)
 
     def propose(self, rng: np.random.Generator) -> DesignPoint:
         hp = self._hyperparams
         if self._n_observed < hp["n_initial"]:
             return sample_uniform(self.space, rng)
         candidates = sample_uniform_indices(self.space, rng, hp["candidate_pool"])
-        mean, var = self._gp.predict(encode_batch(self.space, candidates))
+        encoded = encode_batch(self.space, candidates)
+        mean, var = self._gp.predict(encoded)
         ei = expected_improvement(
             mean, np.sqrt(var), self._gp.standardize(self._best_reward), hp["xi"]
         )
-        return tuple(candidates[int(np.argmax(ei))].tolist())
+        best = int(np.argmax(ei))
+        point = tuple(candidates[best].tolist())
+        self._proposed = (point, encoded[best])
+        return point
 
     def _on_observe(self, point: DesignPoint, reward: float) -> None:
-        self._gp.append(encode_batch(self.space, [point])[0], reward)
+        proposed, row = self._proposed
+        if point != proposed:  # a uniform initial point, or one this agent did not propose
+            row = encode_batch(self.space, [point])[0]
+        self._gp.append(row, reward)
         if len(self._gp) > self._hyperparams["max_train_points"]:
             self._gp.drop_oldest()
         self._n_observed += 1

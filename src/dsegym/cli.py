@@ -140,9 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("enumerate-oracle", help="brute-force optimum of a small space")
+    p = sub.add_parser("enumerate-oracle", help="exact optimum of a task by enumerating its space")
     add_env_args(p)
-    p.add_argument("--limit", type=int, default=100_000)
+    p.add_argument("--limit", type=int, default=100_000,
+                   help="the most designs to enumerate; a larger space is refused")
     p.add_argument("--out", help="optionally write the result as JSON")
 
     return parser

@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 DEFAULT_SINGULARITY_CAP = 1e9
 
@@ -156,6 +158,34 @@ def score(spec: RewardSpec, obs: Observation) -> float:
     return -compute_budget_distance(
         observed, [b for _, b, _ in spec.budgets], [a for _, _, a in spec.budgets]
     )
+
+
+def score_batch(
+    spec: RewardSpec, metrics: Mapping[str, np.ndarray], valid: np.ndarray
+) -> np.ndarray:
+    """`score` of every row of metric columns and a validity mask.
+
+    Each row takes `score`'s float operations in the same order, so its
+    reward is `score`'s bit for bit, except a joint target's geometric
+    mean: numpy's log and exp may differ from `math`'s in the last bits.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if spec.mode is RewardMode.TARGET_PROXIMITY:
+            cap = DEFAULT_SINGULARITY_CAP
+            rewards = []
+            for metric, target in spec.targets:
+                gap = np.abs(target - metrics[metric])
+                rewards.append(np.where(gap < target / cap, cap, np.minimum(target / gap, cap)))
+            if len(rewards) == 1:
+                reward = rewards[0]
+            else:
+                reward = np.exp(sum(np.log(r) for r in rewards) / len(rewards))
+        else:
+            total = 0.0
+            for metric, budget, weight in spec.budgets:
+                total += weight * (metrics[metric] - budget) / budget
+            reward = -total
+    return np.where(valid, reward, 0.0)
 
 
 def reward_spec_from_config(config: dict) -> RewardSpec:

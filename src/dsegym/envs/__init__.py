@@ -2,7 +2,8 @@
 
 Environment ids: ``dram``, ``accel``, ``soc`` plus their brute-force-
 tractable ``*-small`` variants.  `make_env` puts a family's cost model
-behind a :class:`SyntheticEnv`, whose every step is one evaluation.  An
+behind a :class:`SyntheticEnv`, whose every step is one evaluation, with
+the terms its formula computes once per workload in its constants.  An
 external simulator becomes an env by passing a
 :class:`dsegym.envs.external.SimulatorProcess` as the cost function of a
 :class:`SyntheticEnv`.
@@ -18,11 +19,10 @@ from ..spaces import ParameterSpace, load_space
 from . import accel, dram, soc
 from .base import SyntheticEnv, WorkloadSpec, load_fixture
 
-_FAMILIES = {
-    "dram": dram.cost_metrics,
-    "accel": accel.cost_metrics,
-    "soc": soc.cost_metrics,
-}
+# each family's module: its cost function and the `terms` its formula reads
+_MODULES = {"dram": dram, "accel": accel, "soc": soc}
+# the cost function `make_env` puts behind a family's envs
+_FAMILIES = {family: module.cost_metrics for family, module in _MODULES.items()}
 
 ENV_IDS = tuple(
     sorted([family for family in _FAMILIES] + [f"{family}-small" for family in _FAMILIES])
@@ -50,6 +50,13 @@ def get_space(env_id: str) -> ParameterSpace:
     ref = resources.files("dsegym.envs") / "fixtures" / "spaces" / name
     with resources.as_file(ref) as path:
         return load_space(path)
+
+
+@lru_cache(maxsize=None)
+def _terms(family: str, workload_id: str) -> dict:
+    """The terms of a family's formula for one workload; every env of the
+    workload shares them, and their tables fill as they are read."""
+    return _MODULES[family].terms(_fixture(family)["constants"], get_workload(family, workload_id))
 
 
 def list_workloads(env_id: str) -> list[str]:
@@ -101,6 +108,7 @@ def make_env(
     else:
         reward_spec = get_objective(env_id, workload_id, objective)
     constants = {**fix["constants"], "defaults": fix["defaults"]}
+    constants["terms"] = _terms(family, workload_id)
     return SyntheticEnv(
         env_id=env_id,
         space=get_space(env_id),

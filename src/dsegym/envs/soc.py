@@ -8,11 +8,22 @@ inversely proportional to bus width.  Power and area are additive over
 instantiated IPs (provisioned, not activity-based), so an unused PE
 costs power and area without changing performance.  Constants and task
 graphs live in fixtures/soc.yaml.
+
+The formula is written once (see `cost_model`).  A slot's task times, its
+PE's power and area, and the NoC's and memory's terms are `Table`s, which
+a point reads by value and a batch by index column.  The schedule runs
+task by task over all three slots: an empty slot never finishes a task,
+so no task is placed on it, and a design with no PE has an infinite
+makespan and is infeasible.
 """
 
 from __future__ import annotations
 
-from .base import WorkloadSpec
+import math
+
+from .base import Table, WorkloadSpec, cost_model
+
+_SLOTS = ("PE0Type", "PE1Type", "PE2Type")
 
 
 def _task_time(c: dict, task: dict, pe_type: str, mem_freq_mhz: float) -> float:
@@ -22,46 +33,73 @@ def _task_time(c: dict, task: dict, pe_type: str, mem_freq_mhz: float) -> float:
     return exec_s + mem_s
 
 
-def _schedule(c: dict, graph: dict, pes: list[str], bus_width: float, mem_freq: float) -> float:
-    """Greedy list schedule in fixture task order; returns the makespan."""
-    noc_bps = bus_width / 8.0 * c["noc_clock_hz"]
-    finish: dict[str, float] = {}
-    placed: dict[str, int] = {}
-    free = [0.0] * len(pes)
-    for task in graph["tasks"]:
-        best_pe, best_done = -1, float("inf")
-        for i, pe_type in enumerate(pes):
+def terms(c: dict, workload: WorkloadSpec) -> dict:
+    """What the formula needs beyond the design: the task graph by position,
+    and a `Table` per term of one or two parameters."""
+    tasks = c["task_graphs"][workload.id]["tasks"]
+    position = {task["name"]: k for k, task in enumerate(tasks)}
+    pe_types = c["pe_types"]
+    noc_power, noc_area, mem_power = c["noc_power_w"], c["noc_area_mm2"], c["mem_power_w"]
+    return {
+        # per task, in fixture order: (position, bytes) of each task it waits for
+        "deps": [
+            tuple((position[dep["task"]], dep["bytes"]) for dep in task.get("deps", ()))
+            for task in tasks
+        ],
+        # NoC bytes/s, and the power and area of the base and the NoC
+        "noc": Table(
+            lambda width: (
+                width / 8.0 * c["noc_clock_hz"],
+                c["base_power_w"] + noc_power["base"] + noc_power["per_bit"] * width,
+                c["base_area_mm2"] + noc_area["base"] + noc_area["per_bit"] * width,
+            )
+        ),
+        "mem_power": Table(lambda freq: mem_power["base"] + mem_power["per_mhz"] * freq),
+        "task_times": Table(
+            lambda pe: Table(
+                lambda mem_freq: (math.inf,) * len(tasks) if pe == "None"
+                else tuple(_task_time(c, task, pe, mem_freq) for task in tasks)
+            )
+        ),
+        "pe_cost": Table(
+            lambda pe: (0.0, 0.0) if pe == "None"
+            else (pe_types[pe]["power_w"], pe_types[pe]["area_mm2"])
+        ),
+    }
+
+
+def _makespan(x, t: dict, noc_bps) -> float:
+    """Greedy list schedule in fixture task order; ties go to the lower slot."""
+    times = [x.at(t["task_times"], slot, "MemFreqMHz") for slot in _SLOTS]
+    finish: list = []
+    placed: list = []
+    free = [0.0] * len(_SLOTS)
+    for k, deps in enumerate(t["deps"]):
+        done = []
+        for i, slot_times in enumerate(times):
             ready = 0.0
-            for dep in task.get("deps", ()):
-                arrival = finish[dep["task"]]
-                if placed[dep["task"]] != i:
-                    arrival += dep["bytes"] / noc_bps
-                ready = max(ready, arrival)
-            done = max(ready, free[i]) + _task_time(c, task, pe_type, mem_freq)
-            if done < best_done:
-                best_pe, best_done = i, done
-        finish[task["name"]] = best_done
-        placed[task["name"]] = best_pe
-        free[best_pe] = best_done
-    return max(finish.values())
+            for dep, nbytes in deps:
+                # a task on another slot sends its output over the NoC
+                ready = x.maximum(ready, finish[dep] + (placed[dep] != i) * (nbytes / noc_bps))
+            done.append(x.maximum(ready, free[i]) + slot_times[k])
+        best, slot = x.argmin(done)
+        x.put(free, slot, best)
+        finish.append(best)
+        placed.append(slot)
+    return x.maximum(finish)
 
 
-def cost_metrics(design: dict, workload: WorkloadSpec, c: dict) -> tuple[dict, bool]:
-    d = {**c["defaults"], **design}
-    pes = [d[slot] for slot in ("PE0Type", "PE1Type", "PE2Type") if d[slot] != "None"]
-    if not pes:
-        return {}, False
-    bus_width = d["NoCBusWidth"]
-    mem_freq = d["MemFreqMHz"]
+def formula(x, workload: WorkloadSpec, c: dict) -> tuple[dict, bool]:
+    t = c["terms"]
+    noc_bps, power, area = x.at(t["noc"], "NoCBusWidth")
+    makespan = _makespan(x, t, noc_bps)
+    power += x.at(t["mem_power"], "MemFreqMHz")
+    for slot in _SLOTS:
+        pe_power, pe_area = x.at(t["pe_cost"], slot)
+        power += pe_power
+        area += pe_area
 
-    graph = c["task_graphs"][workload.id]
-    makespan = _schedule(c, graph, pes, bus_width, mem_freq)
+    return {"power": power, "performance": makespan, "area": area}, makespan < math.inf
 
-    power = c["base_power_w"] + c["noc_power_w"]["base"] + c["noc_power_w"]["per_bit"] * bus_width
-    power += c["mem_power_w"]["base"] + c["mem_power_w"]["per_mhz"] * mem_freq
-    area = c["base_area_mm2"] + c["noc_area_mm2"]["base"] + c["noc_area_mm2"]["per_bit"] * bus_width
-    for pe_type in pes:
-        power += c["pe_types"][pe_type]["power_w"]
-        area += c["pe_types"][pe_type]["area_mm2"]
 
-    return {"power": power, "performance": makespan, "area": area}, True
+cost_metrics = cost_model(formula)

@@ -42,10 +42,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .agents import make_agent, sweep_configs
+from .core import score, score_batch
 from .dataset import DataError, TrajectoryWriter
 from .envs import get_objective, get_space, make_env
 from .rng import digest_stream, make_rng
-from .spaces import SpaceTooLargeError, cardinality, design_map, enumerate_points
+from .spaces import SpaceTooLargeError, cardinality, design_map
 
 
 class TrialError(RuntimeError):
@@ -542,30 +543,66 @@ class OracleResult:
     space_cardinality: int
 
 
+# Rows per chunk of the enumeration: each float temporary stays at 32 KiB.
+_ORACLE_CHUNK = 4096
+# Relative distance from the running maximum within which a joint target's
+# batch reward, whose numpy log/exp may differ in the last bits, is re-scored.
+_RESCORE_RTOL = 1e-12
+
+
 def enumerate_oracle(
     env_id: str, workload_id: str, objective: str, limit: int = 100_000
 ) -> OracleResult:
-    """Exact global optimum of a small space by full enumeration."""
-    env = make_env(env_id, workload_id, objective)
+    """Exact global optimum of a task by enumerating its whole space.
+
+    The space is walked in chunks of `_ORACLE_CHUNK` rows, in enumeration
+    order (first parameter slowest).  `metrics_batch` scores each chunk
+    with the family's one cost formula, bit for bit as `observe` would, and
+    `score_batch` gives each row `score`'s reward.  A joint target's batch
+    reward may differ from `score` in the last bits, so there every row
+    within `_RESCORE_RTOL` of the running maximum is re-scored with `score`.
+    The first design in enumeration order with the highest reward wins.
+    """
+    return enumerate_oracles(env_id, workload_id, (objective,), limit)[0]
+
+
+def enumerate_oracles(
+    env_id: str, workload_id: str, objectives: Sequence[str], limit: int = 100_000
+) -> list[OracleResult]:
+    """`enumerate_oracle` of each objective, from one metric pass over the space."""
+    env = make_env(env_id, workload_id, objectives[0])
+    specs = [get_objective(env_id, workload_id, objective) for objective in objectives]
     space = env.space()
     n = cardinality(space)
     if n > limit:
         raise SpaceTooLargeError(f"space too large to enumerate: {n} > limit {limit}")
-    from .core import score
+    best = [(None, -math.inf)] * len(specs)
+    for start in range(0, n, _ORACLE_CHUNK):
+        rows = np.stack(np.unravel_index(np.arange(start, min(n, start + _ORACLE_CHUNK)),
+                                         space.sizes), axis=1)
+        metrics, valid = env.metrics_batch(rows)
+        for k, spec in enumerate(specs):
+            best[k] = _running_best(env, spec, rows, score_batch(spec, metrics, valid), *best[k])
+    return [
+        OracleResult(env_id, workload_id, objective, design_map(space, point), reward, n)
+        for objective, (point, reward) in zip(objectives, best)
+    ]
 
-    best_point, best_reward = None, -math.inf
-    for point in enumerate_points(space, limit):
-        reward = score(env.reward_spec, env.observe(point))
-        if reward > best_reward:
-            best_point, best_reward = point, reward
-    return OracleResult(
-        env_id=env_id,
-        workload_id=workload_id,
-        objective=objective,
-        best_design=design_map(space, best_point),
-        best_reward=best_reward,
-        space_cardinality=n,
-    )
+
+def _running_best(env, spec, rows, rewards, best_point, best_reward):
+    """The first (point, reward) with the highest reward, after one more chunk."""
+    if len(spec.targets) > 1:
+        top = max(best_reward, float(rewards.max()))
+        for i in np.flatnonzero(rewards >= top - _RESCORE_RTOL * abs(top)):
+            point = tuple(rows[i].tolist())
+            reward = score(spec, env.observe(point))
+            if reward > best_reward:
+                best_point, best_reward = point, reward
+    else:
+        i = int(rewards.argmax())
+        if rewards[i] > best_reward:
+            best_point, best_reward = tuple(rows[i].tolist()), float(rewards[i])
+    return best_point, best_reward
 
 
 # ---------------------------------------------------------------------------

@@ -225,8 +225,8 @@ def encode(space: ParameterSpace, point: DesignPoint) -> np.ndarray:
     return encode_batch(space, [point])[0]
 
 
-def encode_batch(space: ParameterSpace, indices) -> np.ndarray:
-    """`encode` of every row of an (n, len(space)) grid-index array."""
+def check_indices(space: ParameterSpace, indices) -> np.ndarray:
+    """`indices` as an (n, len(space)) integer array of in-range grid indices."""
     indices = np.asarray(indices)
     if indices.size == 0:  # an empty batch, or points of a space without parameters
         indices = indices.astype(np.int64)
@@ -240,6 +240,12 @@ def encode_batch(space: ParameterSpace, indices) -> np.ndarray:
         j = int(np.argmax(bad.any(axis=0)))  # the first parameter, then its first row
         k = indices[bad[:, j], j][0]
         raise ValueError(f"index {k} out of range for parameter {space.parameters[j].name!r}")
+    return indices
+
+
+def encode_batch(space: ParameterSpace, indices) -> np.ndarray:
+    """`encode` of every row of an (n, len(space)) grid-index array."""
+    indices = check_indices(space, indices)
     width, offsets, columns, values = space._encoding
     out = np.zeros((len(indices), width))
     # Row blocks keep the (rows, len(space)) temporaries small: glibc may
