@@ -18,6 +18,24 @@ A prediction is then two matrix products; numpy has no triangular solve,
 and none is needed.  Only when the window needs more jitter than
 `noise_var`, or no longer needs the raised jitter, is it factored from
 scratch with `np.linalg.cholesky`.  The normal CDF in EI uses `math.erf`.
+
+On the small spaces a step costs numpy's per-call overhead more than
+arithmetic, so the GP saves calls, and never a change to a float, since
+one last bit can move a proposal:
+
+- the window's points, rewards and squared norms live in preallocated
+  buffers with headroom, and `Linv` in the top-left block of a square one;
+  the window is a slice of them in observation order, and a window that
+  reaches the end of its buffers moves into new ones.  A ring that wraps
+  would reorder the rows, and with them the sums in every matrix product;
+- a point's squared norm is computed once, when it joins the window, so a
+  kernel against the window computes norms only for its query rows, and
+  it builds the kernel in place;
+- the window's reward mean and standard deviation are computed on first
+  use after the window changes, with the reductions `np.mean` and
+  `np.std` make (sum / n, then the square root of the mean squared
+  deviation).  Running sums would round differently;
+- EI skips its sigma = 0 masks when no candidate needs them.
 """
 
 from __future__ import annotations
@@ -29,43 +47,57 @@ import numpy as np
 from ..spaces import DesignPoint, encode_batch, sample_uniform, sample_uniform_indices
 from .base import Agent
 
-
-_erf = np.frompyfunc(math.erf, 1, 1)
+_SQRT_2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _norm_cdf(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.asarray(_erf(z / math.sqrt(2.0)), dtype=float))
+    z = np.asarray(z, dtype=float)
+    cdf = np.fromiter(map(math.erf, (z / _SQRT_2).ravel().tolist()), float, z.size)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf.reshape(z.shape)
 
 
 def _norm_pdf(z: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 def expected_improvement(
     mean: np.ndarray, std: np.ndarray, incumbent: float, xi: float = 0.0
 ) -> np.ndarray:
-    """EI = (mu - best - xi) Phi(z) + sigma phi(z), z = (mu - best - xi)/sigma."""
+    """EI = (mu - best - xi) Phi(z) + sigma phi(z), z = (mu - best - xi)/sigma.
+
+    A candidate with sigma <= 1e-12 has EI max(mu - best - xi, 0)."""
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     gain = mean - incumbent - xi
-    ei = np.where(gain > 0, gain, 0.0)
-    active = std > 1e-12
-    if np.any(active):
-        z = gain[active] / std[active]
-        ei = ei.copy()
-        ei[active] = gain[active] * _norm_cdf(z) + std[active] * _norm_pdf(z)
+    if std.size and std.min() > 1e-12:  # the usual case: no candidate needs sigma = 0
+        z = gain / std
+        ei = _norm_cdf(z)
+        ei *= gain
+        pdf = _norm_pdf(z)
+        pdf *= std
+        ei += pdf
+    else:
+        ei = np.where(gain > 0, gain, 0.0)
+        active = std > 1e-12
+        if np.any(active):
+            z = gain[active] / std[active]
+            ei[active] = gain[active] * _norm_cdf(z) + std[active] * _norm_pdf(z)
     return np.maximum(ei, 0.0)
 
 
 class GaussianProcess:
     """Exact GP regression with an RBF kernel, updated one observation at a time.
 
-    The state is the window's encoded points, their raw rewards and
-    `Linv`, the inverse of the lower Cholesky factor of `K + jitter I`.
-    `fit` builds it from scratch; `append` and `drop_oldest` update it in
-    O(n^2) per observation; `predict` is two matrix products with it.
-    `jitter` stays the smallest of `noise_var`, `10 noise_var`, ... at which
-    the current window factors, as a fresh `fit` picks it.
+    The state is the window's encoded points, their raw rewards and squared
+    norms, and `Linv`, the inverse of the lower Cholesky factor of
+    `K + jitter I`.  `fit` builds it from scratch; `append` and
+    `drop_oldest` update it in O(n^2) per observation; `predict` is two
+    matrix products with it.  `jitter` stays the smallest of `noise_var`,
+    `10 noise_var`, ... at which the current window factors, as a fresh
+    `fit` picks it.  A call that raises leaves the state as it was.
     """
 
     def __init__(self, length_scale: float, signal_var: float = 1.0, noise_var: float = 1e-6):
@@ -75,22 +107,79 @@ class GaussianProcess:
         self.signal_var = signal_var
         self.noise_var = noise_var
         self.jitter = noise_var
-        self._X: np.ndarray | None = None
-        self._y = np.empty(0)
-        self._Linv = np.empty((0, 0))
+        # -sq / (2 l^2) == sq / -(2 l^2) bit for bit; a reciprocal multiply is not
+        self._neg_two_l2 = -(2.0 * length_scale**2)
+        # The window is rows [_start, _end) of the point, reward and norm
+        # buffers, and its Linv the top-left block of _Lbuf, which is zero
+        # above the diagonal.
+        self._Xbuf = np.empty((0, 0))
+        self._ybuf = np.empty(0)
+        self._sqbuf = np.empty(0)
+        self._Lbuf = np.empty((0, 0))
+        self._start = self._end = 0
+        self._moments: tuple[float, float, np.ndarray] | None = None
 
     def __len__(self) -> int:
-        return len(self._y)
+        return self._end - self._start
 
-    def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    @property
+    def _y(self) -> np.ndarray:
+        return self._ybuf[self._start : self._end]
+
+    @property
+    def _Linv(self) -> np.ndarray:
+        n = len(self)
+        return self._Lbuf[:n, :n]
+
+    def _kernel(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        a_sq: np.ndarray | None = None,
+        b_sq: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """k(a, b); `a_sq` and `b_sq` are the rows' squared norms,
+        `np.sum(a * a, axis=1)`, when the caller has them."""
+        if a_sq is None:
+            a_sq = np.add.reduce(a * a, axis=1)
+        if b_sq is None:
+            b_sq = np.add.reduce(b * b, axis=1)
+        ab = a @ b.T
+        ab *= -2.0
+        sq = a_sq[:, None] + b_sq
+        sq += ab  # s + (-2 ab) == s - 2 ab bit for bit
         np.maximum(sq, 0.0, out=sq)
-        return self.signal_var * np.exp(-sq / (2.0 * self.length_scale**2))
+        sq /= self._neg_two_l2
+        np.exp(sq, out=sq)
+        sq *= self.signal_var
+        return sq
 
-    def _set_window(self, X: np.ndarray, y: np.ndarray) -> None:
-        self._X, self._y = X, y
-        self.y_mean = float(np.mean(y))
-        self.y_std = float(np.std(y)) or 1.0
+    def _factor(self, X: np.ndarray, X_sq: np.ndarray) -> tuple[float, np.ndarray]:
+        """The jitter and Linv of window `X` from scratch, adding jitter in
+        decades from `noise_var` until `K + jitter I` is positive definite."""
+        K = self._kernel(X, X, X_sq, X_sq)
+        jitter = self.noise_var
+        for _ in range(4):
+            try:
+                L = np.linalg.cholesky(K + jitter * np.eye(len(X)))
+                break
+            except np.linalg.LinAlgError:
+                jitter *= 10.0
+        else:
+            raise np.linalg.LinAlgError("kernel matrix singular even after jitter escalation")
+        return jitter, np.tril(np.linalg.inv(L))
+
+    def _load(self, X: np.ndarray, y: np.ndarray, X_sq: np.ndarray, Linv: np.ndarray) -> None:
+        """Make a window of new buffers with as much room again after it."""
+        n = len(y)
+        cap = max(16, 2 * n)
+        self._Xbuf = np.empty((cap, X.shape[1]))
+        self._ybuf = np.empty(cap)
+        self._sqbuf = np.empty(cap)
+        self._Lbuf = np.zeros((cap, cap))
+        self._Xbuf[:n], self._ybuf[:n], self._sqbuf[:n], self._Lbuf[:n, :n] = X, y, X_sq, Linv
+        self._start, self._end = 0, n
+        self._moments = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcess":
         """Replace the window and factor it from scratch, adding jitter in
@@ -101,19 +190,10 @@ class GaussianProcess:
             raise ValueError("need at least one observation")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("X and y must be finite")
-        K = self._kernel(X, X)
-        jitter = self.noise_var
-        for _ in range(4):
-            try:
-                L = np.linalg.cholesky(K + jitter * np.eye(len(y)))
-                break
-            except np.linalg.LinAlgError:
-                jitter *= 10.0
-        else:
-            raise np.linalg.LinAlgError("kernel matrix singular even after jitter escalation")
+        X_sq = np.add.reduce(X * X, axis=1)
+        jitter, Linv = self._factor(X, X_sq)
+        self._load(X, y, X_sq, Linv)
         self.jitter = jitter
-        self._Linv = np.tril(np.linalg.inv(L))
-        self._set_window(X, y)
         return self
 
     def append(self, x: np.ndarray, y: float) -> "GaussianProcess":
@@ -122,25 +202,35 @@ class GaussianProcess:
         The factor gains the row `[l, d]`, with `l = Linv k(X, x)` and
         `d^2 = signal_var + jitter - l.l` (GPML Alg. 2.1, one row at a time),
         so `Linv` gains the row `[-(l Linv) / d, 1 / d]`.  If `d^2` is not
-        positive, the window needs more jitter, and `fit` refits it.
+        positive, the window needs more jitter, and it is factored afresh.
         """
         x = np.asarray(x, dtype=float).reshape(1, -1)
         if not (np.isfinite(x).all() and math.isfinite(y)):
             raise ValueError("X and y must be finite")
-        n = len(self._y)
-        X = x if self._X is None else np.vstack([self._X, x])
-        ys = np.append(self._y, y)
-        l = self._Linv @ self._kernel(self._X, x)[:, 0] if n else np.empty(0)
-        d2 = self.signal_var + self.jitter - l @ l
-        if not d2 > 0.0:
-            return self.fit(X, ys)
-        d = math.sqrt(d2)
-        Linv = np.zeros((n + 1, n + 1))
-        Linv[:n, :n] = self._Linv
-        Linv[n, :n] = (l @ self._Linv) / -d
-        Linv[n, n] = 1.0 / d
-        self._Linv = Linv
-        self._set_window(X, ys)
+        start, end = self._start, self._end
+        n, Linv = end - start, self._Lbuf[: end - start, : end - start]
+        x_sq = np.add.reduce(x * x, axis=1)
+        if n:
+            X, X_sq = self._Xbuf[start:end], self._sqbuf[start:end]
+            l = Linv @ self._kernel(X, x, X_sq, x_sq)[:, 0]
+        else:
+            X, X_sq, l = x[:0], x_sq[:0], np.empty(0)
+        if end == len(self._ybuf):  # no room after the window
+            self._load(X, self._ybuf[start:end], X_sq, Linv)
+            start, end, Linv = 0, n, self._Lbuf[:n, :n]
+        # the row joins the window only once its factor is in place
+        self._Xbuf[end], self._ybuf[end], self._sqbuf[end] = x[0], y, x_sq[0]
+        d2 = self.signal_var + self.jitter - l.dot(l)
+        if d2 > 0.0:
+            d = math.sqrt(d2)
+            row = self._Lbuf[n]
+            np.divide(l @ Linv, -d, out=row[:n])
+            row[n] = 1.0 / d
+        else:
+            X, X_sq = self._Xbuf[start : end + 1], self._sqbuf[start : end + 1]
+            self.jitter, self._Lbuf[: n + 1, : n + 1] = self._factor(X, X_sq)
+        self._end = end + 1
+        self._moments = None
         return self
 
     def drop_oldest(self) -> "GaussianProcess":
@@ -153,38 +243,69 @@ class GaussianProcess:
         With `t_0 = 1` and `t_i = 1 + p_1^2 + ... + p_i^2`, row i of the new
         `Linv` is `sqrt(t_{i-1} / t_i) A_i - p_i / sqrt(t_i t_{i-1}) C_i`,
         where `C_i = p_1 A_1 + ... + p_{i-1} A_{i-1}`.  A raised jitter may
-        have been needed only for the dropped point, so then it refits.
+        have been needed only for the dropped point, so then it refactors.
         """
-        if len(self._y) < 2:
+        n = len(self)
+        if n < 2:
             raise ValueError("the window must keep at least one observation")
-        X, y = self._X[1:], self._y[1:]
         if self.jitter > self.noise_var:
-            return self.fit(X, y)
-        p = self._Linv[1:, 0] / -self._Linv[0, 0]
-        A = self._Linv[1:, 1:]
-        t = np.concatenate([[1.0], 1.0 + np.cumsum(p * p)])
-        pA = p[:, None] * A
-        C = np.zeros_like(A)
-        np.cumsum(pA[:-1], axis=0, out=C[1:])
-        u = p / np.sqrt(t[1:] * t[:-1])
-        self._Linv = np.sqrt(t[:-1] / t[1:])[:, None] * A - u[:, None] * C
-        self._set_window(X, y)
+            start, end = self._start + 1, self._end
+            X, X_sq = self._Xbuf[start:end], self._sqbuf[start:end]
+            self.jitter, self._Lbuf[: n - 1, : n - 1] = self._factor(X, X_sq)
+        else:
+            Linv = self._Linv
+            p = Linv[1:, 0] / -Linv[0, 0]
+            A = Linv[1:, 1:]
+            t = np.concatenate([[1.0], 1.0 + np.cumsum(p * p)])
+            pA = p[:, None] * A
+            C = np.zeros_like(A)
+            np.cumsum(pA[:-1], axis=0, out=C[1:])
+            u = p / np.sqrt(t[1:] * t[:-1])
+            self._Lbuf[: n - 1, : n - 1] = np.sqrt(t[:-1] / t[1:])[:, None] * A - u[:, None] * C
+        self._start += 1
+        self._moments = None
         return self
 
+    def _window_moments(self) -> tuple[float, float, np.ndarray]:
+        """The window's reward mean and std (1 when 0), with the reductions
+        of np.mean and np.std, and its standardized rewards; computed once
+        per window."""
+        if self._moments is None:
+            y, n = self._y, len(self)
+            mean = float(np.add.reduce(y)) / n
+            dev = y - mean
+            std = math.sqrt(float(np.add.reduce(dev * dev)) / n) or 1.0
+            dev /= std
+            self._moments = (mean, std, dev)
+        return self._moments
+
+    @property
+    def y_mean(self) -> float:
+        return self._window_moments()[0]
+
+    @property
+    def y_std(self) -> float:
+        return self._window_moments()[1]
+
     def standardize(self, y: float) -> float:
-        return (y - self.y_mean) / self.y_std
+        mean, std, _ = self._window_moments()
+        return (y - mean) / std
 
     def predict(self, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance on the standardized reward scale:
         with `A = Linv Ks^T`, mean `A^T (Linv y)` and variance
         `signal_var - sum(A^2)` per column."""
-        if self._X is None:
+        if not len(self):
             raise RuntimeError("predict before fit")
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-        A = self._Linv @ self._kernel(self._X, Xq)
-        mean = A.T @ (self._Linv @ ((self._y - self.y_mean) / self.y_std))
-        var = self.signal_var - np.sum(A * A, axis=0)
-        return mean, np.maximum(var, 0.0)
+        start, end = self._start, self._end
+        Linv = self._Lbuf[: end - start, : end - start]
+        A = Linv @ self._kernel(self._Xbuf[start:end], Xq, self._sqbuf[start:end])
+        mean = A.T @ (Linv @ self._window_moments()[2])
+        A *= A
+        var = np.add.reduce(A, axis=0)
+        np.subtract(self.signal_var, var, out=var)
+        return mean, np.maximum(var, 0.0, out=var)
 
 
 class BayesOpt(Agent):
@@ -208,7 +329,7 @@ class BayesOpt(Agent):
             raise ValueError("candidate_pool, n_initial and max_train_points must be >= 1")
         self._gp = GaussianProcess(hp["length_scale"], hp["signal_var"], hp["noise_var"])
         self._n_observed = 0
-        # the last point proposed from the candidate pool, and its encoded row
+        # the last point proposed from the candidate pool, and its encoding as a (1, d) row
         self._proposed: tuple[DesignPoint | None, np.ndarray | None] = (None, None)
 
     def propose(self, rng: np.random.Generator) -> DesignPoint:
@@ -218,18 +339,17 @@ class BayesOpt(Agent):
         candidates = sample_uniform_indices(self.space, rng, hp["candidate_pool"])
         encoded = encode_batch(self.space, candidates)
         mean, var = self._gp.predict(encoded)
-        ei = expected_improvement(
-            mean, np.sqrt(var), self._gp.standardize(self._best_reward), hp["xi"]
-        )
-        best = int(np.argmax(ei))
+        std = np.sqrt(var, out=var)
+        ei = expected_improvement(mean, std, self._gp.standardize(self._best_reward), hp["xi"])
+        best = int(ei.argmax())
         point = tuple(candidates[best].tolist())
-        self._proposed = (point, encoded[best])
+        self._proposed = (point, encoded[best : best + 1])
         return point
 
     def _on_observe(self, point: DesignPoint, reward: float) -> None:
         proposed, row = self._proposed
         if point != proposed:  # a uniform initial point, or one this agent did not propose
-            row = encode_batch(self.space, [point])[0]
+            row = encode_batch(self.space, [point])
         self._gp.append(row, reward)
         if len(self._gp) > self._hyperparams["max_train_points"]:
             self._gp.drop_oldest()

@@ -96,9 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--delay-ms", type=float, default=0.0)
     p.add_argument("--parallel", type=int, default=1,
-                   help="worker processes (>= 1); each caps its OpenBLAS threads at "
-                        "max(1, cores // N), never raising them, and the cap "
-                        "starts no thread of its own")
+                   help="worker processes (>= 1); a sweep starts min(N, trials) of "
+                        "them, and runs in this process when that is 1; each "
+                        "worker caps its OpenBLAS threads at max(1, cores // "
+                        "workers), never raising them, and the cap starts no "
+                        "thread of its own")
     p.add_argument("--no-trajectories", action="store_true",
                    help="skip trajectory logging (summary only)")
 

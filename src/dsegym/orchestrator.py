@@ -299,13 +299,13 @@ def _thread_control(lib) -> tuple | None:
     return None
 
 
-def _cap_blas_threads(parallelism: int) -> None:
+def _cap_blas_threads(workers: int) -> None:
     """Pool initializer: share the usable cores among the workers."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    limit = max(1, cores // parallelism)
+    limit = max(1, cores // workers)
     for get, set_ in _openblas_thread_controls():
         if get() > limit:
             set_(limit)
@@ -412,17 +412,20 @@ _SUMMARY_SHAPES = {
 def run_sweep(config: SweepConfig) -> SweepSummary:
     """Run the grid; trial failures are recorded and the sweep continues.
 
-    With parallelism > 1 the trials run in that many worker processes, each
-    with every loaded OpenBLAS capped at max(1, usable cores // parallelism)
-    threads (never raised, and the cap starts no thread of its own);
-    parallelism 1 runs in the caller's process with its own BLAS settings.
+    The trials run in min(parallelism, number of trials) worker processes
+    (a pool forks every worker up front, so it starts none it cannot use),
+    each with every loaded OpenBLAS capped at max(1, usable cores //
+    workers) threads (never raised, and the cap starts no thread of its
+    own).  With one worker the trials run in the caller's process with its
+    own BLAS settings.
     """
     specs = _sweep_specs(config)
-    if config.parallelism > 1:
+    workers = min(config.parallelism, len(specs))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=config.parallelism,
+            max_workers=workers,
             initializer=_cap_blas_threads,
-            initargs=(config.parallelism,),
+            initargs=(workers,),
         ) as pool:
             outcomes = list(pool.map(_run_spec, specs))
     else:

@@ -60,6 +60,56 @@ def test_parallel_sweep_matches_serial(tmp_path):
         ), name
 
 
+def _rw_sweep(seeds, parallelism):
+    return run_sweep(
+        SweepConfig(
+            env_id="dram-small",
+            workload_id="cloud-1",
+            objective="low-latency",
+            agent_types=("RW",),
+            budgets=(4,),
+            seeds=seeds,
+            parallelism=parallelism,
+        )
+    )
+
+
+def test_a_one_trial_sweep_starts_no_pool(monkeypatch):
+    serial = _rw_sweep((0,), 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-trial sweep started a process pool")
+
+    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", no_pool)
+    parallel = _rw_sweep((0,), 4)
+    for field in ("stats", "best_rewards", "mean_normalized", "configs", "failures"):
+        assert getattr(parallel, field) == getattr(serial, field), field
+
+
+def test_a_sweep_starts_no_more_workers_than_trials(monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        """Records its arguments and runs the trials in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append((max_workers, initializer, initargs))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", InProcessPool)
+    summary = _rw_sweep((0, 1, 2), 8)
+    assert pools == [(3, _cap_blas_threads, (3,))]
+    assert summary.timing["RW"]["trials"] == 3 and not summary.failures
+
+
 def test_pool_workers_cap_their_openblas_threads(monkeypatch, tmp_path):
     parent_counts = _thread_counts()
     if _numpy_uses_openblas():
