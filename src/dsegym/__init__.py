@@ -9,12 +9,8 @@ logged to trajectory datasets that feed random-forest proxy cost models.
 
 from .core import (
     Observation,
-    RewardMode,
     RewardSpec,
     StepResult,
-    compute_budget_distance,
-    compute_joint_reward,
-    compute_target_reward,
     score,
 )
 from .spaces import (
@@ -27,7 +23,6 @@ from .spaces import (
     encode,
     encode_batch,
     enumerate_points,
-    neighbor,
     sample_uniform,
 )
 
@@ -40,17 +35,12 @@ __all__ = [
     "Observation",
     "ParameterSpace",
     "ParameterSpec",
-    "RewardMode",
     "RewardSpec",
     "StepResult",
     "cardinality",
-    "compute_budget_distance",
-    "compute_joint_reward",
-    "compute_target_reward",
     "encode",
     "encode_batch",
     "enumerate_points",
-    "neighbor",
     "sample_uniform",
     "score",
 ]

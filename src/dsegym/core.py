@@ -1,20 +1,19 @@
 """Observations, rewards and objectives shared by environments and agents.
 
-Two reward modes cover the built-in environments:
+A `RewardSpec` sets one of two fields, and the field it sets is its mode:
 
-* target proximity   r = target / |target - observed|, capped at a large
-  finite value at the singularity (multiple targets combine by geometric
-  mean);
-* budget distance    sum_m alpha_m * (D_m - B_m) / B_m, negated by `score`
-  so that higher is better in every mode.
+* `targets`, target proximity: r = target / |target - observed|, capped at
+  a large finite value at the singularity (multiple targets combine by
+  geometric mean);
+* `budgets`, budget distance: sum_m alpha_m * (D_m - B_m) / B_m, negated
+  by `score` so that higher is better in every mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -24,7 +23,6 @@ DEFAULT_SINGULARITY_CAP = 1e9
 class MissingMetricError(ValueError):
     def __init__(self, name: str):
         super().__init__(f"missing metric {name!r} in observation")
-        self.metric = name
 
 
 class InvalidObservationError(ValueError):
@@ -53,31 +51,21 @@ class Observation:
         return self.metrics[name]
 
 
-class RewardMode(str, Enum):
-    TARGET_PROXIMITY = "target"
-    BUDGET_DISTANCE = "budget"
-
-
 @dataclass(frozen=True)
 class RewardSpec:
     """Objective definition mapping an observation to a scalar reward.
 
-    Exactly the field of the active mode is populated: `targets` holds
+    Exactly one field is set, and it is the mode: `targets` holds
     (metric, target) pairs, `budgets` holds (metric, budget, weight)
     triples.
     """
 
-    mode: RewardMode
     targets: tuple[tuple[str, float], ...] = ()
     budgets: tuple[tuple[str, float, float], ...] = ()
 
     def __post_init__(self):
-        target_mode = self.mode is RewardMode.TARGET_PROXIMITY
-        wanted, other = ("targets", "budgets") if target_mode else ("budgets", "targets")
-        if not getattr(self, wanted):
-            raise ValueError(f"mode {self.mode.value!r} requires {wanted}")
-        if getattr(self, other):
-            raise ValueError(f"mode {self.mode.value!r} must not set {other}")
+        if bool(self.targets) == bool(self.budgets):
+            raise ValueError("a reward spec sets exactly one of targets and budgets")
         for metric, target in self.targets:
             if target <= 0:
                 raise ValueError(f"target for {metric!r} must be positive, got {target}")
@@ -94,55 +82,6 @@ class StepResult:
     reward: float
 
 
-# ---------------------------------------------------------------------------
-# Reward formulas
-
-
-def compute_target_reward(target: float, observed: float, cap: float = DEFAULT_SINGULARITY_CAP) -> float:
-    """Proximity reward target/|target-observed|, capped at `cap`."""
-    if target <= 0:
-        raise ValueError(f"target must be positive, got {target}")
-    if cap <= 0:
-        raise ValueError(f"cap must be positive, got {cap}")
-    if not math.isfinite(observed):
-        raise InvalidObservationError(f"invalid observation: {observed}")
-    gap = abs(target - observed)
-    if gap < target / cap:
-        return cap
-    return min(target / gap, cap)
-
-
-def compute_joint_reward(per_metric_rewards: Sequence[float]) -> float:
-    """Geometric mean of per-metric proximity rewards."""
-    if not per_metric_rewards:
-        raise ValueError("no per-metric rewards to combine")
-    logs = []
-    for r in per_metric_rewards:
-        if not (r > 0 and math.isfinite(r)):
-            raise ValueError(f"per-metric rewards must be positive finite, got {r}")
-        logs.append(math.log(r))
-    return math.exp(sum(logs) / len(logs))
-
-
-def compute_budget_distance(
-    observed: Sequence[float], budgets: Sequence[float], weights: Sequence[float]
-) -> float:
-    """Signed weighted relative deviation from budget; lower is better."""
-    if not (len(observed) == len(budgets) == len(weights)):
-        raise ValueError(
-            f"misaligned lists: {len(observed)} observed, {len(budgets)} budgets, "
-            f"{len(weights)} weights"
-        )
-    if not observed:
-        raise ValueError("empty budget lists")
-    total = 0.0
-    for d, b, a in zip(observed, budgets, weights):
-        if b <= 0:
-            raise ValueError(f"budget must be positive, got {b}")
-        total += a * (d - b) / b
-    return total
-
-
 def score(spec: RewardSpec, obs: Observation) -> float:
     """Scalar reward for an observation; higher is better in every mode.
 
@@ -151,13 +90,21 @@ def score(spec: RewardSpec, obs: Observation) -> float:
     """
     if not obs.valid:
         return 0.0
-    if spec.mode is RewardMode.TARGET_PROXIMITY:
-        rewards = [compute_target_reward(target, obs[metric]) for metric, target in spec.targets]
-        return rewards[0] if len(rewards) == 1 else compute_joint_reward(rewards)
-    observed = [obs[m] for m, _, _ in spec.budgets]
-    return -compute_budget_distance(
-        observed, [b for _, b, _ in spec.budgets], [a for _, _, a in spec.budgets]
-    )
+    if spec.targets:
+        cap = DEFAULT_SINGULARITY_CAP
+        rewards = []
+        for metric, target in spec.targets:
+            gap = abs(target - obs[metric])
+            rewards.append(cap if gap < target / cap else min(target / gap, cap))
+        if len(rewards) == 1:
+            return rewards[0]
+        logs = [math.log(r) for r in rewards]
+        return math.exp(sum(logs) / len(logs))
+    observed = [obs[metric] for metric, _, _ in spec.budgets]
+    total = 0.0
+    for d, (_, b, w) in zip(observed, spec.budgets):
+        total += w * (d - b) / b
+    return -total
 
 
 def score_batch(
@@ -170,7 +117,7 @@ def score_batch(
     mean: numpy's log and exp may differ from `math`'s in the last bits.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if spec.mode is RewardMode.TARGET_PROXIMITY:
+        if spec.targets:
             cap = DEFAULT_SINGULARITY_CAP
             rewards = []
             for metric, target in spec.targets:
@@ -190,12 +137,13 @@ def score_batch(
 
 def reward_spec_from_config(config: dict) -> RewardSpec:
     """Build a RewardSpec from the objective schema used in fixture files."""
-    mode = RewardMode(config["mode"])
+    mode = config["mode"]
+    if mode not in ("target", "budget"):
+        raise ValueError(f"unknown objective mode {mode!r}")
     unknown = sorted(set(config) - {"mode", "targets", "budgets"})
     if unknown:
         raise ValueError(f"unknown objective keys: {', '.join(unknown)}")
-    if mode is RewardMode.TARGET_PROXIMITY:
-        targets = tuple((m, float(t)) for m, t in config["targets"].items())
-        return RewardSpec(mode, targets=targets)
+    if mode == "target":
+        return RewardSpec(targets=tuple((m, float(t)) for m, t in config["targets"].items()))
     budgets = tuple((m, float(bw[0]), float(bw[1])) for m, bw in config["budgets"].items())
-    return RewardSpec(mode, budgets=budgets)
+    return RewardSpec(budgets=budgets)

@@ -58,6 +58,13 @@ _FIELDS = (
 # Fields every record of one trial shares; a line starts with them.
 _TRIAL_FIELDS = _FIELDS[: _FIELDS.index("step_index")]
 
+_FIELD_KINDS = (
+    (_TRIAL_FIELDS[1:-1], (str,), "a string"),
+    (("seed", "step_index", "wall_time_ms"), (int,), "an integer"),
+    (("reward",), (int, float), "a number"),
+    (("design", "observation"), (dict,), "a JSON object"),
+)
+
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
@@ -91,7 +98,8 @@ class TrajectoryRecord:
     def __post_init__(self):
         if self.step_index < 0:
             raise ValueError(f"step_index must be >= 0, got {self.step_index}")
-        if not math.isfinite(self.reward):
+        # unlike math.isfinite, the comparison does not overflow on a huge int
+        if not abs(self.reward) <= sys.float_info.max:
             raise ValueError(f"reward must be finite, got {self.reward}")
 
     def to_json(self) -> str:
@@ -105,9 +113,12 @@ class TrajectoryRecord:
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {data.get('schema_version')!r}")
         kwargs = {name: data[name] for name in _FIELDS if name != "schema_version"}
-        for name in ("design", "observation"):
-            if not isinstance(kwargs[name], dict):
-                raise ValueError(f"{name} must be a JSON object, got {kwargs[name]!r}")
+        # json.loads yields exact types, so comparing types also refuses a
+        # bool (an int subclass) where a number is due
+        for names, kinds, kind_name in _FIELD_KINDS:
+            for name in names:
+                if type(kwargs[name]) not in kinds:
+                    raise ValueError(f"{name} must be {kind_name}, got {kwargs[name]!r}")
         for metric, value in kwargs["observation"].items():
             # bool is an int subclass; NaN fails the comparison, and json.loads
             # reads Infinity and ints too large for a float
@@ -219,16 +230,13 @@ class TrajectoryWriter:
 
 @dataclass
 class Dataset:
-    """Ordered record collection plus provenance counts."""
+    """Ordered record collection."""
 
     records: list[TrajectoryRecord] = field(default_factory=list)
-    provenance: Counter = field(default_factory=Counter)
 
     @classmethod
     def from_records(cls, records: Iterable[TrajectoryRecord]) -> "Dataset":
-        records = list(records)
-        prov = Counter((r.agent_type, r.experiment_id) for r in records)
-        return cls(records=records, provenance=prov)
+        return cls(list(records))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -237,11 +245,13 @@ class Dataset:
     def env_id(self) -> str | None:
         return self.records[0].env_id if self.records else None
 
+    @property
+    def provenance(self) -> Counter:
+        """Record count per (agent_type, experiment_id)."""
+        return Counter((r.agent_type, r.experiment_id) for r in self.records)
+
     def agent_counts(self) -> Counter:
-        counts: Counter = Counter()
-        for (agent_type, _), n in self.provenance.items():
-            counts[agent_type] += n
-        return counts
+        return Counter(r.agent_type for r in self.records)
 
     def save(self, path) -> None:
         path = Path(path)
@@ -259,7 +269,10 @@ def load_dataset(path, validate: bool = True) -> Dataset:
     path = Path(path)
     records = []
     with open(path, encoding="utf-8") as f:
-        raw = f.read()
+        try:
+            raw = f.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from exc
     lines = raw.split("\n")
     ends_clean = raw.endswith("\n") or raw == ""
     if lines and lines[-1] == "":
@@ -294,7 +307,7 @@ def _validate_records(records: list[TrajectoryRecord], path) -> None:
 
 
 def merge(datasets: list[Dataset]) -> Dataset:
-    """Concatenate datasets from the same environment; provenance sums."""
+    """Concatenate datasets from the same environment."""
     if not datasets:
         raise ValueError("nothing to merge")
     env_ids = {d.env_id for d in datasets if d.env_id is not None}
@@ -303,11 +316,7 @@ def merge(datasets: list[Dataset]) -> Dataset:
     versions = {r.schema_version for d in datasets for r in d.records}
     if len(versions) > 1:
         raise ValueError(f"cannot merge across schema versions: {sorted(versions)}")
-    merged = Dataset()
-    for d in datasets:
-        merged.records.extend(d.records)
-        merged.provenance.update(d.provenance)
-    return merged
+    return Dataset([r for d in datasets for r in d.records])
 
 
 def sample_mixture(

@@ -272,13 +272,6 @@ def resample_position(
     return point[:pos] + (new,) + point[pos + 1 :]
 
 
-def neighbor(space: ParameterSpace, point: DesignPoint, rng: np.random.Generator) -> DesignPoint:
-    """Copy of point with exactly one uniformly chosen parameter resampled."""
-    space.validate_point(point)
-    pos = int(rng.integers(0, len(space.parameters)))
-    return resample_position(space, point, pos, rng)
-
-
 def design_map(space: ParameterSpace, point: DesignPoint) -> dict:
     """Name -> concrete value view used in records and wire formats.
 

@@ -339,17 +339,29 @@ def test_report_of_a_summary_with_a_bad_value_is_a_data_error(field, value, tmp_
     assert not out.exists()
 
 
-def test_train_proxy_of_a_record_with_a_bad_design_is_a_data_error(tmp_path, capsys):
+def _train_proxy_with_line_2_field(tmp_path, name, value):
+    """Exit code of `train-proxy` on a trajectory whose second record has `name` = `value`."""
     _run(tmp_path, "RW", 4)
     (path,) = _trajectory_files(tmp_path)
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    lines[1] = json.dumps({**json.loads(lines[1]), "design": 5})
+    lines[1] = json.dumps({**json.loads(lines[1]), name: value})
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     argv = ["train-proxy", "--data", str(bad), "--target", "power",
             "--out", str(tmp_path / "model.json")]
-    assert cli.main(argv) == cli.EXIT_DATA
+    return cli.main(argv)
+
+
+def test_train_proxy_of_a_record_with_a_bad_design_is_a_data_error(tmp_path, capsys):
+    assert _train_proxy_with_line_2_field(tmp_path, "design", 5) == cli.EXIT_DATA
+    bad = tmp_path / "bad.jsonl"
     assert f"{bad}:2: corrupt record: design must be a JSON object" in capsys.readouterr().err
+
+
+def test_train_proxy_of_a_record_with_a_list_experiment_id_is_a_data_error(tmp_path, capsys):
+    assert _train_proxy_with_line_2_field(tmp_path, "experiment_id", ["e"]) == cli.EXIT_DATA
+    bad = tmp_path / "bad.jsonl"
+    assert f"{bad}:2: corrupt record: experiment_id must be a string" in capsys.readouterr().err
 
 
 def test_enumerate_oracle_prints_the_oracle(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsegym.dataset import (
+    DataError,
     Dataset,
     TrajectoryRecord,
     TrajectoryWriter,
@@ -254,16 +255,33 @@ class TestLoad:
             lambda line: json.dumps({**json.loads(line), "observation": {"m": None}}),
             lambda line: json.dumps({**json.loads(line), "observation": {"m": math.inf}}),
             lambda line: json.dumps({**json.loads(line), "observation": {"m": 10**400}}),
+            lambda line: json.dumps({**json.loads(line), "experiment_id": ["e"]}),
+            lambda line: json.dumps({**json.loads(line), "agent_type": {"a": 1}}),
+            lambda line: json.dumps({**json.loads(line), "env_id": 1}),
+            lambda line: json.dumps({**json.loads(line), "reward": True}),
+            lambda line: json.dumps({**json.loads(line), "reward": "1.0"}),
+            lambda line: json.dumps({**json.loads(line), "reward": 10**400}),
+            lambda line: json.dumps({**json.loads(line), "seed": "s"}),
+            lambda line: json.dumps({**json.loads(line), "step_index": 1.5}),
+            lambda line: json.dumps({**json.loads(line), "wall_time_ms": False}),
         ],
         ids=["truncated", "array", "string", "null", "schema-2", "nan-reward", "no-design",
              "int-design", "list-observation", "string-metric", "bool-metric", "null-metric",
-             "infinite-metric", "huge-int-metric"],
+             "infinite-metric", "huge-int-metric", "list-experiment-id", "object-agent-type",
+             "int-env-id", "bool-reward", "string-reward", "huge-int-reward", "string-seed",
+             "float-step-index", "bool-wall-time"],
     )
     def test_corrupt_middle_line_names_its_location(self, corrupt, tmp_path):
         lines = _lines(3)
         path = tmp_path / "t.jsonl"
         _write_lines(path, [lines[0], corrupt(lines[1]), lines[2]])
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt record")):
+            load_dataset(path)
+
+    def test_undecodable_file_is_a_data_error_naming_it(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(_lines(1)[0].encode("utf-8") + b"\n\xff\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: 'utf-8' codec")):
             load_dataset(path)
 
     def test_from_json_rejects_a_non_object(self):

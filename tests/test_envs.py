@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from dsegym.core import RewardMode, score
+from dsegym.core import score
 from dsegym.envs import (
     ENV_IDS,
     get_objective,
@@ -165,7 +165,8 @@ class TestSocEnv:
         assert score(env.reward_spec, env.observe(env.reference_point())) == 0.0
 
     def test_budget_mode_wired(self):
-        assert get_objective("soc", "edge_detection", "budget").mode is RewardMode.BUDGET_DISTANCE
+        spec = get_objective("soc", "edge_detection", "budget")
+        assert spec.budgets and not spec.targets
 
 
 class TestEpisodeSemantics:

@@ -23,7 +23,6 @@ from dsegym.spaces import (
     cardinality,
     design_map,
     enumerate_points,
-    neighbor,
     point_from_map,
     resample_position,
     sample_uniform,
@@ -111,7 +110,6 @@ def test_space_helpers_return_tuples_of_ints(space_name):
     space = get_space(space_name)
     rng = make_rng(4)
     point = sample_uniform(space, rng)
-    assert_point(space, neighbor(space, point, rng))
     assert_point(space, resample_position(space, point, len(space) - 1, rng))
     assert_point(space, point_from_map(space, design_map(space, point)))
     assert_point(space, next(enumerate_points(space, cardinality(space))))

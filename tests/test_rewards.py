@@ -9,37 +9,55 @@ from dsegym.core import (
     InvalidObservationError,
     MissingMetricError,
     Observation,
-    RewardMode,
     RewardSpec,
-    compute_budget_distance,
-    compute_joint_reward,
-    compute_target_reward,
     reward_spec_from_config,
     score,
 )
 
 
+def target_spec(**targets):
+    return RewardSpec(targets=tuple(targets.items()))
+
+
+def budget_spec(*budgets):
+    return RewardSpec(budgets=tuple(budgets))
+
+
+def target_reward(target, observed):
+    return score(target_spec(m=target), Observation({"m": observed}))
+
+
+def budget_distance(observed, budgets, weights):
+    """Unnegated budget distance: -score of one spec over metrics m0, m1, ..."""
+    names = [f"m{i}" for i in range(len(budgets))]
+    spec = budget_spec(*zip(names, budgets, weights))
+    return -score(spec, Observation(dict(zip(names, observed))))
+
+
 class TestTargetReward:
     def test_hand_values(self):
-        assert compute_target_reward(1.0, 2.0, 1e9) == 1.0
-        assert compute_target_reward(2.0, 1.5, 1e9) == 4.0
+        assert target_reward(1.0, 2.0) == 1.0
+        assert target_reward(2.0, 1.5) == 4.0
 
     def test_singularity_cap_at_exact_match(self):
-        assert compute_target_reward(1.0, 1.0, 1e9) == 1e9
+        assert target_reward(1.0, 1.0) == 1e9
 
     def test_cap_engages_near_target(self):
         # |target-observed| < target/cap forces the cap
-        assert compute_target_reward(1.0, 1.0 + 1e-12, 1e9) == 1e9
+        assert target_reward(1.0, 1.0 + 1e-12) == 1e9
 
     def test_non_finite_observed_rejected(self):
+        # an observation cannot carry a non-finite metric, so score never sees one
         with pytest.raises(InvalidObservationError, match="invalid observation"):
-            compute_target_reward(1.0, math.nan)
+            Observation({"m": math.nan})
         with pytest.raises(InvalidObservationError):
-            compute_target_reward(1.0, math.inf)
+            Observation({"m": math.inf})
 
     def test_nonpositive_target_rejected(self):
-        with pytest.raises(ValueError):
-            compute_target_reward(0.0, 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            target_spec(m=0.0)
+        with pytest.raises(ValueError, match="positive"):
+            target_spec(m=-1.0)
 
     @given(
         st.floats(0.1, 100.0),
@@ -50,41 +68,45 @@ class TestTargetReward:
     def test_monotone_in_distance(self, target, a, b):
         # strictly closer to target never decreases reward
         if abs(target - a) < abs(target - b):
-            assert compute_target_reward(target, a) >= compute_target_reward(target, b)
+            assert target_reward(target, a) >= target_reward(target, b)
 
 
 class TestJointReward:
     def test_equal_values_pass_through(self):
-        assert compute_joint_reward([4.0, 4.0]) == pytest.approx(4.0, rel=1e-12)
+        # both metrics score 4 on their own
+        spec = target_spec(latency=2.0, power=1.0)
+        obs = Observation({"latency": 1.5, "power": 1.25})
+        assert score(spec, obs) == pytest.approx(4.0, rel=1e-12)
 
     def test_sqrt_of_product(self):
-        assert compute_joint_reward([1.0, 1e9]) == pytest.approx(math.sqrt(1e9), rel=1e-12)
+        # per-metric rewards 1 and the cap 1e9
+        spec = target_spec(latency=1.0, power=1.0)
+        obs = Observation({"latency": 2.0, "power": 1.0})
+        assert score(spec, obs) == pytest.approx(math.sqrt(1e9), rel=1e-12)
 
     def test_single_metric_identity(self):
-        assert compute_joint_reward([2.0]) == pytest.approx(2.0, rel=1e-12)
+        spec = target_spec(power=2.0)
+        assert score(spec, Observation({"power": 1.0, "latency": 5.0})) == 2.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compute_joint_reward([])
+        with pytest.raises(ValueError, match="exactly one"):
+            RewardSpec(targets=())
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            compute_joint_reward([1.0, 0.0])
+        # every target of a joint spec is checked, not only the first
+        with pytest.raises(ValueError, match="'power'"):
+            target_spec(latency=1.0, power=0.0)
 
 
 class TestBudgetDistance:
     def test_at_budget_distance_zero(self):
-        assert compute_budget_distance([10.0, 2.0, 1.0], [10.0, 2.0, 1.0], [1, 5, 9]) == 0.0
+        assert budget_distance([10.0, 2.0, 1.0], [10.0, 2.0, 1.0], [1, 5, 9]) == 0.0
 
     def test_overshoot(self):
-        assert compute_budget_distance([12, 2, 1], [10, 2, 1], [1, 1, 1]) == pytest.approx(0.2)
+        assert budget_distance([12, 2, 1], [10, 2, 1], [1, 1, 1]) == pytest.approx(0.2)
 
     def test_signed_under_budget(self):
-        assert compute_budget_distance([8, 2, 1], [10, 2, 1], [1, 1, 1]) == pytest.approx(-0.2)
-
-    def test_misaligned_lists_rejected(self):
-        with pytest.raises(ValueError, match="misaligned"):
-            compute_budget_distance([1.0], [1.0, 2.0], [1.0, 1.0])
+        assert budget_distance([8, 2, 1], [10, 2, 1], [1, 1, 1]) == pytest.approx(-0.2)
 
     @given(
         st.lists(st.floats(0.1, 50.0), min_size=1, max_size=4),
@@ -95,18 +117,77 @@ class TestBudgetDistance:
         n = len(budgets)
         weights = data.draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
         deltas = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
-        base = compute_budget_distance(budgets, budgets, weights)
-        single = compute_budget_distance(
-            [b + d for b, d in zip(budgets, deltas)], budgets, weights
-        )
-        doubled = compute_budget_distance(
-            [b + 2 * d for b, d in zip(budgets, deltas)], budgets, weights
-        )
+        base = budget_distance(budgets, budgets, weights)
+        single = budget_distance([b + d for b, d in zip(budgets, deltas)], budgets, weights)
+        doubled = budget_distance([b + 2 * d for b, d in zip(budgets, deltas)], budgets, weights)
         assert doubled - base == pytest.approx(2 * (single - base), rel=1e-9, abs=1e-9)
 
 
-def target_spec(**targets):
-    return RewardSpec(RewardMode.TARGET_PROXIMITY, targets=tuple(targets.items()))
+# The reward formulas as three separate helpers, each checking its inputs,
+# kept as the reference that `score` must equal bit for bit.
+
+
+def _ref_target_reward(target, observed, cap=1e9):
+    if target <= 0:
+        raise ValueError(f"target must be positive, got {target}")
+    if not math.isfinite(observed):
+        raise InvalidObservationError(f"invalid observation: {observed}")
+    gap = abs(target - observed)
+    if gap < target / cap:
+        return cap
+    return min(target / gap, cap)
+
+
+def _ref_joint_reward(per_metric_rewards):
+    logs = []
+    for r in per_metric_rewards:
+        if not (r > 0 and math.isfinite(r)):
+            raise ValueError(f"per-metric rewards must be positive finite, got {r}")
+        logs.append(math.log(r))
+    return math.exp(sum(logs) / len(logs))
+
+
+def _ref_budget_distance(observed, budgets, weights):
+    total = 0.0
+    for d, b, a in zip(observed, budgets, weights):
+        if b <= 0:
+            raise ValueError(f"budget must be positive, got {b}")
+        total += a * (d - b) / b
+    return total
+
+
+def _ref_score(spec, obs):
+    if not obs.valid:
+        return 0.0
+    if spec.targets:
+        rewards = [_ref_target_reward(t, obs[m]) for m, t in spec.targets]
+        return rewards[0] if len(rewards) == 1 else _ref_joint_reward(rewards)
+    observed = [obs[m] for m, _, _ in spec.budgets]
+    return -_ref_budget_distance(
+        observed, [b for _, b, _ in spec.budgets], [a for _, _, a in spec.budgets]
+    )
+
+
+def _random_case(rng):
+    """A spec and an observation: 1-3 metrics, values near, at or far from target."""
+    n = int(rng.integers(1, 4))
+    names = [f"m{i}" for i in range(n)]
+    refs = 10.0 ** rng.uniform(-4, 4, n)
+    observed = {}
+    for name, ref in zip(names, refs):
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            observed[name] = float(ref)
+        elif kind == 1:
+            observed[name] = float(ref * (1 + rng.normal(0, 1e-10)))
+        else:
+            observed[name] = float(ref * rng.uniform(-2, 4))
+    if rng.integers(0, 2):
+        spec = RewardSpec(targets=tuple(zip(names, map(float, refs))))
+    else:
+        weights = map(float, rng.uniform(0.01, 10, n))
+        spec = RewardSpec(budgets=tuple(zip(names, map(float, refs), weights)))
+    return spec, Observation(observed, valid=bool(rng.random() > 0.01))
 
 
 class TestScore:
@@ -115,10 +196,7 @@ class TestScore:
         assert score(spec, Observation({"power": 2.0})) == 1.0
 
     def test_budget_negated(self):
-        spec = RewardSpec(
-            RewardMode.BUDGET_DISTANCE,
-            budgets=(("performance", 10.0, 1.0), ("power", 2.0, 1.0), ("area", 1.0, 1.0)),
-        )
+        spec = budget_spec(("performance", 10.0, 1.0), ("power", 2.0, 1.0), ("area", 1.0, 1.0))
         obs = Observation({"performance": 10.0, "power": 2.0, "area": 1.0})
         assert score(spec, obs) == 0.0
         over = Observation({"performance": 12.0, "power": 2.0, "area": 1.0})
@@ -133,10 +211,22 @@ class TestScore:
         spec = target_spec(power=1.0)
         with pytest.raises(MissingMetricError, match="power"):
             score(spec, Observation({"latency": 1.0}))
+        # the first missing metric in spec order is the one named
+        spec = budget_spec(("latency", 1.0, 1.0), ("power", 1.0, 1.0), ("area", 1.0, 1.0))
+        with pytest.raises(MissingMetricError, match="power"):
+            score(spec, Observation({"latency": 1.0}))
 
     def test_invalid_observation_scores_zero(self):
         spec = target_spec(power=1.0)
         assert score(spec, Observation({}, valid=False)) == 0.0
+
+    def test_matches_reference_formulas_bit_for_bit(self):
+        rng = np.random.Generator(np.random.Philox(2024))
+        for _ in range(100_000):
+            spec, obs = _random_case(rng)
+            expected = _ref_score(spec, obs)
+            got = score(spec, obs)
+            assert got.hex() == float(expected).hex(), (spec, obs)
 
     @given(st.lists(st.floats(0.1, 100.0), min_size=100, max_size=100), st.data())
     @settings(max_examples=30)
@@ -148,7 +238,7 @@ class TestScore:
         scores = [score(spec, Observation({"power": v})) for v in observed]
         assert np.argmax(scores) == np.argmin([abs(target - v) for v in observed])
 
-        bspec = RewardSpec(RewardMode.BUDGET_DISTANCE, budgets=(("power", target, 1.0),))
+        bspec = budget_spec(("power", target, 1.0))
         bscores = [score(bspec, Observation({"power": v})) for v in observed]
         distances = [(v - target) / target for v in observed]
         assert np.argmax(bscores) == np.argmin(distances)
@@ -175,27 +265,25 @@ class TestObservation:
 
 class TestRewardSpecValidation:
     def test_mode_fields_enforced(self):
-        with pytest.raises(ValueError, match="requires targets"):
-            RewardSpec(RewardMode.TARGET_PROXIMITY)
-        with pytest.raises(ValueError, match="must not set budgets"):
-            RewardSpec(
-                RewardMode.TARGET_PROXIMITY,
-                targets=(("a", 1.0),),
-                budgets=(("a", 1.0, 1.0),),
-            )
+        # the field that is set is the mode, so exactly one must be
+        with pytest.raises(ValueError, match="exactly one"):
+            RewardSpec()
+        with pytest.raises(ValueError, match="exactly one"):
+            RewardSpec(targets=(("a", 1.0),), budgets=(("a", 1.0, 1.0),))
 
     def test_positivity(self):
-        with pytest.raises(ValueError):
-            RewardSpec(RewardMode.TARGET_PROXIMITY, targets=(("a", -1.0),))
-        with pytest.raises(ValueError):
-            RewardSpec(RewardMode.BUDGET_DISTANCE, budgets=(("a", 1.0, 0.0),))
+        with pytest.raises(ValueError, match="target"):
+            RewardSpec(targets=(("a", -1.0),))
+        with pytest.raises(ValueError, match="budget"):
+            RewardSpec(budgets=(("a", 0.0, 1.0),))
+        with pytest.raises(ValueError, match="weight"):
+            RewardSpec(budgets=(("a", 1.0, 0.0),))
 
     def test_from_config(self):
         spec = reward_spec_from_config({"mode": "target", "targets": {"latency": 2.0}})
-        assert spec.mode is RewardMode.TARGET_PROXIMITY
-        assert spec.targets == (("latency", 2.0),)
+        assert spec == RewardSpec(targets=(("latency", 2.0),))
         bspec = reward_spec_from_config({"mode": "budget", "budgets": {"power": [1.0, 2.0]}})
-        assert bspec.budgets == (("power", 1.0, 2.0),)
+        assert bspec == RewardSpec(budgets=(("power", 1.0, 2.0),))
 
     def test_from_config_rejects_reciprocal_mode(self):
         with pytest.raises(ValueError, match="reciprocal"):
