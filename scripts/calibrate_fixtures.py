@@ -11,6 +11,7 @@ objectives in place.
 
 from __future__ import annotations
 
+import itertools
 import re
 import sys
 from pathlib import Path
@@ -21,14 +22,13 @@ import yaml
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dsegym.envs import list_workloads, make_env  # noqa: E402
-from dsegym.spaces import enumerate_points  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "dsegym" / "envs" / "fixtures"
 
 
 def small_minima(family: str, workload: str, metrics: list[str]) -> dict[str, float]:
     env = make_env(f"{family}-small", workload, "budget" if family == "soc" else "low-latency")
-    columns, valid = env.metrics_batch(list(enumerate_points(env.space(), 100_000)))
+    columns, valid = env.metrics_batch(list(itertools.product(*map(range, env.space().sizes))))
     return {m: float(np.min(columns[m][valid], initial=np.inf)) for m in metrics}
 
 

@@ -22,7 +22,6 @@ from .spaces import (
     cardinality,
     encode,
     encode_batch,
-    enumerate_points,
     sample_uniform,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "cardinality",
     "encode",
     "encode_batch",
-    "enumerate_points",
     "sample_uniform",
     "score",
 ]

@@ -18,7 +18,7 @@ from . import dataset as ds
 from . import orchestrator as orch
 from . import proxy
 from .agents import AGENT_TYPES, sweep_configs
-from .envs import ENV_IDS, get_space, make_env
+from .envs import ENV_IDS, make_env
 from .rng import make_rng
 from .spaces import sample_uniform_indices
 
@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--delay-ms", type=float, default=0.0)
     p.add_argument("--set", action="append", metavar="KEY=VALUE", dest="hyperparams",
                    help="override one hyperparameter (repeatable)")
 
@@ -94,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
     p.add_argument("--grid", help="YAML file: agent type -> hyperparameter grid")
     p.add_argument("--out", required=True)
-    p.add_argument("--delay-ms", type=float, default=0.0)
     p.add_argument("--parallel", type=int, default=1,
                    help="worker processes (>= 1); a sweep starts min(N, trials) of "
                         "them, and runs in this process when that is 1; each "
@@ -131,10 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="optionally write the report as JSON")
 
-    p = sub.add_parser("bench-proxy", help="proxy speed-up vs the env delayed by --delay-ms")
+    p = sub.add_parser("bench-proxy", help="proxy speed-up against the undelayed env")
     p.add_argument("--model", required=True)
     add_env_args(p)
-    p.add_argument("--delay-ms", type=float, default=10.0)
     p.add_argument("--queries", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
 
@@ -160,7 +157,6 @@ def _cmd_run(args) -> int:
         budget=args.budget,
         seed=args.seed,
         hyperparams=orch.TrialSpec.hyperparams_tuple(_parse_assignments(args.hyperparams)),
-        delay_ms=args.delay_ms,
         out_dir=args.out,
     )
     result = orch.run_trial(spec)
@@ -168,7 +164,6 @@ def _cmd_run(args) -> int:
         "experiment_id": result.experiment_id,
         "best_reward": result.best_reward,
         "best_design": result.best_design,
-        "samples_used": result.samples_used,
         "trajectory_file": result.trajectory_file,
     }, indent=2, sort_keys=True))
     return EXIT_OK
@@ -203,7 +198,6 @@ def _cmd_sweep(args) -> int:
         budgets=_parse_int_list(args.budgets),
         seeds=_parse_int_list(args.seeds),
         grids=grids,
-        delay_ms=args.delay_ms,
         out_dir=None if args.no_trajectories else str(out_dir / "trajectories"),
         parallelism=args.parallel,
     )
@@ -280,8 +274,13 @@ def _cmd_eval_proxy(args) -> int:
 
 def _cmd_bench_proxy(args) -> int:
     model = proxy.RandomForestModel.load(args.model)
-    env = make_env(args.env, args.workload, args.objective, delay_ms=args.delay_ms)
-    points = sample_uniform_indices(get_space(args.env), make_rng(args.seed), args.queries)
+    if model.env_id != args.env:
+        raise UsageError(f"model {args.model} was trained on env {model.env_id!r}, "
+                         f"not on --env {args.env}")
+    if args.queries < 1:
+        raise UsageError(f"n_queries must be >= 1, got {args.queries}")
+    env = make_env(args.env, args.workload, args.objective)
+    points = sample_uniform_indices(env.space(), make_rng(args.seed), args.queries)
     result = proxy.speed_benchmark(model, env, points, args.queries)
     print(json.dumps(asdict(result), indent=2, sort_keys=True))
     return EXIT_OK

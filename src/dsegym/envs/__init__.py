@@ -98,7 +98,6 @@ def make_env(
     env_id: str,
     workload_id: str,
     objective: str | RewardSpec = "low-latency",
-    delay_ms: float = 0.0,
 ) -> SyntheticEnv:
     family, _ = split_env_id(env_id)
     fix = _fixture(family)
@@ -117,5 +116,4 @@ def make_env(
         cost_fn=_FAMILIES[family],
         constants=constants,
         reference_design=fix["reference"],
-        delay_s=delay_ms / 1000.0,
     )

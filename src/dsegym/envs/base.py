@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable
@@ -209,8 +208,6 @@ class SyntheticEnv:
 
     The cost function runs in-process (the built-in models) or in a
     simulator process (:class:`dsegym.envs.external.SimulatorProcess`).
-    `delay_s` injects artificial per-step latency for proxy speed-up
-    benchmarking.
     """
 
     def __init__(
@@ -222,7 +219,6 @@ class SyntheticEnv:
         cost_fn: CostFn,
         constants: dict,
         reference_design: dict,
-        delay_s: float = 0.0,
     ):
         self.env_id = env_id
         self._space = space
@@ -231,7 +227,6 @@ class SyntheticEnv:
         self._cost_fn = cost_fn
         self._constants = constants
         self._reference = point_from_map(space, reference_design)
-        self.delay_s = delay_s
 
     # -- contract ----------------------------------------------------------
 
@@ -247,8 +242,6 @@ class SyntheticEnv:
 
     def step(self, point: DesignPoint) -> StepResult:
         self._space.validate_point(point)
-        if self.delay_s > 0:
-            time.sleep(self.delay_s)
         # not `observe`: the benchmark counts `observe` calls as evaluations beyond the steps
         obs = self._evaluate(point)
         return StepResult(observation=obs, reward=score(self.reward_spec, obs))
@@ -256,7 +249,7 @@ class SyntheticEnv:
     # -- helpers -----------------------------------------------------------
 
     def observe(self, point: DesignPoint) -> Observation:
-        """Metrics for a point, without the reward or the step delay."""
+        """Metrics for a point, without the reward."""
         return self._evaluate(point)
 
     def metrics_batch(self, indices) -> tuple[dict[str, np.ndarray], np.ndarray]:

@@ -46,10 +46,14 @@ from .core import score, score_batch
 from .dataset import DataError, TrajectoryWriter
 from .envs import get_objective, get_space, make_env
 from .rng import digest_stream, make_rng
-from .spaces import SpaceTooLargeError, cardinality, design_map
+from .spaces import cardinality, design_map
 
 
 class TrialError(RuntimeError):
+    pass
+
+
+class SpaceTooLargeError(ValueError):
     pass
 
 
@@ -64,7 +68,6 @@ class TrialSpec:
     budget: int
     seed: int
     hyperparams: tuple = ()  # sorted (name, value) pairs; dicts don't hash
-    delay_ms: float = 0.0
     out_dir: str | None = None
     checkpoints: tuple[int, ...] = ()
 
@@ -87,7 +90,6 @@ class TrialResult:
     budget: int
     best_design: dict | None
     best_reward: float
-    samples_used: int
     wall_time_s: float
     trajectory_file: str | None
     best_at: dict[int, float] = field(default_factory=dict)
@@ -107,7 +109,7 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     `<experiment_id>.jsonl` after the last step; a failed trial leaves only
     the partial file, and a rerun replaces the earlier trajectory.
     """
-    env = make_env(spec.env_id, spec.workload_id, spec.objective, delay_ms=spec.delay_ms)
+    env = make_env(spec.env_id, spec.workload_id, spec.objective)
     agent = make_agent(spec.agent_type, env.space(), dict(spec.hyperparams))
     digest = agent.hyperparams().digest
     exp_id = experiment_id(spec, digest)
@@ -165,7 +167,6 @@ def run_trial(spec: TrialSpec) -> TrialResult:
         budget=spec.budget,
         best_design=design_map(env.space(), best_point) if best_point is not None else None,
         best_reward=best_reward,
-        samples_used=spec.budget,
         wall_time_s=time.perf_counter() - t_start,
         trajectory_file=str(path) if path is not None else None,
         best_at=best_at,
@@ -185,7 +186,6 @@ class SweepConfig:
     budgets: tuple[int, ...]
     seeds: tuple[int, ...]
     grids: Mapping[str, Sequence[Mapping]] | None = None  # agent -> config dicts
-    delay_ms: float = 0.0
     out_dir: str | None = None
     parallelism: int = 1
 
@@ -236,7 +236,6 @@ def _sweep_specs(config: SweepConfig) -> list[TrialSpec]:
                         budget=max_budget,
                         seed=seed,
                         hyperparams=TrialSpec.hyperparams_tuple(hp),
-                        delay_ms=config.delay_ms,
                         out_dir=config.out_dir,
                         checkpoints=tuple(config.budgets),
                     )

@@ -16,10 +16,9 @@ trajectory records and in the subprocess protocol.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -34,10 +33,6 @@ _ENCODE_BLOCK = 8192
 
 # One design: its grid index for every parameter, in space order.
 DesignPoint = tuple[int, ...]
-
-
-class SpaceTooLargeError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -205,15 +200,6 @@ def sample_uniform_indices(space: ParameterSpace, rng: np.random.Generator, n: i
     size, n)` call per parameter would.
     """
     return rng.integers(0, space._bounds[:, None], size=(len(space), n)).T
-
-
-def enumerate_points(space: ParameterSpace, limit: int) -> Iterator[DesignPoint]:
-    """Every point exactly once, first parameter varying slowest."""
-    if cardinality(space) > limit:
-        raise SpaceTooLargeError(
-            f"space too large to enumerate: {cardinality(space)} > limit {limit}"
-        )
-    yield from itertools.product(*(range(s) for s in space.sizes))
 
 
 def encode_dim(space: ParameterSpace) -> int:

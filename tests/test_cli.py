@@ -29,7 +29,6 @@ def test_run_writes_a_loadable_trajectory(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     (path,) = _trajectory_files(tmp_path)
     assert printed["trajectory_file"] == path
-    assert printed["samples_used"] == 6
     dataset = load_dataset(path, validate=True)
     assert [r.step_index for r in dataset.records] == list(range(6))
 
@@ -73,6 +72,22 @@ def test_unknown_names_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "unused").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", *ENV, "--agent", "RW", "--budget", "2", "--out", "unused"],
+        ["sweep", *ENV, "--agents", "RW", "--out", "unused"],
+        ["bench-proxy", "--model", "unused.json", *ENV],
+    ],
+    ids=["run", "sweep", "bench-proxy"],
+)
+def test_a_step_delay_is_an_unrecognised_argument(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--delay-ms", "5"]) == cli.EXIT_USAGE
+    assert "unrecognized arguments: --delay-ms 5" in capsys.readouterr().err
     assert not (tmp_path / "unused").exists()
 
 
@@ -217,14 +232,33 @@ def test_bench_proxy_on_the_undelayed_env(tmp_path, capsys):
             "--set", "n_trees=2"]
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
-    argv = ["bench-proxy", "--model", str(model), *ENV, "--delay-ms", "0", "--queries", "12"]
+    argv = ["bench-proxy", "--model", str(model), *ENV, "--queries", "12"]
     assert cli.main(argv) == cli.EXIT_OK
     printed = _printed_json(capsys)
     assert set(printed) == {"speedup", "env_seconds", "model_seconds", "n_queries"}
     assert printed["n_queries"] == 12
-    argv = ["bench-proxy", "--model", str(model), *ENV, "--delay-ms", "0", "--queries", "0"]
+    for queries in ("0", "-3"):
+        argv = ["bench-proxy", "--model", str(model), *ENV, "--queries", queries]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert f"n_queries must be >= 1, got {queries}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_bench_proxy_refuses_a_model_of_another_env(seed, tmp_path, capsys):
+    argv = ["run", "--env", "accel-small", "--workload", "small_cnn", "--agent", "RW",
+            "--budget", "20", "--out", str(tmp_path / "runs")]
+    assert cli.main(argv) == cli.EXIT_OK
+    (path,) = _trajectory_files(tmp_path)
+    model = tmp_path / "model.json"
+    argv = ["train-proxy", "--data", path, "--target", "latency", "--out", str(model),
+            "--set", "n_trees=2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    argv = ["bench-proxy", "--model", str(model), "--env", "soc-small", "--workload",
+            "audio_decoder", "--objective", "budget", "--queries", "1", "--seed", seed]
     assert cli.main(argv) == cli.EXIT_USAGE
-    assert "n_queries must be >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'accel-small'" in err and "--env soc-small" in err
 
 
 @pytest.mark.parametrize("setting", ["n_trees=0", "max_depth=-1"])
@@ -247,7 +281,7 @@ def test_proxy_commands_reject_a_model_whose_walk_leaves_the_tree(tmp_path, caps
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
     for argv in (["eval-proxy", "--model", str(model), "--data", path],
-                 ["bench-proxy", "--model", str(model), *ENV, "--delay-ms", "0"]):
+                 ["bench-proxy", "--model", str(model), *ENV]):
         assert cli.main(argv) == cli.EXIT_DATA
         assert "tree 1, node 0: right child" in capsys.readouterr().err
 

@@ -1,5 +1,5 @@
+import itertools
 import math
-import time
 
 import pytest
 
@@ -16,7 +16,7 @@ from dsegym.envs import (
 )
 from dsegym.envs.base import WorkloadSpec
 from dsegym.rng import make_rng
-from dsegym.spaces import cardinality, design_map, enumerate_points, point_from_map, sample_uniform
+from dsegym.spaces import cardinality, design_map, point_from_map, sample_uniform
 
 SMALL_IDS = [e for e in ENV_IDS if e.endswith("-small")]
 
@@ -135,7 +135,7 @@ class TestAccelEnv:
 
     def test_small_space_contains_infeasible_and_feasible_points(self):
         env = make_env("accel-small", "small_cnn")
-        flags = [env.observe(p).valid for p in enumerate_points(env.space(), 4096)]
+        flags = [env.observe(p).valid for p in itertools.product(*map(range, env.space().sizes))]
         assert any(flags) and not all(flags)
 
 
@@ -196,13 +196,6 @@ class TestEpisodeSemantics:
         fresh = make_env("dram-small", "stream")
         fresh.reset()
         assert used.step(point).reward == fresh.step(point).reward
-
-    def test_step_delay_applies(self):
-        env = make_env("dram-small", "stream", delay_ms=30.0)
-        rng = make_rng(7)
-        t0 = time.perf_counter()
-        env.step(sample_uniform(env.space(), rng))
-        assert time.perf_counter() - t0 >= 0.03
 
 
 class TestWorkloadSpec:

@@ -7,6 +7,7 @@ scripts/full_optima.py) hold the designs and rewards it returned.
 """
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from dsegym.rng import make_rng
 from dsegym.spaces import (
     cardinality,
     design_map,
-    enumerate_points,
     point_from_map,
     sample_uniform_indices,
 )
@@ -39,10 +39,15 @@ def _key(task):
     return "/".join(task)
 
 
+def _every_point(space):
+    """Every point of a space, first parameter varying slowest."""
+    return list(itertools.product(*map(range, space.sizes)))
+
+
 def _reference_rows(space):
     """Every point of a space of at most REFERENCE_POINTS, else that many uniform ones."""
     if cardinality(space) <= REFERENCE_POINTS:
-        return np.array(list(enumerate_points(space, REFERENCE_POINTS)))
+        return np.array(_every_point(space))
     return sample_uniform_indices(space, make_rng(17), REFERENCE_POINTS)
 
 
@@ -69,7 +74,7 @@ def test_metrics_batch_matches_observe(env_id, workload_id):
 @pytest.mark.parametrize("env_id, workload_id", [t for t in ENV_WORKLOADS if "-small" in t[0]])
 def test_score_batch_matches_score(env_id, workload_id):
     env = make_env(env_id, workload_id, list_objectives(env_id, workload_id)[0])
-    rows = np.array(list(enumerate_points(env.space(), REFERENCE_POINTS)))
+    rows = np.array(_every_point(env.space()))
     columns, valid = env.metrics_batch(rows)
     observed = [env.observe(tuple(row)) for row in rows.tolist()]
     for objective in list_objectives(env_id, workload_id):
@@ -160,7 +165,7 @@ def test_ties_go_to_the_first_design(env_id, chunk, monkeypatch):
     in more than one chunk."""
     monkeypatch.setattr(orch, "_ORACLE_CHUNK", chunk)
     env = make_env(env_id, "single_task", "low-latency")
-    points = list(enumerate_points(env.space(), cardinality(env.space())))
+    points = _every_point(env.space())
     rewards = [score(env.reward_spec, env.observe(p)) for p in points]
     top = max(rewards)
     tied = [p for p, r in zip(points, rewards) if r == top]

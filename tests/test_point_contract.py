@@ -20,9 +20,7 @@ from dsegym.spaces import (
     Numeric,
     ParameterSpace,
     ParameterSpec,
-    cardinality,
     design_map,
-    enumerate_points,
     point_from_map,
     resample_position,
     sample_uniform,
@@ -112,4 +110,3 @@ def test_space_helpers_return_tuples_of_ints(space_name):
     point = sample_uniform(space, rng)
     assert_point(space, resample_position(space, point, len(space) - 1, rng))
     assert_point(space, point_from_map(space, design_map(space, point)))
-    assert_point(space, next(enumerate_points(space, cardinality(space))))

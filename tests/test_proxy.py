@@ -40,7 +40,7 @@ def _points(space, n=32):
 
 
 def test_speed_benchmark_on_undelayed_env(model):
-    env = make_env("dram-small", "stream", "low-power", delay_ms=0.0)
+    env = make_env("dram-small", "stream", "low-power")
     report = speed_benchmark(model, env, _points(env.space()), 50)
     assert report.n_queries == 50
     for value in (report.env_seconds, report.model_seconds, report.speedup):
@@ -48,7 +48,7 @@ def test_speed_benchmark_on_undelayed_env(model):
 
 
 def test_speed_benchmark_refuses_no_queries(model):
-    env = make_env("dram-small", "stream", "low-power", delay_ms=0.0)
+    env = make_env("dram-small", "stream", "low-power")
     with pytest.raises(ValueError, match="n_queries must be >= 1, got 0"):
         speed_benchmark(model, env, _points(env.space()), 0)
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,10 @@ from dsegym.spaces import (
     Numeric,
     ParameterSpace,
     ParameterSpec,
-    SpaceTooLargeError,
     cardinality,
     design_map,
     encode,
     encode_dim,
-    enumerate_points,
     point_from_map,
     resample_position,
     sample_uniform,
@@ -61,7 +61,7 @@ class TestCardinality:
     def test_matches_enumeration_length(self, space):
         n = cardinality(space)
         if n <= 10_000:
-            assert n == sum(1 for _ in enumerate_points(space, 10_000))
+            assert n == sum(1 for _ in itertools.product(*map(range, space.sizes)))
 
 
 class TestSampleUniform:
@@ -95,26 +95,6 @@ class TestSampleUniform:
         assert batch.shape == (100, 2) and batch.dtype == np.int64
         for row in batch.tolist():
             TWO_BY_TWO.validate_point(tuple(row))
-
-
-class TestEnumerate:
-    def test_product_order(self):
-        points = list(enumerate_points(TWO_BY_TWO, 10))
-        as_values = [tuple(design_map(TWO_BY_TWO, p).values()) for p in points]
-        assert as_values == [("x", 1), ("x", 2), ("y", 1), ("y", 2)]
-
-    def test_exceeding_limit_raises(self):
-        space = make_space(ParameterSpec("n", Numeric(14, 336, 14)))
-        with pytest.raises(SpaceTooLargeError, match="space too large to enumerate"):
-            list(enumerate_points(space, 10))
-
-    def test_no_duplicates(self):
-        space = make_space(
-            ParameterSpec("a", Categorical(("1", "2", "3"))),
-            ParameterSpec("b", Numeric(0, 4, 2)),
-        )
-        points = list(enumerate_points(space, 100))
-        assert len(set(points)) == len(points) == cardinality(space)
 
 
 class TestEncode:
