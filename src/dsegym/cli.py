@@ -95,10 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--parallel", type=int, default=1,
                    help="worker processes (>= 1); a sweep starts min(N, trials) of "
-                        "them, and runs in this process when that is 1; each "
-                        "worker caps its OpenBLAS threads at max(1, cores // "
-                        "workers), never raising them, and the cap starts no "
-                        "thread of its own")
+                        "them, and runs in this process when that is 1")
     p.add_argument("--no-trajectories", action="store_true",
                    help="skip trajectory logging (summary only)")
 
@@ -264,7 +261,11 @@ def _cmd_train_proxy(args) -> int:
 
 def _cmd_eval_proxy(args) -> int:
     model = proxy.RandomForestModel.load(args.model)
-    report = proxy.evaluate_rmse(model, ds.load_dataset(args.data))
+    data = ds.load_dataset(args.data)
+    if data.env_id != model.env_id:
+        raise UsageError(f"model {args.model} was trained on env {model.env_id!r}, "
+                         f"not on the env {data.env_id!r} of {args.data}")
+    report = proxy.evaluate_rmse(model, data)
     text = json.dumps(asdict(report), indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -310,13 +310,17 @@ def merge(datasets: list[Dataset]) -> Dataset:
     """Concatenate datasets from the same environment."""
     if not datasets:
         raise ValueError("nothing to merge")
-    env_ids = {d.env_id for d in datasets if d.env_id is not None}
-    if len(env_ids) > 1:
-        raise ValueError(f"cannot merge across environments: {sorted(env_ids)}")
+    _refuse_mixed_envs("merge", datasets)
     versions = {r.schema_version for d in datasets for r in d.records}
     if len(versions) > 1:
         raise ValueError(f"cannot merge across schema versions: {sorted(versions)}")
     return Dataset([r for d in datasets for r in d.records])
+
+
+def _refuse_mixed_envs(action: str, datasets: Iterable[Dataset]) -> None:
+    env_ids = {d.env_id for d in datasets if d.env_id is not None}
+    if len(env_ids) > 1:
+        raise ValueError(f"cannot {action} across environments: {sorted(env_ids)}")
 
 
 def sample_mixture(
@@ -329,8 +333,14 @@ def sample_mixture(
 
     The rounding residue lands on the largest-proportion source.
     """
+    for agent, p in proportions.items():
+        if not 0.0 <= p <= 1.0:  # also refuses NaN
+            raise ValueError(f"proportion of {agent!r} must lie in [0, 1], got {p}")
     if abs(sum(proportions.values()) - 1.0) > 1e-9:
         raise ValueError(f"proportions must sum to 1, got {sum(proportions.values())}")
+    if size < 0:
+        raise ValueError(f"mixture size must be >= 0, got {size}")
+    _refuse_mixed_envs("mix", per_agent.values())
     agents = sorted(proportions)
     counts = {a: int(math.floor(proportions[a] * size + 0.5)) for a in agents}
     residue_agent = max(agents, key=lambda a: proportions[a])

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import queue
 import subprocess
+import sys
 import threading
 
 from .base import WorkloadSpec
@@ -186,7 +186,8 @@ def _parse_response(line: str, request_id: int) -> tuple[dict, bool]:
     metrics = {}
     for name, value in items:
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not number or not math.isfinite(value):
+        # refuses NaN and inf, and an int too large for a float without converting it
+        if not number or not abs(value) <= sys.float_info.max:
             raise SimulatorProtocolError(
                 f"protocol error: metric {name!r} = {value!r} is not a finite number", raw=line
             )

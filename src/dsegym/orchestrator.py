@@ -16,20 +16,16 @@ digest, seed) order, the order `run_sweep` sorts them into.  It builds each
 `mean_normalized` sums each pool in that order, so another order can change
 its last bits.
 
-Parallel sweeps run trials in a process pool.  Each worker caps every
-OpenBLAS library it has loaded at max(1, usable cores // workers) threads
-before its first trial, and never raises a count it inherited; the caller's
-own thread counts and environment are left alone.  Without the cap each
-worker's BLAS calls spin on every core and the workers slow each other down.
-The cap starts no thread of its own: lowering a count restarts OpenBLAS's
-thread server, so the worker shuts that server down again at once, and a
-worker capped at 1 runs on its main thread alone.
+Parallel sweeps run trials in a process pool, whose workers inherit the
+caller's BLAS thread count.  No BLAS call of a shipped agent config is
+large enough for OpenBLAS to thread it, even at 64 threads; a BO window or
+candidate pool far above the defaults can be, and then each worker may
+use every core.
 """
 
 from __future__ import annotations
 
 import csv
-import ctypes
 import json
 import math
 import os
@@ -243,73 +239,6 @@ def _sweep_specs(config: SweepConfig) -> list[TrialSpec]:
     return specs
 
 
-_OPENBLAS_THREAD_SYMBOLS = [
-    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
-    for prefix in ("openblas", "scipy_openblas")
-    for suffix in ("", "64_")
-]
-
-
-def _openblas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of every OpenBLAS mapped into this
-    process; empty where /proc/self/maps or OpenBLAS is missing."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
-            # address perms offset dev inode [path]
-            mapped = {line.split(None, 5)[-1].strip() for line in maps}
-    except OSError:
-        return []
-    controls = []
-    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p).lower()):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        control = _thread_control(lib)
-        if control is not None:
-            controls.append(control)
-    return controls
-
-
-def _thread_control(lib) -> tuple | None:
-    """(get, set) of one OpenBLAS library, or None if it exports neither pair.
-
-    Setting the count restarts the library's thread server, and each thread
-    it starts busy-waits for a while before it sleeps.  So `set` then runs the
-    library's `blas_thread_shutdown_` (the same call OpenBLAS's own fork
-    handler makes), which joins those threads; a later threaded BLAS call
-    starts at most the new count again, and none at 1.
-    """
-    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-        if hasattr(lib, get_name) and hasattr(lib, set_name):
-            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            if not hasattr(lib, "blas_thread_shutdown_"):
-                return get, set_
-            shutdown = lib.blas_thread_shutdown_
-            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-
-            def set_and_shut_down(n: int) -> None:
-                set_(n)
-                shutdown()
-
-            return get, set_and_shut_down
-    return None
-
-
-def _cap_blas_threads(workers: int) -> None:
-    """Pool initializer: share the usable cores among the workers."""
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    limit = max(1, cores // workers)
-    for get, set_ in _openblas_thread_controls():
-        if get() > limit:
-            set_(limit)
-
-
 def _run_spec(spec: TrialSpec) -> tuple[TrialSpec, TrialResult | None, str | None]:
     try:
         return spec, run_trial(spec), None
@@ -412,20 +341,14 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
     """Run the grid; trial failures are recorded and the sweep continues.
 
     The trials run in min(parallelism, number of trials) worker processes
-    (a pool forks every worker up front, so it starts none it cannot use),
-    each with every loaded OpenBLAS capped at max(1, usable cores //
-    workers) threads (never raised, and the cap starts no thread of its
-    own).  With one worker the trials run in the caller's process with its
-    own BLAS settings.
+    (a pool forks every worker up front, so it starts none it cannot use);
+    each worker keeps the caller's BLAS thread count.  With one worker the
+    trials run in the caller's process.
     """
     specs = _sweep_specs(config)
     workers = min(config.parallelism, len(specs))
     if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_cap_blas_threads,
-            initargs=(workers,),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_spec, specs))
     else:
         outcomes = [_run_spec(s) for s in specs]

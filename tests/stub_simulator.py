@@ -9,7 +9,8 @@ handshake that is not JSON or not an object, ``version`` announces protocol
 2.  Request modes answer every request except the one with id AT (default
 0): ``hang`` never answers it, ``crash`` exits with code 3, ``garbage``
 answers with a line that is not JSON, ``wrong-id`` with the next id,
-``nan`` with a non-finite metric, ``text`` with a metric given as a string,
+``nan`` with a non-finite metric, ``huge-int`` with a 400-digit integer
+metric, ``text`` with a metric given as a string,
 ``valid-text`` with ``"valid": "false"``, ``no-metrics`` with an empty
 metric map and ``invalid`` with ``"valid": false``.
 """
@@ -64,6 +65,8 @@ def main(mode: str, at: int) -> None:
                 response["id"] += 1
             elif mode == "nan":
                 response["metrics"]["power"] = float("nan")
+            elif mode == "huge-int":
+                response["metrics"]["power"] = 10**400
             elif mode == "text":
                 response["metrics"]["power"] = str(response["metrics"]["power"])
             elif mode == "valid-text":

@@ -224,6 +224,20 @@ def test_mix_proportions_must_sum_to_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_mix_refuses_sources_from_different_envs(tmp_path, capsys):
+    _run(tmp_path, "RW", 4)
+    argv = ["run", "--env", "soc-small", "--workload", "audio_decoder", "--agent", "GA",
+            "--budget", "4", "--out", str(tmp_path / "runs")]
+    assert cli.main(argv) == cli.EXIT_OK
+    rw, ga = sorted(_trajectory_files(tmp_path), key=lambda p: "_GA_" in p)
+    out = tmp_path / "mix.jsonl"
+    argv = ["mix", "--source", f"RW={rw}", "--source", f"GA={ga}",
+            "--proportions", "RW=0.5,GA=0.5", "--size", "4", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "cannot mix across environments: ['dram-small', 'soc-small']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_proxy_on_the_undelayed_env(tmp_path, capsys):
     _run(tmp_path, "RW", 20)
     (path,) = _trajectory_files(tmp_path)
@@ -259,6 +273,24 @@ def test_bench_proxy_refuses_a_model_of_another_env(seed, tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "'accel-small'" in err and "--env soc-small" in err
+
+
+def test_eval_proxy_refuses_a_dataset_of_another_env(tmp_path, capsys):
+    _run(tmp_path, "RW", 20)
+    (path,) = _trajectory_files(tmp_path)
+    model = tmp_path / "model.json"
+    argv = ["train-proxy", "--data", path, "--target", "power", "--out", str(model),
+            "--set", "n_trees=2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    argv = ["run", "--env", "dram", "--workload", "stream", "--agent", "RW", "--budget", "4",
+            "--out", str(tmp_path / "dram")]
+    assert cli.main(argv) == cli.EXIT_OK
+    (other,) = (tmp_path / "dram").glob("*.jsonl")
+    capsys.readouterr()
+    argv = ["eval-proxy", "--model", str(model), "--data", str(other)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'dram-small'" in err and "'dram'" in err
 
 
 @pytest.mark.parametrize("setting", ["n_trees=0", "max_depth=-1"])

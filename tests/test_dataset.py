@@ -384,3 +384,21 @@ class TestSampleMixture:
         sources = {a: _dataset(10, a, f"exp-{a}") for a in "AB"}
         with pytest.raises(ValueError):
             sample_mixture(sources, proportions, size, make_rng(0))
+
+    @pytest.mark.parametrize(
+        "proportions, size, message",
+        [
+            ({"A": 1.5, "B": -0.5}, 4, "proportion of 'A' must lie in [0, 1], got 1.5"),
+            ({"A": 0.5, "B": -0.5}, 4, "proportion of 'B' must lie in [0, 1], got -0.5"),
+            ({"A": float("nan")}, 4, "proportion of 'A' must lie in [0, 1], got nan"),
+            ({"A": float("inf")}, 4, "proportion of 'A' must lie in [0, 1], got inf"),
+            ({"A": 1.0}, -3, "mixture size must be >= 0, got -3"),
+        ],
+        ids=["above-one", "negative", "nan", "inf", "negative-size"],
+    )
+    def test_names_a_bad_proportion_or_size_before_any_draw(self, proportions, size, message):
+        sources = {a: _dataset(10, a, f"exp-{a}") for a in "AB"}
+        rng = make_rng(0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_mixture(sources, proportions, size, rng)
+        assert rng.random() == make_rng(0).random()  # nothing drawn

@@ -170,7 +170,9 @@ class TestRestarts:
 
 
 class TestResponses:
-    @pytest.mark.parametrize("mode", ["garbage", "wrong-id", "nan", "text", "valid-text"])
+    @pytest.mark.parametrize(
+        "mode", ["garbage", "wrong-id", "nan", "huge-int", "text", "valid-text"]
+    )
     def test_malformed_response(self, children, mode):
         design = _design()
         workload = _builtin().workload()
