@@ -4,11 +4,15 @@
 Runs fixed-seed trials of every agent at its default hyperparameters on
 the three `-small` and the three full benchmark tasks, times each call
 with `time.perf_counter_ns`, and prints one JSON object:
-agent -> env id -> {propose, observe, step} -> {p50, p99} in µs.  The
-trials are the same on every run, so two checkouts can be compared by
-running each one's copy of this script in turn on one host.  A shared
-host's speed can change by more than the effect under study between
-runs, so alternate the two several times and compare medians:
+agent -> env id -> {propose, observe, step} -> {p50, p99} in µs.
+
+It profiles one checkout: where a step's time goes, and which agent or
+env is slow.  It cannot resolve a ±10 % difference between two checkouts
+timed in separate processes: on a 2-vCPU host whose speed swings ~1.7×
+within seconds, per-run ratios of BO's timings spread 0.37-1.0 over six
+alternating runs of two checkouts, while trials paired in one process
+held ±0.02.  An A/B comparison needs both trees timed in lockstep by one
+harness (ROADMAP direction 10).  Usage:
 
     python scripts/agent_step_timing.py --steps 60 --seeds 5
 """

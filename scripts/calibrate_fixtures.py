@@ -61,7 +61,6 @@ def main() -> None:
             objectives = doc["objectives"]
             for workload, ref in golden.items():
                 objectives[workload]["budget"] = {
-                    "mode": "budget",
                     "budgets": {m: [ref[m], 1.0] for m in ("performance", "power", "area")},
                 }
             text = rewrite_block(text, "objectives", objectives)
@@ -77,9 +76,7 @@ def main() -> None:
         for workload in sorted(list_workloads(family)):
             minima = small_minima(family, workload, metrics)
             for name, spec in doc["objectives"][workload].items():
-                if spec["mode"] != "target":
-                    continue
-                for metric, target in spec["targets"].items():
+                for metric, target in spec.get("targets", {}).items():
                     ratio = target / minima[metric]
                     flag = "" if 0.3 <= ratio <= 0.7 else "  <-- outside [0.3, 0.7]"
                     print(f"{family}/{workload}/{name}: target {metric}={target} "

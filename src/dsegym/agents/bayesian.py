@@ -325,8 +325,8 @@ class BayesOpt(Agent):
         super().__init__(space, hyperparams)
         hp = self._hyperparams
         self._require("xi", hp["xi"] >= 0, "be >= 0")
-        if hp["candidate_pool"] < 1 or hp["n_initial"] < 1 or hp["max_train_points"] < 1:
-            raise ValueError("candidate_pool, n_initial and max_train_points must be >= 1")
+        for key in ("candidate_pool", "n_initial", "max_train_points"):
+            self._require(key, hp[key] >= 1, "be >= 1")
         self._gp = GaussianProcess(hp["length_scale"], hp["signal_var"], hp["noise_var"])
         self._n_observed = 0
         # the last point proposed from the candidate pool, and its encoding as a (1, d) row

@@ -167,10 +167,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    agents = tuple(args.agents.split(","))
-    for agent in agents:
-        if agent not in AGENT_TYPES:
-            raise UsageError(f"unknown agent type {agent!r}")
     grids = None
     if args.grid:
         import yaml
@@ -191,7 +187,7 @@ def _cmd_sweep(args) -> int:
         env_id=args.env,
         workload_id=args.workload,
         objective=args.objective,
-        agent_types=agents,
+        agent_types=tuple(args.agents.split(",")),
         budgets=_parse_int_list(args.budgets),
         seeds=_parse_int_list(args.seeds),
         grids=grids,

@@ -136,14 +136,12 @@ def score_batch(
 
 
 def reward_spec_from_config(config: dict) -> RewardSpec:
-    """Build a RewardSpec from the objective schema used in fixture files."""
-    mode = config["mode"]
-    if mode not in ("target", "budget"):
-        raise ValueError(f"unknown objective mode {mode!r}")
-    unknown = sorted(set(config) - {"mode", "targets", "budgets"})
+    """Build a RewardSpec from an objective of a fixture file: its `targets`
+    (metric: target) or its `budgets` (metric: [budget, weight])."""
+    unknown = sorted(set(config) - {"targets", "budgets"})
     if unknown:
         raise ValueError(f"unknown objective keys: {', '.join(unknown)}")
-    if mode == "target":
-        return RewardSpec(targets=tuple((m, float(t)) for m, t in config["targets"].items()))
-    budgets = tuple((m, float(bw[0]), float(bw[1])) for m, bw in config["budgets"].items())
-    return RewardSpec(budgets=budgets)
+    return RewardSpec(
+        targets=tuple((m, float(t)) for m, t in config.get("targets", {}).items()),
+        budgets=tuple((m, float(b), float(w)) for m, (b, w) in config.get("budgets", {}).items()),
+    )

@@ -27,7 +27,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import ClassVar, Iterable, Mapping
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class TrajectoryRecord:
     observation: dict
     reward: float
     wall_time_ms: int
-    schema_version: int = SCHEMA_VERSION
+    schema_version: ClassVar[int] = SCHEMA_VERSION
 
     def __post_init__(self):
         if self.step_index < 0:
@@ -230,9 +230,14 @@ class TrajectoryWriter:
 
 @dataclass
 class Dataset:
-    """Ordered record collection."""
+    """Ordered record collection; every record is of one environment."""
 
     records: list[TrajectoryRecord] = field(default_factory=list)
+
+    def __post_init__(self):
+        env_ids = {r.env_id for r in self.records}
+        if len(env_ids) > 1:
+            raise ValueError(f"records of more than one environment: {sorted(env_ids)}")
 
     @classmethod
     def from_records(cls, records: Iterable[TrajectoryRecord]) -> "Dataset":
@@ -264,7 +269,8 @@ class Dataset:
 def load_dataset(path, validate: bool = True) -> Dataset:
     """Load a trajectory file, recovering from a truncated final line.
 
-    With `validate`, a repeated (experiment, step) pair is an error.
+    Records of more than one environment are an error, and with `validate`
+    so is a repeated (experiment, step) pair.
     """
     path = Path(path)
     records = []
@@ -287,7 +293,10 @@ def load_dataset(path, validate: bool = True) -> Dataset:
             raise DataError(f"{path}:{i + 1}: corrupt record: {exc}") from exc
     if validate:
         _validate_records(records, path)
-    return Dataset.from_records(records)
+    try:
+        return Dataset.from_records(records)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _validate_records(records: list[TrajectoryRecord], path) -> None:
@@ -307,20 +316,10 @@ def _validate_records(records: list[TrajectoryRecord], path) -> None:
 
 
 def merge(datasets: list[Dataset]) -> Dataset:
-    """Concatenate datasets from the same environment."""
+    """Concatenate datasets of one environment."""
     if not datasets:
         raise ValueError("nothing to merge")
-    _refuse_mixed_envs("merge", datasets)
-    versions = {r.schema_version for d in datasets for r in d.records}
-    if len(versions) > 1:
-        raise ValueError(f"cannot merge across schema versions: {sorted(versions)}")
     return Dataset([r for d in datasets for r in d.records])
-
-
-def _refuse_mixed_envs(action: str, datasets: Iterable[Dataset]) -> None:
-    env_ids = {d.env_id for d in datasets if d.env_id is not None}
-    if len(env_ids) > 1:
-        raise ValueError(f"cannot {action} across environments: {sorted(env_ids)}")
 
 
 def sample_mixture(
@@ -331,7 +330,8 @@ def sample_mixture(
 ) -> Dataset:
     """Without-replacement sample of round(p*size) records per agent, shuffled.
 
-    The rounding residue lands on the largest-proportion source.
+    The rounding residue lands on the largest-proportion source.  A
+    `Dataset` refuses a mixture of records of more than one environment.
     """
     for agent, p in proportions.items():
         if not 0.0 <= p <= 1.0:  # also refuses NaN
@@ -340,7 +340,6 @@ def sample_mixture(
         raise ValueError(f"proportions must sum to 1, got {sum(proportions.values())}")
     if size < 0:
         raise ValueError(f"mixture size must be >= 0, got {size}")
-    _refuse_mixed_envs("mix", per_agent.values())
     agents = sorted(proportions)
     counts = {a: int(math.floor(proportions[a] * size + 0.5)) for a in agents}
     residue_agent = max(agents, key=lambda a: proportions[a])

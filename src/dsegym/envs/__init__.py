@@ -7,6 +7,21 @@ the terms its formula computes once per workload in its constants.  An
 external simulator becomes an env by passing a
 :class:`dsegym.envs.external.SimulatorProcess` as the cost function of a
 :class:`SyntheticEnv`.
+
+A family is described once.  To add one, write:
+
+* a module with `terms(constants, workload)`, what its formula needs
+  beyond the design, and `cost_metrics = cost_model(formula)`, where
+  `formula(x, c)` returns (metrics, valid) (see `cost_model`);
+* its entry in `_FAMILIES`;
+* a fixture ``fixtures/<family>.yaml`` with five keys: `defaults` (the
+  value of each parameter a space leaves out, and the reference design),
+  `workloads` (each workload's traits), `constants` (what `terms` reads),
+  `objectives` (per workload, each name's `targets` or `budgets`) and
+  `golden` (the reference design's metrics per workload, which
+  ``scripts/calibrate_fixtures.py`` writes);
+* its spaces, ``fixtures/spaces/<family>.yaml`` and
+  ``fixtures/spaces/<family>-small.yaml``.
 """
 
 from __future__ import annotations
@@ -19,20 +34,10 @@ from ..spaces import ParameterSpace, load_space
 from . import accel, dram, soc
 from .base import SyntheticEnv, WorkloadSpec, load_fixture
 
-# each family's module: its cost function and the `terms` its formula reads
-_MODULES = {"dram": dram, "accel": accel, "soc": soc}
-# the cost function `make_env` puts behind a family's envs
-_FAMILIES = {family: module.cost_metrics for family, module in _MODULES.items()}
+# each family's module: the `terms` of its formula and its cost function
+_FAMILIES = {"dram": dram, "accel": accel, "soc": soc}
 
-ENV_IDS = tuple(
-    sorted([family for family in _FAMILIES] + [f"{family}-small" for family in _FAMILIES])
-)
-
-
-def split_env_id(env_id: str) -> tuple[str, bool]:
-    if env_id.endswith("-small"):
-        return env_id[: -len("-small")], True
-    return env_id, False
+ENV_IDS = tuple(sorted([*_FAMILIES, *(f"{family}-small" for family in _FAMILIES)]))
 
 
 @lru_cache(maxsize=None)
@@ -44,10 +49,9 @@ def _fixture(family: str) -> dict:
 
 @lru_cache(maxsize=None)
 def get_space(env_id: str) -> ParameterSpace:
-    family, small = split_env_id(env_id)
-    fix = _fixture(family)
-    name = fix["small_space_file"] if small else fix["space_file"]
-    ref = resources.files("dsegym.envs") / "fixtures" / "spaces" / name
+    if env_id not in ENV_IDS:
+        raise ValueError(f"unknown environment {env_id!r} (have {list(ENV_IDS)})")
+    ref = resources.files("dsegym.envs") / "fixtures" / "spaces" / f"{env_id}.yaml"
     with resources.as_file(ref) as path:
         return load_space(path)
 
@@ -56,17 +60,16 @@ def get_space(env_id: str) -> ParameterSpace:
 def _terms(family: str, workload_id: str) -> dict:
     """The terms of a family's formula for one workload; every env of the
     workload shares them, and their tables fill as they are read."""
-    return _MODULES[family].terms(_fixture(family)["constants"], get_workload(family, workload_id))
+    constants = _fixture(family)["constants"]
+    return _FAMILIES[family].terms(constants, get_workload(family, workload_id))
 
 
 def list_workloads(env_id: str) -> list[str]:
-    family, _ = split_env_id(env_id)
-    return sorted(_fixture(family)["workloads"])
+    return sorted(_fixture(env_id.removesuffix("-small"))["workloads"])
 
 
 def get_workload(env_id: str, workload_id: str) -> WorkloadSpec:
-    family, _ = split_env_id(env_id)
-    workloads = _fixture(family)["workloads"]
+    workloads = _fixture(env_id.removesuffix("-small"))["workloads"]
     if workload_id not in workloads:
         raise ValueError(
             f"unknown workload {workload_id!r} for {env_id!r} (have {sorted(workloads)})"
@@ -75,13 +78,11 @@ def get_workload(env_id: str, workload_id: str) -> WorkloadSpec:
 
 
 def list_objectives(env_id: str, workload_id: str) -> list[str]:
-    family, _ = split_env_id(env_id)
-    return sorted(_fixture(family)["objectives"][workload_id])
+    return sorted(_fixture(env_id.removesuffix("-small"))["objectives"][workload_id])
 
 
 def get_objective(env_id: str, workload_id: str, objective: str) -> RewardSpec:
-    family, _ = split_env_id(env_id)
-    table = _fixture(family)["objectives"]
+    table = _fixture(env_id.removesuffix("-small"))["objectives"]
     if workload_id not in table or objective not in table[workload_id]:
         raise ValueError(
             f"no objective {objective!r} for {env_id!r}/{workload_id!r}"
@@ -89,17 +90,12 @@ def get_objective(env_id: str, workload_id: str, objective: str) -> RewardSpec:
     return reward_spec_from_config(table[workload_id][objective])
 
 
-def golden_metrics(env_id: str, workload_id: str) -> dict:
-    family, _ = split_env_id(env_id)
-    return dict(_fixture(family)["golden"][workload_id])
-
-
 def make_env(
     env_id: str,
     workload_id: str,
     objective: str | RewardSpec = "low-latency",
 ) -> SyntheticEnv:
-    family, _ = split_env_id(env_id)
+    family = env_id.removesuffix("-small")
     fix = _fixture(family)
     workload = get_workload(env_id, workload_id)
     if isinstance(objective, RewardSpec):
@@ -113,7 +109,7 @@ def make_env(
         space=get_space(env_id),
         workload=workload,
         reward_spec=reward_spec,
-        cost_fn=_FAMILIES[family],
+        cost_fn=_FAMILIES[family].cost_metrics,
         constants=constants,
-        reference_design=fix["reference"],
+        reference_design=fix["defaults"],
     )

@@ -6,7 +6,8 @@ bandwidth, where bandwidth grows with both buffer levels and with the
 dataflow's reuse factor.  Row-stationary reuse collapses below a minimum
 L1 size, so the best dataflow depends on the buffer allocation.  Points
 whose combined buffer bytes exceed the fixture budget are infeasible.
-Constants live in fixtures/accel.yaml.
+Constants live in fixtures/accel.yaml.  Units: latency in s, energy in J,
+area in mm2.
 
 The formula is written once (see `cost_model`).  The terms of one or two
 parameters -- the compute time and PE area per (Precision, NumPEs), the
@@ -63,7 +64,7 @@ def terms(c: dict, workload: WorkloadSpec) -> dict:
     }
 
 
-def formula(x, workload: WorkloadSpec, c: dict) -> tuple[dict, bool]:
+def formula(x, c: dict) -> tuple[dict, bool]:
     t = c["terms"]
     l1_kib = x["L1BufferKiB"]
     l2_kib = x["L2BufferKiB"]

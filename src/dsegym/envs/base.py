@@ -186,9 +186,9 @@ def cost_model(formula: Callable) -> CostFn:
     """The `CostFn` of a built-in family's formula: one formula for a point
     and a batch.
 
-    `formula(x, workload, c)` returns (metrics, valid).  It reads the design
-    only through `x`, and what it needs beyond the design from `c["terms"]`:
-    the family's `terms(constants, workload)`, which `make_env` puts there.
+    `formula(x, c)` returns (metrics, valid).  It reads the design only
+    through `x`, and what it needs beyond the design from `c["terms"]`: the
+    family's `terms(constants, workload)`, which `make_env` puts there.
     The cost function runs it on one design's `PointValues`;
     `SyntheticEnv.metrics_batch` runs the same formula, the function's
     `formula` attribute, on `Columns`.
@@ -197,7 +197,7 @@ def cost_model(formula: Callable) -> CostFn:
     def cost_fn(design: dict, workload: WorkloadSpec, c: dict) -> tuple[dict, bool]:
         x = PointValues(design)
         x.defaults = c["defaults"]
-        return formula(x, workload, c)
+        return formula(x, c)
 
     cost_fn.formula = formula
     return cost_fn
@@ -264,7 +264,7 @@ class SyntheticEnv:
             raise TypeError(f"the cost function of {self.env_id!r} scores one design at a time")
         indices = check_indices(self._space, indices)
         x = Columns(self._space, indices, self._constants["defaults"])
-        metrics, valid = formula(x, self._workload, self._constants)
+        metrics, valid = formula(x, self._constants)
         n = len(indices)
         return (
             {name: np.broadcast_to(column, (n,)) for name, column in metrics.items()},

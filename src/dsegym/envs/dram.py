@@ -6,6 +6,7 @@ parameters; power is built the same way; energy = latency * power.  The
 scheduler factor interacts with the request buffer size (reorder-capable
 schedulers only pay off once the buffer is large enough), so the optimum
 is not separable per parameter.  All constants live in fixtures/dram.yaml.
+Units: latency in s, power in W, energy in J.
 
 The formula is written once (see `cost_model`): every factor that depends
 on the design is a `Table` of one or two parameters, which a point reads
@@ -80,7 +81,7 @@ def terms(c: dict, workload: WorkloadSpec) -> dict:
     }
 
 
-def formula(x, workload: WorkloadSpec, c: dict) -> tuple[dict, bool]:
+def formula(x, c: dict) -> tuple[dict, bool]:
     t = c["terms"]
     lat_policy, pwr_policy = x.at(t["page_policy"], "PagePolicy")
     lat_scheduler, pwr_scheduler = x.at(t["scheduler"], "Scheduler")

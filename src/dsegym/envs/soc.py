@@ -7,7 +7,8 @@ the instantiated PEs; crossing between PEs pays a communication delay
 inversely proportional to bus width.  Power and area are additive over
 instantiated IPs (provisioned, not activity-based), so an unused PE
 costs power and area without changing performance.  Constants and task
-graphs live in fixtures/soc.yaml.
+graphs live in fixtures/soc.yaml.  Units: power in W, performance in s,
+area in mm2.
 
 The formula is written once (see `cost_model`).  A slot's task times, its
 PE's power and area, and the NoC's and memory's terms are `Table`s, which
@@ -89,7 +90,7 @@ def _makespan(x, t: dict, noc_bps) -> float:
     return x.maximum(finish)
 
 
-def formula(x, workload: WorkloadSpec, c: dict) -> tuple[dict, bool]:
+def formula(x, c: dict) -> tuple[dict, bool]:
     t = c["terms"]
     noc_bps, power, area = x.at(t["noc"], "NoCBusWidth")
     makespan = _makespan(x, t, noc_bps)

@@ -168,6 +168,11 @@ class TestHyperparams:
         agent = make_agent("GA", SMALL_SPACE, {"mutation_prob": 0, "aging": True})
         assert agent.hyperparams()["mutation_prob"] == 0
 
+    @pytest.mark.parametrize("key", ["candidate_pool", "n_initial", "max_train_points"])
+    def test_bo_names_a_count_below_one(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1, got 0$"):
+            make_agent("BO", SMALL_SPACE, {key: 0})
+
 
 # each of GA's opt-in operators alone, then all three; a short aging limit
 # lets elites age out within the test's budget

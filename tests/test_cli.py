@@ -57,21 +57,23 @@ def test_aggregate_train_eval_round_trip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["run", "--env", "nope", "--workload", "stream", "--agent", "RW", "--budget", "2",
-         "--out", "unused"],
-        ["run", *ENV, "--agent", "NOPE", "--budget", "2", "--out", "unused"],
-        ["sweep", *ENV, "--agents", "RW,NOPE", "--out", "unused"],
-        ["run", "--env", "dram-small", "--workload", "nope", "--agent", "RW", "--budget", "2",
-         "--out", "unused"],
+        (["run", "--env", "nope", "--workload", "stream", "--agent", "RW", "--budget", "2",
+          "--out", "unused"], "invalid choice: 'nope'"),
+        (["run", *ENV, "--agent", "NOPE", "--budget", "2", "--out", "unused"],
+         "invalid choice: 'NOPE'"),
+        (["sweep", *ENV, "--agents", "RW,XX", "--out", "unused"],
+         "unknown agent type 'XX' (have ['ACO', 'BO', 'GA', 'RL', 'RW'])"),
+        (["run", "--env", "dram-small", "--workload", "nope", "--agent", "RW", "--budget", "2",
+          "--out", "unused"], "unknown workload 'nope'"),
     ],
     ids=["unknown-env", "unknown-agent", "unknown-sweep-agent", "unknown-workload"],
 )
-def test_unknown_names_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+def test_unknown_names_are_usage_errors(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == cli.EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "unused").exists()
 
 
@@ -234,7 +236,28 @@ def test_mix_refuses_sources_from_different_envs(tmp_path, capsys):
     argv = ["mix", "--source", f"RW={rw}", "--source", f"GA={ga}",
             "--proportions", "RW=0.5,GA=0.5", "--size", "4", "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_USAGE
-    assert "cannot mix across environments: ['dram-small', 'soc-small']" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "records of more than one environment: ['dram-small', 'soc-small']" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["aggregate", "train-proxy"])
+def test_a_file_of_two_envs_is_a_data_error(command, tmp_path, capsys):
+    _run(tmp_path, "RW", 4)
+    argv = ["run", "--env", "soc-small", "--workload", "audio_decoder", "--agent", "RW",
+            "--budget", "4", "--seed", "1", "--out", str(tmp_path / "runs")]
+    assert cli.main(argv) == cli.EXIT_OK
+    mixed = tmp_path / "mixed.jsonl"
+    logs = [Path(p).read_text(encoding="utf-8") for p in _trajectory_files(tmp_path)]
+    mixed.write_text("".join(logs), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {"aggregate": ["aggregate", str(mixed), "--out", str(out)],
+            "train-proxy": ["train-proxy", "--data", str(mixed), "--target", "latency",
+                            "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{mixed}: records of more than one environment: ['dram-small', 'soc-small']" in err
     assert not out.exists()
 
 

@@ -284,6 +284,13 @@ class TestLoad:
         with pytest.raises(DataError, match=re.escape(f"{path}: 'utf-8' codec")):
             load_dataset(path)
 
+    def test_records_of_two_envs_are_a_data_error_naming_them(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        _write_lines(path, _lines(2) + _lines(2, env_id="other-env", experiment_id="exp-2"))
+        message = f"{path}: records of more than one environment: ['other-env', 'test-env']"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_dataset(path)
+
     def test_from_json_rejects_a_non_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             TrajectoryRecord.from_json("[1,2]")
@@ -311,6 +318,9 @@ def _dataset(n, agent_type="RW", experiment_id="e", env_id="test-env"):
     return Dataset.from_records(records)
 
 
+TWO_ENVS = "records of more than one environment: ['accel', 'dram']"
+
+
 class TestMerge:
     def test_provenance_sums(self):
         a = _dataset(3, "RW", "e1")
@@ -323,7 +333,7 @@ class TestMerge:
         assert merged.records == a.records + b.records + c.records
 
     def test_refuses_mixed_environments(self):
-        with pytest.raises(ValueError, match="across environments"):
+        with pytest.raises(ValueError, match=re.escape(TWO_ENVS)):
             merge([_dataset(2, env_id="dram"), _dataset(2, env_id="accel")])
 
     def test_refuses_nothing(self):
@@ -374,6 +384,12 @@ class TestSampleMixture:
         sources = {a: _dataset(10, a, f"exp-{a}") for a in "AB"}
         runs = [sample_mixture(sources, {"A": 0.3, "B": 0.7}, 8, make_rng(9)) for _ in range(2)]
         assert [id(r) for r in runs[0].records] == [id(r) for r in runs[1].records]
+
+    def test_refuses_a_mixture_of_two_envs(self):
+        sources = {"A": _dataset(10, "A", "exp-A", env_id="dram"),
+                   "B": _dataset(10, "B", "exp-B", env_id="accel")}
+        with pytest.raises(ValueError, match=re.escape(TWO_ENVS)):
+            sample_mixture(sources, {"A": 0.5, "B": 0.5}, 4, make_rng(0))
 
     @pytest.mark.parametrize(
         "proportions, size",

@@ -9,12 +9,11 @@ from dsegym.envs import (
     get_objective,
     get_space,
     get_workload,
-    golden_metrics,
     list_objectives,
     list_workloads,
     make_env,
 )
-from dsegym.envs.base import WorkloadSpec
+from dsegym.envs.base import WorkloadSpec, load_fixture
 from dsegym.rng import make_rng
 from dsegym.spaces import cardinality, design_map, point_from_map, sample_uniform
 
@@ -43,6 +42,14 @@ class TestRegistry:
             point = sample_uniform(named.space(), rng)
             assert given.step(point).reward == named.step(point).reward
 
+    @pytest.mark.parametrize("family", ["dram", "accel", "soc"])
+    def test_a_fixture_holds_only_what_code_reads(self, family):
+        fixture = load_fixture(f"{family}.yaml")
+        assert list(fixture) == ["defaults", "workloads", "constants", "objectives", "golden"]
+        for workload, objectives in fixture["objectives"].items():
+            for name, objective in objectives.items():
+                assert set(objective) in ({"targets"}, {"budgets"}), (workload, name)
+
     def test_small_spaces_are_brute_forceable(self):
         for env_id in SMALL_IDS:
             assert cardinality(get_space(env_id)) <= 4096
@@ -58,7 +65,7 @@ class TestGoldenObservations:
         for workload in list_workloads(env_id):
             env = make_env(env_id, workload, list_objectives(env_id, workload)[0])
             obs = env.observe(env.reference_point())
-            golden = golden_metrics(env_id, workload)
+            golden = load_fixture(f"{env_id.removesuffix('-small')}.yaml")["golden"][workload]
             assert obs.valid
             assert set(obs.metrics) == set(golden)
             for name, value in golden.items():

@@ -112,7 +112,8 @@ def test_sweep_config_refuses_a_repeated_trial(changes, message):
 def _count_cost_calls(monkeypatch, family, fail_at=None):
     """Wrap a family's cost model; count its calls, optionally raise on one."""
     calls = []
-    cost_fn = dsegym.envs._FAMILIES[family]
+    module = dsegym.envs._FAMILIES[family]
+    cost_fn = module.cost_metrics
 
     def counted(*args):
         calls.append(1)
@@ -120,7 +121,7 @@ def _count_cost_calls(monkeypatch, family, fail_at=None):
             raise RuntimeError("injected cost-model failure")
         return cost_fn(*args)
 
-    monkeypatch.setitem(dsegym.envs._FAMILIES, family, counted)
+    monkeypatch.setattr(module, "cost_metrics", counted)
     return calls
 
 

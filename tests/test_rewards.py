@@ -280,16 +280,28 @@ class TestRewardSpecValidation:
             RewardSpec(budgets=(("a", 1.0, 0.0),))
 
     def test_from_config(self):
-        spec = reward_spec_from_config({"mode": "target", "targets": {"latency": 2.0}})
+        spec = reward_spec_from_config({"targets": {"latency": 2.0}})
         assert spec == RewardSpec(targets=(("latency", 2.0),))
-        bspec = reward_spec_from_config({"mode": "budget", "budgets": {"power": [1.0, 2.0]}})
+        bspec = reward_spec_from_config({"budgets": {"power": [1.0, 2.0]}})
         assert bspec == RewardSpec(budgets=(("power", 1.0, 2.0),))
 
     def test_from_config_rejects_reciprocal_mode(self):
-        with pytest.raises(ValueError, match="reciprocal"):
+        with pytest.raises(ValueError, match="unknown objective keys: metric, mode"):
             reward_spec_from_config({"mode": "reciprocal", "metric": "latency"})
 
+    def test_from_config_refuses_a_mode_key(self):
+        # the field an objective sets is its mode
+        with pytest.raises(ValueError, match="unknown objective keys: mode$"):
+            reward_spec_from_config({"mode": "target", "targets": {"latency": 2.0}})
+
+    @pytest.mark.parametrize(
+        "config", [{}, {"targets": {"latency": 2.0}, "budgets": {"power": [1.0, 2.0]}}]
+    )
+    def test_from_config_sets_exactly_one_field(self, config):
+        with pytest.raises(ValueError, match="exactly one of targets and budgets"):
+            reward_spec_from_config(config)
+
     def test_from_config_rejects_unread_keys(self):
-        config = {"mode": "target", "targets": {"latency": 2.0}, "singularity_cap": 1e6}
+        config = {"targets": {"latency": 2.0}, "singularity_cap": 1e6}
         with pytest.raises(ValueError, match="singularity_cap"):
             reward_spec_from_config(config)
