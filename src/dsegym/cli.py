@@ -172,7 +172,12 @@ def _cmd_sweep(args) -> int:
         import yaml
 
         with open(args.grid, encoding="utf-8") as f:
-            doc = yaml.safe_load(f)
+            try:
+                doc = yaml.safe_load(f)
+            except yaml.YAMLError as exc:  # its message spans lines, quoting the file
+                mark = getattr(exc, "problem_mark", None)
+                where = f" at line {mark.line + 1}: {exc.problem}" if mark else ""
+                raise UsageError(f"--grid {args.grid}: not valid YAML{where}") from None
         if not isinstance(doc, dict):
             raise UsageError(f"--grid {args.grid}: expected a mapping of agent types to grids")
         for agent, grid in doc.items():
@@ -327,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     except ds.DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a path that is missing or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except orch.TrialError as exc:

@@ -330,7 +330,8 @@ def sample_mixture(
 ) -> Dataset:
     """Without-replacement sample of round(p*size) records per agent, shuffled.
 
-    The rounding residue lands on the largest-proportion source.  A
+    The rounding residue goes one record at a time to the largest sources
+    (ties in name order) whose count stays >= 0 and within 1 of p*size.  A
     `Dataset` refuses a mixture of records of more than one environment.
     """
     for agent, p in proportions.items():
@@ -342,8 +343,13 @@ def sample_mixture(
         raise ValueError(f"mixture size must be >= 0, got {size}")
     agents = sorted(proportions)
     counts = {a: int(math.floor(proportions[a] * size + 0.5)) for a in agents}
-    residue_agent = max(agents, key=lambda a: proportions[a])
-    counts[residue_agent] += size - sum(counts.values())
+    residue = size - sum(counts.values())
+    step = 1 if residue > 0 else -1
+    for agent in sorted(agents, key=lambda a: -proportions[a]):
+        moved = counts[agent] + step
+        if residue and moved >= 0 and abs(moved - proportions[agent] * size) <= 1:
+            counts[agent] = moved
+            residue -= step
     picked: list[TrajectoryRecord] = []
     for agent in agents:
         if agent not in per_agent:

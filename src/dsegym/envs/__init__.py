@@ -2,8 +2,8 @@
 
 Environment ids: ``dram``, ``accel``, ``soc`` plus their brute-force-
 tractable ``*-small`` variants.  `make_env` puts a family's cost model
-behind a :class:`SyntheticEnv`, whose every step is one evaluation, with
-the terms its formula computes once per workload in its constants.  An
+behind a :class:`SyntheticEnv`, whose every step is one evaluation, bound
+to the terms its formula computes once per workload.  An
 external simulator becomes an env by passing a
 :class:`dsegym.envs.external.SimulatorProcess` as the cost function of a
 :class:`SyntheticEnv`.
@@ -11,8 +11,8 @@ external simulator becomes an env by passing a
 A family is described once.  To add one, write:
 
 * a module with `terms(constants, workload)`, what its formula needs
-  beyond the design, and `cost_metrics = cost_model(formula)`, where
-  `formula(x, c)` returns (metrics, valid) (see `cost_model`);
+  beyond the design, and `formula(x, t)`, which returns (metrics, valid)
+  from the design `x` and those terms `t` alone (see `cost_model`);
 * its entry in `_FAMILIES`;
 * a fixture ``fixtures/<family>.yaml`` with five keys: `defaults` (the
   value of each parameter a space leaves out, and the reference design),
@@ -32,9 +32,9 @@ from importlib import resources
 from ..core import RewardSpec, reward_spec_from_config
 from ..spaces import ParameterSpace, load_space
 from . import accel, dram, soc
-from .base import SyntheticEnv, WorkloadSpec, load_fixture
+from .base import SyntheticEnv, WorkloadSpec, cost_model, load_fixture
 
-# each family's module: the `terms` of its formula and its cost function
+# each family's module: its `terms` and its `formula`
 _FAMILIES = {"dram": dram, "accel": accel, "soc": soc}
 
 ENV_IDS = tuple(sorted([*_FAMILIES, *(f"{family}-small" for family in _FAMILIES)]))
@@ -97,19 +97,15 @@ def make_env(
 ) -> SyntheticEnv:
     family = env_id.removesuffix("-small")
     fix = _fixture(family)
-    workload = get_workload(env_id, workload_id)
+    terms = _terms(family, workload_id)  # before the objective: names an unknown workload
     if isinstance(objective, RewardSpec):
         reward_spec = objective
     else:
         reward_spec = get_objective(env_id, workload_id, objective)
-    constants = {**fix["constants"], "defaults": fix["defaults"]}
-    constants["terms"] = _terms(family, workload_id)
     return SyntheticEnv(
         env_id=env_id,
         space=get_space(env_id),
-        workload=workload,
         reward_spec=reward_spec,
-        cost_fn=_FAMILIES[family].cost_metrics,
-        constants=constants,
+        cost_fn=cost_model(_FAMILIES[family].formula, terms, fix["defaults"]),
         reference_design=fix["defaults"],
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .base import Table, WorkloadSpec, cost_model
+from .base import Table, WorkloadSpec
 
 
 def _reuse(c: dict, dataflow: str, l1_kib: float) -> float:
@@ -32,11 +32,14 @@ def _reuse(c: dict, dataflow: str, l1_kib: float) -> float:
 
 
 def terms(c: dict, workload: WorkloadSpec) -> dict:
-    """What the formula needs beyond the design: the workload's bytes, and a
-    `Table` per term of one or two parameters."""
+    """What the formula needs beyond the design: the workload's bytes, the
+    buffer budget and the area and static-power constants, and a `Table` per
+    term of one or two parameters."""
     flops, bytes_moved = workload["flops"], workload["bytes"]
     return {
         "bytes": bytes_moved,
+        **{name: c[name] for name in ("buffer_budget_kib", "area_per_l1_kib_mm2",
+                                      "area_per_l2_kib_mm2", "static_w_per_mm2")},
         # compute time, and the area of the die and its PEs
         "pes": Table(
             lambda precision: Table(
@@ -64,11 +67,10 @@ def terms(c: dict, workload: WorkloadSpec) -> dict:
     }
 
 
-def formula(x, c: dict) -> tuple[dict, bool]:
-    t = c["terms"]
+def formula(x, t: dict) -> tuple[dict, bool]:
     l1_kib = x["L1BufferKiB"]
     l2_kib = x["L2BufferKiB"]
-    valid = l1_kib + l2_kib <= c["buffer_budget_kib"]
+    valid = l1_kib + l2_kib <= t["buffer_budget_kib"]
     if x.stop(valid):
         return {}, False
 
@@ -77,10 +79,8 @@ def formula(x, c: dict) -> tuple[dict, bool]:
     memory_s = t["bytes"] / (bandwidth * x.at(t["l2_gain"], "L2BufferKiB") * reuse)
     latency = x.maximum(compute_s, memory_s)
 
-    area = area + l1_kib * c["area_per_l1_kib_mm2"] + l2_kib * c["area_per_l2_kib_mm2"]
-    energy = x.at(t["dynamic_energy"], "Precision") + latency * area * c["static_w_per_mm2"]
+    area = area + l1_kib * t["area_per_l1_kib_mm2"] + l2_kib * t["area_per_l2_kib_mm2"]
+    energy = x.at(t["dynamic_energy"], "Precision") + latency * area * t["static_w_per_mm2"]
 
     return {"latency": latency, "energy": energy, "area": area}, valid
 
-
-cost_metrics = cost_model(formula)

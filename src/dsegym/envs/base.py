@@ -1,12 +1,12 @@
 """Shared machinery for every environment: built-in and external.
 
-Each built-in environment is a pure function of (design point, workload,
-fixture constants).  All constants live in the YAML fixture files next to
-this module, so golden-value tests stay stable and brute-force oracles are
-exact.  An external simulator plugs in as a cost function
-(:class:`dsegym.envs.external.SimulatorProcess`) behind the same env class.
-An env step is one cost-function evaluation, and the env keeps no
-per-step state.
+An env's cost function takes the design alone: a built-in family's terms
+for one workload are bound when the env is made.  Their constants live in
+the YAML fixture files next to this module, so golden-value tests stay
+stable and brute-force oracles are exact.  An external simulator plugs in
+as a cost function (:class:`dsegym.envs.external.SimulatorProcess`) behind
+the same env class.  An env step is one cost-function evaluation, and the
+env keeps no per-step state.
 
 A built-in family writes its cost formula once, as a `cost_model`, over
 parameter values that are either one design's (`PointValues`) or the
@@ -58,9 +58,8 @@ def load_fixture(name: str) -> dict:
         return yaml.safe_load(f)
 
 
-# Cost function: (design name->value map, workload, constants) ->
-# (metrics dict, valid flag)
-CostFn = Callable[[dict, WorkloadSpec, dict], tuple[dict, bool]]
+# Cost function: design name->value map -> (metrics dict, valid flag)
+CostFn = Callable[[dict], tuple[dict, bool]]
 
 
 class Table(dict):
@@ -182,24 +181,23 @@ class Columns:
             values[i] = np.where(position == i, value, old)
 
 
-def cost_model(formula: Callable) -> CostFn:
-    """The `CostFn` of a built-in family's formula: one formula for a point
-    and a batch.
+def cost_model(formula: Callable, terms: dict, defaults: dict) -> CostFn:
+    """The `CostFn` of a built-in family's formula over one workload's
+    `terms`: one formula for a point and a batch.
 
-    `formula(x, c)` returns (metrics, valid).  It reads the design only
-    through `x`, and what it needs beyond the design from `c["terms"]`: the
-    family's `terms(constants, workload)`, which `make_env` puts there.
-    The cost function runs it on one design's `PointValues`;
-    `SyntheticEnv.metrics_batch` runs the same formula, the function's
-    `formula` attribute, on `Columns`.
+    `formula(x, t)` returns (metrics, valid).  It reads the design only
+    through `x`, with `defaults` for the parameters a space leaves out, and
+    the rest from `t`, the family's `terms(constants, workload)`.  The cost
+    function runs it on one design's `PointValues`; its `batch(space,
+    indices)` runs the same formula on `Columns`.
     """
 
-    def cost_fn(design: dict, workload: WorkloadSpec, c: dict) -> tuple[dict, bool]:
+    def cost_fn(design: dict) -> tuple[dict, bool]:
         x = PointValues(design)
-        x.defaults = c["defaults"]
-        return formula(x, c)
+        x.defaults = defaults
+        return formula(x, terms)
 
-    cost_fn.formula = formula
+    cost_fn.batch = lambda space, indices: formula(Columns(space, indices, defaults), terms)
     return cost_fn
 
 
@@ -210,31 +208,18 @@ class SyntheticEnv:
     simulator process (:class:`dsegym.envs.external.SimulatorProcess`).
     """
 
-    def __init__(
-        self,
-        env_id: str,
-        space: ParameterSpace,
-        workload: WorkloadSpec,
-        reward_spec: RewardSpec,
-        cost_fn: CostFn,
-        constants: dict,
-        reference_design: dict,
-    ):
+    def __init__(self, env_id: str, space: ParameterSpace, reward_spec: RewardSpec,
+                 cost_fn: CostFn, reference_design: dict):
         self.env_id = env_id
         self._space = space
-        self._workload = workload
         self.reward_spec = reward_spec
         self._cost_fn = cost_fn
-        self._constants = constants
         self._reference = point_from_map(space, reference_design)
 
     # -- contract ----------------------------------------------------------
 
     def space(self) -> ParameterSpace:
         return self._space
-
-    def workload(self) -> WorkloadSpec:
-        return self._workload
 
     def reset(self) -> Observation:
         """The reference design's observation."""
@@ -259,12 +244,11 @@ class SyntheticEnv:
         invalid row's metric entries mean nothing.  Only a `cost_model` has a
         batch form: an external simulator scores one design at a time.
         """
-        formula = getattr(self._cost_fn, "formula", None)
-        if formula is None:
+        batch = getattr(self._cost_fn, "batch", None)
+        if batch is None:
             raise TypeError(f"the cost function of {self.env_id!r} scores one design at a time")
         indices = check_indices(self._space, indices)
-        x = Columns(self._space, indices, self._constants["defaults"])
-        metrics, valid = formula(x, self._constants)
+        metrics, valid = batch(self._space, indices)
         n = len(indices)
         return (
             {name: np.broadcast_to(column, (n,)) for name, column in metrics.items()},
@@ -273,7 +257,7 @@ class SyntheticEnv:
 
     def _evaluate(self, point: DesignPoint) -> Observation:
         design = design_map(self._space, point)
-        metrics, valid = self._cost_fn(design, self._workload, self._constants)
+        metrics, valid = self._cost_fn(design)
         if not valid:
             return Observation(metrics={}, valid=False)
         return Observation(metrics=metrics)

@@ -16,7 +16,7 @@ order on both.
 
 from __future__ import annotations
 
-from .base import Table, WorkloadSpec, cost_model
+from .base import Table, WorkloadSpec
 
 
 def _policy_factor(table: dict, policy: str, locality: float) -> float:
@@ -81,8 +81,7 @@ def terms(c: dict, workload: WorkloadSpec) -> dict:
     }
 
 
-def formula(x, c: dict) -> tuple[dict, bool]:
-    t = c["terms"]
+def formula(x, t: dict) -> tuple[dict, bool]:
     lat_policy, pwr_policy = x.at(t["page_policy"], "PagePolicy")
     lat_scheduler, pwr_scheduler = x.at(t["scheduler"], "Scheduler")
     lat_buffer, pwr_buffer = x.at(t["scheduler_buffer"], "SchedulerBuffer")
@@ -111,5 +110,3 @@ def formula(x, c: dict) -> tuple[dict, bool]:
 
     return {"latency": lat, "power": pwr, "energy": lat * pwr}, True
 
-
-cost_metrics = cost_model(formula)

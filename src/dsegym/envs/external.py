@@ -7,12 +7,13 @@ Wire protocol (one JSON record per line, UTF-8):
   response    child -> {"id": n, "metrics": {name: number}, "valid": bool}
 
 A :class:`SimulatorProcess` owns exactly one child and serializes its
-requests.  It is a ``CostFn``, so :class:`~dsegym.envs.base.SyntheticEnv`
-calls it once per step, like a built-in cost model::
+requests, each of which names the workload id the process was made with.
+It is a ``CostFn``, so :class:`~dsegym.envs.base.SyntheticEnv` calls it
+once per step, like a built-in cost model::
 
-    sim = SimulatorProcess([sys.executable, "my_sim.py"], timeout_s=10.0)
-    env = SyntheticEnv("my-sim", space, workload, reward_spec, cost_fn=sim,
-                       constants={}, reference_design=reference)
+    sim = SimulatorProcess([sys.executable, "my_sim.py"], "my-workload", timeout_s=10.0)
+    env = SyntheticEnv("my-sim", space, reward_spec, cost_fn=sim,
+                       reference_design=reference)
 
 Failure policy: when a request times out or the child dies, the child is
 killed (pipes closed, reader joined) and relaunched while restarts remain;
@@ -30,8 +31,6 @@ import queue
 import subprocess
 import sys
 import threading
-
-from .base import WorkloadSpec
 
 PROTOCOL_VERSION = 1
 
@@ -105,14 +104,17 @@ class _Child:
 
 
 class SimulatorProcess:
-    """``CostFn`` that asks a simulator child process for each design's metrics."""
+    """``CostFn`` that asks a simulator child process for each design's
+    metrics under the workload `workload_id`."""
 
-    def __init__(self, command: list[str], timeout_s: float = 10.0, max_restarts: int = 0):
+    def __init__(self, command: list[str], workload_id: str,
+                 timeout_s: float = 10.0, max_restarts: int = 0):
         if timeout_s <= 0:
             raise ValueError(f"timeout must be positive, got {timeout_s}")
         if max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         self.command = list(command)
+        self.workload_id = workload_id
         self.timeout_s = timeout_s
         self.max_restarts = max_restarts
         self.restarts_used = 0
@@ -139,14 +141,12 @@ class SimulatorProcess:
             raise
         return child
 
-    def __call__(
-        self, design: dict, workload: WorkloadSpec, constants: dict
-    ) -> tuple[dict, bool]:
+    def __call__(self, design: dict) -> tuple[dict, bool]:
         if self._child is None:
             raise SimulatorCrashed("simulator crashed (not running)")
         request_id = self._next_id
         self._next_id += 1
-        request = {"id": request_id, "design": design, "workload": workload.id}
+        request = {"id": request_id, "design": design, "workload": self.workload_id}
         try:
             self._child.write_line(json.dumps(request, separators=(",", ":")))
             line = self._child.read_line(self.timeout_s)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .base import Table, WorkloadSpec, cost_model
+from .base import Table, WorkloadSpec
 
 _SLOTS = ("PE0Type", "PE1Type", "PE2Type")
 
@@ -90,8 +90,7 @@ def _makespan(x, t: dict, noc_bps) -> float:
     return x.maximum(finish)
 
 
-def formula(x, c: dict) -> tuple[dict, bool]:
-    t = c["terms"]
+def formula(x, t: dict) -> tuple[dict, bool]:
     noc_bps, power, area = x.at(t["noc"], "NoCBusWidth")
     makespan = _makespan(x, t, noc_bps)
     power += x.at(t["mem_power"], "MemFreqMHz")
@@ -102,5 +101,3 @@ def formula(x, c: dict) -> tuple[dict, bool]:
 
     return {"power": power, "performance": makespan, "area": area}, makespan < math.inf
 
-
-cost_metrics = cost_model(formula)

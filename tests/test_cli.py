@@ -169,6 +169,40 @@ def test_sweep_rejects_a_bad_grid_before_any_trial(grid, tmp_path, monkeypatch, 
     assert not (tmp_path / "sw").exists()
 
 
+def test_sweep_names_a_grid_file_that_is_not_yaml(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(orch, "run_trial", lambda spec: calls.append(spec))
+    grid_file = tmp_path / "grid.yaml"
+    grid_file.write_text("GA:\n  population_size: [8\n", encoding="utf-8")
+    argv = ["sweep", *ENV, "--agents", "GA", "--budgets", "2", "--grid", str(grid_file),
+            "--out", str(tmp_path / "sw")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --grid {grid_file}: not valid YAML at line 3:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["aggregate", "a-dir", "--out", "unused"],
+        ["train-proxy", "--data", "a-dir", "--target", "power", "--out", "unused"],
+        ["eval-proxy", "--model", "a-dir", "--data", "a-dir", "--out", "unused"],
+    ],
+    ids=["aggregate", "train-proxy", "eval-proxy"],
+)
+def test_an_input_path_that_is_a_directory_is_a_usage_error(argv, tmp_path, monkeypatch,
+                                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-dir").mkdir()
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "a-dir" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "unused").exists()
+
+
 def test_sweep_refuses_a_repeated_seed_before_any_trial(tmp_path, monkeypatch, capsys):
     # two workers would write the same trajectory file
     calls = []

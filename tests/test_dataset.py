@@ -358,6 +358,10 @@ class TestSplit:
             split(_dataset(4), fraction, make_rng(0))
 
 
+# the paper's mixture: five agents at 0.2 each
+FIVE_AGENTS = dict.fromkeys(("ACO", "BO", "GA", "RL", "RW"), 0.2)
+
+
 class TestSampleMixture:
     @pytest.mark.parametrize(
         "proportions, size, counts",
@@ -368,6 +372,11 @@ class TestSampleMixture:
             # 2 + 2 + 3 = 7: the residue of -1 comes off the largest source
             ({"A": 0.25, "B": 0.25, "C": 0.5}, 6, {"A": 2, "B": 2, "C": 2}),
             ({"A": 0.1, "B": 0.9}, 7, {"A": 1, "B": 6}),
+            # 1 + 1 + 1 + 1 + 1 = 5, 3 * 5 = 15 and 2 * 5 = 10: the residue goes one
+            # record at a time to the largest sources, in name order among equals
+            (FIVE_AGENTS, 3, {"ACO": 0, "BO": 0, "GA": 1, "RL": 1, "RW": 1}),
+            (FIVE_AGENTS, 13, {"ACO": 2, "BO": 2, "GA": 3, "RL": 3, "RW": 3}),
+            (FIVE_AGENTS, 12, {"ACO": 3, "BO": 3, "GA": 2, "RL": 2, "RW": 2}),
         ],
     )
     def test_meets_counts_and_residue_rule(self, proportions, size, counts):
@@ -379,6 +388,16 @@ class TestSampleMixture:
         assert len(set(picked)) == size  # without replacement
         pool = {id(r) for d in sources.values() for r in d.records}
         assert set(picked) <= pool
+
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=6).filter(any), st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_each_count_is_within_one_of_its_share(self, weights, size):
+        proportions = {f"A{i}": w / sum(weights) for i, w in enumerate(weights)}
+        sources = {a: _dataset(30, a, f"exp-{a}") for a in proportions}
+        counts = sample_mixture(sources, proportions, size, make_rng(0)).agent_counts()
+        assert sum(counts.values()) == size
+        for agent, p in proportions.items():
+            assert abs(counts[agent] - p * size) <= 1, (agent, counts)
 
     def test_is_seeded(self):
         sources = {a: _dataset(10, a, f"exp-{a}") for a in "AB"}

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from dsegym.core import score
+from dsegym.core import Observation, score
 from dsegym.envs import (
     ENV_IDS,
     get_objective,
@@ -13,7 +13,7 @@ from dsegym.envs import (
     list_workloads,
     make_env,
 )
-from dsegym.envs.base import WorkloadSpec, load_fixture
+from dsegym.envs.base import SyntheticEnv, WorkloadSpec, load_fixture
 from dsegym.rng import make_rng
 from dsegym.spaces import cardinality, design_map, point_from_map, sample_uniform
 
@@ -203,6 +203,29 @@ class TestEpisodeSemantics:
         fresh = make_env("dram-small", "stream")
         fresh.reset()
         assert used.step(point).reward == fresh.step(point).reward
+
+
+class TestAnyCostFunction:
+    def test_a_plain_function_steps_observes_and_resets(self):
+        builtin = make_env("dram-small", "stream", "low-power")
+        space = builtin.space()
+        cost_fn = lambda design: (  # noqa: E731
+            {"power": 0.5 + design["RequestBufferSize"] / 100}, design["Arbiter"] == "Fifo"
+        )
+        env = SyntheticEnv("plain", space, builtin.reward_spec, cost_fn,
+                           reference_design=design_map(space, builtin.reference_point()))
+        assert env.reset() == env.observe(builtin.reference_point())
+        rng = make_rng(9)
+        seen = set()
+        for _ in range(40):
+            point = sample_uniform(space, rng)
+            metrics, valid = cost_fn(design_map(space, point))
+            want = Observation(metrics=metrics) if valid else Observation(metrics={}, valid=False)
+            result = env.step(point)
+            assert env.observe(point) == result.observation == want
+            assert result.reward == score(builtin.reward_spec, want)
+            seen.add(valid)
+        assert seen == {True, False}
 
 
 class TestWorkloadSpec:

@@ -24,10 +24,9 @@ STUB = str(Path(__file__).with_name("stub_simulator.py"))
 ANSWER_TIMEOUT_S = 30.0
 
 
-def _stub(mode="ok", at=0, timeout_s=ANSWER_TIMEOUT_S, max_restarts=0):
-    return SimulatorProcess(
-        [sys.executable, STUB, mode, str(at)], timeout_s=timeout_s, max_restarts=max_restarts
-    )
+def _stub(mode="ok", at=0, timeout_s=ANSWER_TIMEOUT_S, max_restarts=0, workload_id="stream"):
+    return SimulatorProcess([sys.executable, STUB, mode, str(at)], workload_id,
+                            timeout_s=timeout_s, max_restarts=max_restarts)
 
 
 def _builtin():
@@ -39,10 +38,8 @@ def _external(sim):
     return SyntheticEnv(
         "dram-small",
         builtin.space(),
-        builtin.workload(),
         builtin.reward_spec,
         cost_fn=sim,
-        constants={},
         reference_design=design_map(builtin.space(), builtin.reference_point()),
     )
 
@@ -52,8 +49,8 @@ def _design(seed=0):
     return design_map(space, sample_uniform(space, make_rng(seed)))
 
 
-def _expected(design):
-    env = _builtin()
+def _expected(design, workload_id="stream"):
+    env = make_env("dram-small", workload_id)
     obs = env.observe(point_from_map(env.space(), design))
     return obs.metrics, obs.valid
 
@@ -88,6 +85,14 @@ class TestEquivalence:
                 want, got = builtin.step(point), env.step(point)
                 assert got.observation == want.observation
                 assert got.reward == want.reward
+        assert len(children) == 1 and _exited(children[0])
+
+    def test_requests_carry_the_workload(self, children):
+        design = _design(3)
+        cloud = _expected(design, "cloud-1")
+        assert cloud[0] != _expected(design, "stream")[0]  # the workload changes the metrics
+        with _stub(workload_id="cloud-1") as sim:
+            assert sim(design) == cloud
         assert len(children) == 1 and _exited(children[0])
 
     def test_invalid_response(self, children):
@@ -133,33 +138,31 @@ class TestRestarts:
         design = _design()
         with _stub("hang", at=0, timeout_s=0.5, max_restarts=1) as sim:
             with pytest.raises(SimulatorTimeout):
-                sim(design, _builtin().workload(), {})
+                sim(design)
             assert sim.restarts_used == 1
             assert len(children) == 2 and _exited(children[0])
             sim.timeout_s = ANSWER_TIMEOUT_S  # the new child imports dsegym first
-            assert sim(design, _builtin().workload(), {}) == _expected(design)
+            assert sim(design) == _expected(design)
         assert all(_exited(p) for p in children)
 
     def test_crash_then_restart(self, children):
         design = _design()
-        workload = _builtin().workload()
         with _stub("crash", at=1, max_restarts=1) as sim:
-            assert sim(design, workload, {}) == _expected(design)
+            assert sim(design) == _expected(design)
             with pytest.raises(SimulatorCrashed) as crash:
-                sim(design, workload, {})
+                sim(design)
             assert crash.value.info == {"returncode": "3"}
             assert len(children) == 2 and _exited(children[0])
-            assert sim(design, workload, {}) == _expected(design)
+            assert sim(design) == _expected(design)
         assert all(_exited(p) for p in children)
 
     def test_no_restart_left(self, children):
         design = _design()
-        workload = _builtin().workload()
         with _stub("crash", at=0, max_restarts=0) as sim:
             with pytest.raises(SimulatorCrashed):
-                sim(design, workload, {})
+                sim(design)
             with pytest.raises(SimulatorCrashed, match="not running"):
-                sim(design, workload, {})
+                sim(design)
         assert len(children) == 1 and _exited(children[0])
 
     def test_close_is_idempotent(self, children):
@@ -175,10 +178,9 @@ class TestResponses:
     )
     def test_malformed_response(self, children, mode):
         design = _design()
-        workload = _builtin().workload()
         with _stub(mode) as sim:
             with pytest.raises(SimulatorProtocolError):
-                sim(design, workload, {})
+                sim(design)
             # the child keeps running and answers the next request
-            assert sim(design, workload, {}) == _expected(design)
+            assert sim(design) == _expected(design)
         assert len(children) == 1 and _exited(children[0])

@@ -90,9 +90,9 @@ def test_score_batch_matches_score(env_id, workload_id):
 
 def test_metrics_batch_needs_a_batch_form():
     builtin = make_env("dram-small", "stream")
-    env = SyntheticEnv("one-at-a-time", builtin.space(), builtin.workload(),
-                       builtin.reward_spec, cost_fn=lambda d, w, c: ({"power": 1.0}, True),
-                       constants={}, reference_design=design_map(builtin.space(), (0,) * 7))
+    env = SyntheticEnv("one-at-a-time", builtin.space(), builtin.reward_spec,
+                       cost_fn=lambda design: ({"power": 1.0}, True),
+                       reference_design=design_map(builtin.space(), (0,) * 7))
     with pytest.raises(TypeError, match="one design at a time"):
         env.metrics_batch([(0,) * 7])
 

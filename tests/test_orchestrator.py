@@ -110,18 +110,18 @@ def test_sweep_config_refuses_a_repeated_trial(changes, message):
 
 
 def _count_cost_calls(monkeypatch, family, fail_at=None):
-    """Wrap a family's cost model; count its calls, optionally raise on one."""
+    """Wrap a family's formula; count its calls, optionally raise on one."""
     calls = []
     module = dsegym.envs._FAMILIES[family]
-    cost_fn = module.cost_metrics
+    formula = module.formula
 
     def counted(*args):
         calls.append(1)
         if len(calls) == fail_at:
             raise RuntimeError("injected cost-model failure")
-        return cost_fn(*args)
+        return formula(*args)
 
-    monkeypatch.setattr(module, "cost_metrics", counted)
+    monkeypatch.setattr(module, "formula", counted)
     return calls
 
 
