@@ -19,9 +19,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dsegym.envs import ENV_IDS, get_space, list_objectives, list_workloads  # noqa: E402
+from dsegym.envs import ENV_IDS, list_objectives, list_workloads  # noqa: E402
 from dsegym.orchestrator import enumerate_oracles  # noqa: E402
-from dsegym.spaces import cardinality  # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "full_optima.json"
 
@@ -29,11 +28,10 @@ OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "full_optima.j
 def main() -> None:
     optima = {}
     for env_id in (e for e in ENV_IDS if not e.endswith("-small")):
-        limit = cardinality(get_space(env_id))
         for workload_id in list_workloads(env_id):
             t0 = time.perf_counter()
             objectives = list_objectives(env_id, workload_id)
-            for result in enumerate_oracles(env_id, workload_id, objectives, limit):
+            for result in enumerate_oracles(env_id, workload_id, objectives):
                 optima[f"{env_id}/{workload_id}/{result.objective}"] = {
                     "design": result.best_design,
                     "reward": result.best_reward,

@@ -31,20 +31,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def entropy_gradient(probs: np.ndarray, sizes: Sequence[int] | None = None) -> np.ndarray:
+def entropy_gradient(probs: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """d/dlogits of H(softmax) = -p * (log p + H).
 
-    With `sizes`, `probs` holds several parameters' softmaxes end to end and
-    each part gets the gradient of its own entropy.
+    `probs` holds the softmaxes of parameters of `sizes` choices end to end,
+    and each part gets the gradient of its own entropy.
     """
     logp = np.log(np.maximum(probs, 1e-300))
     plogp = probs * logp
-    if sizes is None:
-        h = -plogp.sum()
-    else:
-        # one pairwise sum per parameter, as on that parameter alone
-        ends = np.cumsum(sizes).tolist()
-        h = np.repeat([-plogp[e - s : e].sum() for e, s in zip(ends, sizes)], sizes)
+    # one pairwise sum per parameter, as on that parameter alone
+    ends = np.cumsum(sizes).tolist()
+    h = np.repeat([-plogp[e - s : e].sum() for e, s in zip(ends, sizes)], sizes)
     return -probs * (logp + h)
 
 

@@ -65,16 +65,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dsegym", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_env_args(p, objective=True):
+    def add_env_args(p):
         p.add_argument("--env", required=True, choices=ENV_IDS)
         p.add_argument("--workload", required=True)
-        if objective:
-            p.add_argument(
-                "--objective",
-                default="low-latency",
-                help="objective name from the env fixture (e.g. low-power, "
-                "low-latency, joint, budget)",
-            )
+        p.add_argument(
+            "--objective",
+            default="low-latency",
+            help="objective name from the env fixture (e.g. low-power, "
+            "low-latency, joint, budget)",
+        )
 
     p = sub.add_parser("run", help="run a single trial")
     add_env_args(p)
@@ -138,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate-oracle", help="exact optimum of a task by enumerating its space")
     add_env_args(p)
-    p.add_argument("--limit", type=int, default=100_000,
-                   help="the most designs to enumerate; a larger space is refused")
     p.add_argument("--out", help="optionally write the result as JSON")
 
     return parser
@@ -174,6 +171,8 @@ def _cmd_sweep(args) -> int:
         with open(args.grid, encoding="utf-8") as f:
             try:
                 doc = yaml.safe_load(f)
+            except UnicodeDecodeError as exc:
+                raise UsageError(f"--grid {args.grid}: not UTF-8: {exc}") from None
             except yaml.YAMLError as exc:  # its message spans lines, quoting the file
                 mark = getattr(exc, "problem_mark", None)
                 where = f" at line {mark.line + 1}: {exc.problem}" if mark else ""
@@ -243,10 +242,16 @@ def _cmd_train_proxy(args) -> int:
     if args.search > 0 and args.hyperparams:
         raise UsageError("--set cannot be combined with --search, which picks every "
                          "hyperparameter itself")
+    if args.search > 0 and not 0.0 < args.val_fraction < 1.0:
+        raise UsageError(f"--val-fraction must lie in (0, 1), got {args.val_fraction}")
     data = ds.load_dataset(args.data)
     if args.search > 0:
         rng = make_rng(args.seed)
         train, val = ds.split(data, args.val_fraction, rng)
+        if not (train and val):
+            raise UsageError(f"--val-fraction {args.val_fraction} splits {len(data)} records "
+                             f"into {len(train)} for training and {len(val)} for validation; "
+                             "--search needs both")
         hp, model, rmse = proxy.proxy_hyperparam_search(
             train, val, args.search, rng, target=args.target
         )
@@ -283,7 +288,7 @@ def _cmd_bench_proxy(args) -> int:
         raise UsageError(f"n_queries must be >= 1, got {args.queries}")
     env = make_env(args.env, args.workload, args.objective)
     points = sample_uniform_indices(env.space(), make_rng(args.seed), args.queries)
-    result = proxy.speed_benchmark(model, env, points, args.queries)
+    result = proxy.speed_benchmark(model, env, points)
     print(json.dumps(asdict(result), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -296,7 +301,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_enumerate_oracle(args) -> int:
-    result = orch.enumerate_oracle(args.env, args.workload, args.objective, args.limit)
+    result = orch.enumerate_oracle(args.env, args.workload, args.objective)
     text = json.dumps(asdict(result), indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -398,20 +398,18 @@ def proxy_hyperparam_search(
     validation: Dataset,
     budget: int,
     rng: np.random.Generator,
-    target: str = "latency",
-    space: ParameterSpace | None = None,
+    target: str,
 ) -> tuple[dict, RandomForestModel, float]:
     """Uniform random search over SEARCH_GRID; returns the argmin-RMSE config."""
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    space = _resolve_space(train, space)
     keys = sorted(SEARCH_GRID)
     best = None
     for _ in range(budget):
         hp = {k: SEARCH_GRID[k][int(rng.integers(0, len(SEARCH_GRID[k])))] for k in keys}
         model_seed = int(rng.integers(0, 2**63 - 1))
-        model = train_forest(train, target, hp, seed=model_seed, space=space)
-        rmse = evaluate_rmse(model, validation, space).rmse
+        model = train_forest(train, target, hp, seed=model_seed)
+        rmse = evaluate_rmse(model, validation).rmse
         if best is None or rmse < best[2]:
             best = (hp, model, rmse)
     return best
@@ -425,20 +423,17 @@ class SpeedupReport:
     n_queries: int
 
 
-def speed_benchmark(
-    model: RandomForestModel, env, points: np.ndarray, n_queries: int
-) -> SpeedupReport:
-    """Wall time of n env steps vs n model predictions on the same points:
-    the rows of an (m, len(space)) grid-index array, cycled to n queries."""
-    if n_queries < 1:
-        raise ValueError(f"n_queries must be >= 1, got {n_queries}")
-    queries = points[np.arange(n_queries) % len(points)]
-    steps = list(map(tuple, queries.tolist()))
+def speed_benchmark(model: RandomForestModel, env, points: np.ndarray) -> SpeedupReport:
+    """Wall time of env steps vs model predictions on the same points, the
+    rows of an (n, len(space)) grid-index array: one query per row."""
+    if len(points) == 0:
+        raise ValueError("speed_benchmark needs at least one point")
+    steps = list(map(tuple, points.tolist()))
     t0 = time.perf_counter()
     for p in steps:
         env.step(p)
     env_seconds = time.perf_counter() - t0
-    feats = encode_batch(model.space, queries)
+    feats = encode_batch(model.space, points)
     t0 = time.perf_counter()
     for x in feats:
         model.predict_features(x)
@@ -447,5 +442,5 @@ def speed_benchmark(
         speedup=env_seconds / model_seconds if model_seconds > 0 else math.inf,
         env_seconds=env_seconds,
         model_seconds=model_seconds,
-        n_queries=n_queries,
+        n_queries=len(points),
     )

@@ -115,10 +115,6 @@ class ParameterSpace:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names: {names}")
 
-    @property
-    def names(self) -> list[str]:
-        return [p.name for p in self.parameters]
-
     @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(p.size for p in self.parameters)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsegym.agents import AGENT_CLASSES, AGENT_TYPES, make_agent, sweep_configs
+from dsegym.agents.bayesian import GaussianProcess
 from dsegym.envs import make_env
 from dsegym.rng import make_rng
 from dsegym.spaces import Categorical, Numeric, ParameterSpace, ParameterSpec
@@ -174,6 +175,26 @@ class TestHyperparams:
             make_agent("BO", SMALL_SPACE, {key: 0})
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_rng(), "at least one seed component is required"),
+        (lambda: make_agent("RL", SMALL_SPACE).update([]), "empty update batch"),
+        (lambda: GaussianProcess(0.0), "length_scale, signal_var and noise_var must be positive"),
+        (lambda: GaussianProcess(1.0, signal_var=-1.0),
+         "length_scale, signal_var and noise_var must be positive"),
+        (lambda: GaussianProcess(1.0, noise_var=0.0),
+         "length_scale, signal_var and noise_var must be positive"),
+    ],
+    ids=["rng-without-seed", "rl-empty-update", "gp-length-scale", "gp-signal-var",
+         "gp-noise-var"],
+)
+def test_an_agent_building_block_refuses_bad_input(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 # each of GA's opt-in operators alone, then all three; a short aging limit
 # lets elites age out within the test's budget
 AGING = {"aging": True, "aging_limit": 2}
@@ -212,6 +233,17 @@ class TestGeneticOperators:
         assert run(operators)[0] == points
         # the operator took part: the run differs from one without it
         assert run({})[0] != points
+
+    def test_aging_keeps_the_two_fittest_when_fewer_than_two_are_young(self):
+        agent = make_agent("GA", SMALL_SPACE, {"population_size": 2, "aging": True,
+                                               "aging_limit": 0})
+        rng = make_rng(3)
+        drive(agent, rng, [1.0, 0.0])  # the first generation; its elite scored 1.0
+        elite = agent.best_so_far()[0]
+        drive(agent, rng, [-1.0])  # the second: the aged elite and one young child
+        agent.propose(rng)  # breeds the third
+        # only the child is young enough, so the aged elite survives and leads
+        assert (agent.population[0].point, agent.population[0].age) == (elite, 2)
 
 
 class TestRandomWalker:

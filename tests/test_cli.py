@@ -8,6 +8,7 @@ import pytest
 
 from dsegym import cli
 from dsegym import orchestrator as orch
+from dsegym import proxy
 from dsegym.agents import RandomWalker
 from dsegym.dataset import load_dataset
 
@@ -142,6 +143,16 @@ def test_run_rejects_a_hyperparameter_of_the_wrong_type(tmp_path, capsys):
     assert err.startswith("error: population_size must be of type int") and err.count("\n") == 1
 
 
+def test_run_of_a_failed_trial_exits_with_failure(tmp_path, capsys):
+    out = tmp_path / "runs"
+    out.write_text("", encoding="utf-8")  # a file where the log dir goes
+    argv = ["run", *ENV, "--agent", "RW", "--budget", "2", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("trial failed: trial ") and "failed at step 0: [Errno 17]" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "grid",
     [
@@ -183,6 +194,21 @@ def test_sweep_names_a_grid_file_that_is_not_yaml(tmp_path, monkeypatch, capsys)
     assert calls == []
 
 
+def test_sweep_names_a_grid_file_that_is_not_utf8(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(orch, "run_trial", lambda spec: calls.append(spec))
+    grid_file = tmp_path / "grid.yaml"
+    grid_file.write_bytes(b"GA:\n  population_size: [8]\n# \xff\n")
+    argv = ["sweep", *ENV, "--agents", "GA", "--budgets", "2", "--grid", str(grid_file),
+            "--out", str(tmp_path / "sw")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --grid {grid_file}: not UTF-8: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert calls == []
+    assert not (tmp_path / "sw").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -213,6 +239,33 @@ def test_sweep_refuses_a_repeated_seed_before_any_trial(tmp_path, monkeypatch, c
     assert capsys.readouterr().err == "error: repeated seed 0: a sweep runs each trial once\n"
     assert calls == []
     assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", *ENV, "--agent", "GA", "--budget", "2", "--set", "population_size",
+          "--out", "unused"], "expected key=value, got 'population_size'"),
+        (["sweep", *ENV, "--agents", "RW", "--budgets", "2,x", "--out", "unused"],
+         "expected comma-separated integers, got '2,x'"),
+        (["mix", "--source", "RW:LOG", "--proportions", "RW=1", "--size", "2",
+          "--out", "unused"], "expected AGENT=FILE, got 'RW:LOG'"),
+        (["mix", "--source", "RW=LOG", "--proportions", "RW:1", "--size", "2",
+          "--out", "unused"], "expected AGENT=FRACTION, got 'RW:1'"),
+    ],
+    ids=["set-without-equals", "budgets-not-integers", "source-without-equals",
+         "proportion-without-equals"],
+)
+def test_a_malformed_list_argument_is_a_usage_error(argv, message, tmp_path, monkeypatch,
+                                                    capsys):
+    _run(tmp_path, "RW", 2)
+    (log,) = _trajectory_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    argv = [arg.replace("LOG", log) for arg in argv]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message.replace('LOG', log)}\n"
+    assert not (tmp_path / "unused").exists()
 
 
 def _printed_json(capsys):
@@ -407,6 +460,48 @@ def test_train_proxy_refuses_set_with_search(tmp_path, capsys):
     assert not model.exists()
 
 
+def _search(tmp_path, name, *options):
+    """`train-proxy --search 3` on a 120-record dram-small RW log: exit code and model path."""
+    if not _trajectory_files(tmp_path):
+        _run(tmp_path, "RW", 120)
+    (path,) = _trajectory_files(tmp_path)
+    model = tmp_path / name
+    argv = ["train-proxy", "--data", path, "--target", "power", "--out", str(model),
+            "--search", "3", *options]
+    return cli.main(argv), model
+
+
+def test_train_proxy_search_picks_from_the_grid_reproducibly(tmp_path, capsys):
+    code, first = _search(tmp_path, "first.json", "--seed", "7")
+    assert code == cli.EXIT_OK
+    picked = proxy.RandomForestModel.load(first).hyperparams
+    assert all(picked[key] in values for key, values in proxy.SEARCH_GRID.items())
+    code, second = _search(tmp_path, "second.json", "--seed", "7")
+    assert code == cli.EXIT_OK and second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "fraction, message",
+    [
+        ("0.999", "--val-fraction 0.999 splits 120 records into 0 for training and 120 for "
+                  "validation; --search needs both"),
+        ("0.001", "--val-fraction 0.001 splits 120 records into 120 for training and 0 for "
+                  "validation; --search needs both"),
+        ("1.5", "--val-fraction must lie in (0, 1), got 1.5"),
+        ("0", "--val-fraction must lie in (0, 1), got 0.0"),
+    ],
+    ids=["empty-training-split", "empty-validation-split", "above-one", "zero"],
+)
+def test_train_proxy_search_refuses_a_split_it_cannot_use(fraction, message, tmp_path,
+                                                          monkeypatch, capsys):
+    fits = []
+    monkeypatch.setattr(proxy, "train_forest", lambda *args, **kwargs: fits.append(args))
+    code, model = _search(tmp_path, "model.json", "--val-fraction", fraction)
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert fits == [] and not model.exists()
+
+
 def test_report_writes_its_four_tables(tmp_path, capsys):
     sweep = tmp_path / "sw"
     argv = ["sweep", *ENV, "--agents", "RW,GA", "--budgets", "2,4", "--out", str(sweep),
@@ -496,9 +591,3 @@ def test_enumerate_oracle_prints_the_oracle(tmp_path, capsys):
                             "space_cardinality"}
     assert printed == asdict(orch.enumerate_oracle("dram-small", "stream", "low-power"))
     assert out.read_text(encoding="utf-8") == text
-
-
-def test_enumerate_oracle_refuses_a_space_past_the_limit(capsys):
-    argv = ["enumerate-oracle", "--env", "dram", "--workload", "cloud-1"]
-    assert cli.main(argv) == cli.EXIT_USAGE
-    assert "space too large to enumerate" in capsys.readouterr().err

@@ -26,6 +26,11 @@ class TestRegistry:
             "dram", "dram-small", "accel", "accel-small", "soc", "soc-small",
         }
 
+    def test_unknown_env_id_rejected(self):
+        with pytest.raises(ValueError) as info:
+            get_space("dram-tiny")
+        assert str(info.value) == f"unknown environment 'dram-tiny' (have {list(ENV_IDS)})"
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError, match="unknown workload"):
             make_env("dram", "does-not-exist")

@@ -109,6 +109,26 @@ def test_sweep_config_refuses_a_repeated_trial(changes, message):
         SweepConfig(**{**config, **changes})
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TrialSpec(*BUDGET_ENV, "RW", budget=0, seed=1),
+         "sample budget must be >= 1, got 0"),
+        (lambda: SweepConfig(*BUDGET_ENV, ("RW",), budgets=(4,), seeds=()),
+         "at least one seed is required"),
+        (lambda: SweepConfig(*BUDGET_ENV, ("RW",), budgets=(), seeds=(1,)),
+         "budgets must be >= 1"),
+        (lambda: SweepConfig(*BUDGET_ENV, ("RW",), budgets=(4, 0), seeds=(1,)),
+         "budgets must be >= 1"),
+    ],
+    ids=["trial-budget", "no-seeds", "no-budgets", "sweep-budget"],
+)
+def test_a_trial_or_sweep_without_samples_is_refused(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def _count_cost_calls(monkeypatch, family, fail_at=None):
     """Wrap a family's formula; count its calls, optionally raise on one."""
     calls = []

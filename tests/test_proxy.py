@@ -1,11 +1,12 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dsegym.dataset import DataError, load_dataset
+from dsegym.dataset import DataError, Dataset, load_dataset
 from dsegym.envs import make_env
 from dsegym.orchestrator import TrialSpec, run_trial
 from dsegym.proxy import RandomForestModel, RegressionTree, speed_benchmark, train_forest
@@ -41,7 +42,7 @@ def _points(space, n=32):
 
 def test_speed_benchmark_on_undelayed_env(model):
     env = make_env("dram-small", "stream", "low-power")
-    report = speed_benchmark(model, env, _points(env.space()), 50)
+    report = speed_benchmark(model, env, _points(env.space(), 50))
     assert report.n_queries == 50
     for value in (report.env_seconds, report.model_seconds, report.speedup):
         assert math.isfinite(value) and value > 0
@@ -49,8 +50,8 @@ def test_speed_benchmark_on_undelayed_env(model):
 
 def test_speed_benchmark_refuses_no_queries(model):
     env = make_env("dram-small", "stream", "low-power")
-    with pytest.raises(ValueError, match="n_queries must be >= 1, got 0"):
-        speed_benchmark(model, env, _points(env.space()), 0)
+    with pytest.raises(ValueError, match="speed_benchmark needs at least one point"):
+        speed_benchmark(model, env, _points(env.space(), 0))
 
 
 def test_save_load_round_trips_predictions(model, tmp_path):
@@ -115,6 +116,44 @@ def test_depth_zero_fits_one_leaf_per_tree(model):
     X = encode_batch(model.space, _points(model.space, 8))
     tree = RegressionTree.fit(X, np.arange(8.0), 0, 1, 1.0, make_rng(0))
     assert tree.nodes == [(-1, None, None, 3.5)]
+
+
+def _rows(n):
+    return np.arange(2.0 * n).reshape(n, 2), np.arange(float(n))
+
+
+def _metric_free(data):
+    return Dataset.from_records(replace(r, observation={}) for r in data.records)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda data: RegressionTree.fit(*_rows(0), None, 1, 1.0, make_rng(0)),
+         "cannot fit a tree on no rows"),
+        (lambda data: RegressionTree.fit(*_rows(4), None, 0, 1.0, make_rng(0)),
+         "min_samples_leaf must be >= 1, got 0"),
+        (lambda data: RegressionTree.fit(*_rows(4), None, 5, 1.0, make_rng(0)),
+         "need at least min_samples_leaf=5 rows, got 4"),
+        (lambda data: RegressionTree.fit(*_rows(4), None, 1, 0.0, make_rng(0)),
+         "feature_subsample must lie in (0, 1], got 0.0"),
+        (lambda data: RegressionTree.fit(*_rows(4), None, 1, 1.5, make_rng(0)),
+         "feature_subsample must lie in (0, 1], got 1.5"),
+        (lambda data: train_forest(data, "power", {"depth": 3}),
+         "unknown proxy hyperparameters: ['depth']"),
+        (lambda data: train_forest(data, "area"),
+         "missing metric 'area' in record {experiment_id}"),
+        (lambda data: train_forest(_metric_free(data), "power"),
+         "no records with metric 'power'"),
+    ],
+    ids=["no-rows", "leaf-below-one", "fewer-rows-than-a-leaf", "subsample-zero",
+         "subsample-above-one", "unknown-hyperparameter", "record-lacks-target",
+         "no-record-has-target"],
+)
+def test_a_bad_fit_or_training_set_is_refused(dataset, build, message):
+    with pytest.raises(ValueError) as info:
+        build(dataset)
+    assert str(info.value) == message.format(experiment_id=dataset.records[0].experiment_id)
 
 
 def _edit_v1(tmp_path, edit):

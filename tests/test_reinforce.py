@@ -46,4 +46,4 @@ def test_entropy_gradient_matches_central_differences(seed):
     for n in SIZES:
         logits = rng.normal(size=n)
         (numeric,) = _central_difference(lambda ls: _entropy(ls[0]), [logits])
-        np.testing.assert_allclose(entropy_gradient(softmax(logits)), numeric, rtol=0, atol=TOL)
+        np.testing.assert_allclose(entropy_gradient(softmax(logits), [n]), numeric, rtol=0, atol=TOL)

@@ -193,3 +193,26 @@ class TestSpaceConfig:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate parameter names"):
             space_from_config([{"name": "A", "values": ["x"]}, {"name": "A", "values": ["y"]}])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Categorical(()), "categorical parameter needs at least one value"),
+        (lambda: Categorical(("x", "y", "x")), "duplicate categorical values: ('x', 'y', 'x')"),
+        (lambda: Categorical(("x", "y")).index_of("z"), "label 'z' not in ('x', 'y')"),
+        (lambda: Numeric(4, 2, 1), "numeric bounds inverted: (4, 2)"),
+        (lambda: Numeric(0, 4, 0), "step must be positive, got 0"),
+        (lambda: Numeric(0, 4, -2), "step must be positive, got -2"),
+        (lambda: Numeric(0, 4, 2).index_of(-2), "value -2 outside grid (0, 4, 2)"),
+        (lambda: Numeric(0, 4, 2).index_of(6), "value 6 outside grid (0, 4, 2)"),
+        (lambda: space_from_config([{"name": "A", "kind": "ordinal", "values": ["x"]}]),
+         "unknown parameter kind 'ordinal' for 'A'"),
+    ],
+    ids=["empty-categorical", "duplicate-label", "unknown-label", "inverted-bounds",
+         "zero-step", "negative-step", "below-grid", "above-grid", "unknown-kind"],
+)
+def test_a_bad_parameter_or_value_is_refused(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
