@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..spaces import DesignPoint, ParameterSpace, resample_position, sample_uniform
+from ..spaces import DesignPoint, ParameterSpace, resample_position
 from .base import Agent
 
 
@@ -83,10 +83,11 @@ class GeneticAlgorithm(Agent):
 
     def propose(self, rng: np.random.Generator) -> DesignPoint:
         if not self.population:
-            self.population = [
-                Individual(sample_uniform(self.space, rng))
-                for _ in range(self._hyperparams["population_size"])
-            ]
+            # one draw of every gene, individual by individual: the same
+            # draws as one `sample_uniform` per individual
+            size = (self._hyperparams["population_size"], len(self.space))
+            genes = rng.integers(0, self.space._bounds, size=size).tolist()
+            self.population = [Individual(tuple(row)) for row in genes]
         pending = self._first_unevaluated()
         if pending is None:
             self._breed(rng)

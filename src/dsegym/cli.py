@@ -285,7 +285,7 @@ def _cmd_bench_proxy(args) -> int:
         raise UsageError(f"model {args.model} was trained on env {model.env_id!r}, "
                          f"not on --env {args.env}")
     if args.queries < 1:
-        raise UsageError(f"n_queries must be >= 1, got {args.queries}")
+        raise UsageError(f"--queries must be >= 1, got {args.queries}")
     env = make_env(args.env, args.workload, args.objective)
     points = sample_uniform_indices(env.space(), make_rng(args.seed), args.queries)
     result = proxy.speed_benchmark(model, env, points)

@@ -230,7 +230,8 @@ class TrajectoryWriter:
 
 @dataclass
 class Dataset:
-    """Ordered record collection; every record is of one environment."""
+    """Ordered record collection; every record is of one environment and
+    one workload, since each workload is a different cost function."""
 
     records: list[TrajectoryRecord] = field(default_factory=list)
 
@@ -238,6 +239,9 @@ class Dataset:
         env_ids = {r.env_id for r in self.records}
         if len(env_ids) > 1:
             raise ValueError(f"records of more than one environment: {sorted(env_ids)}")
+        workload_ids = {r.workload_id for r in self.records}
+        if len(workload_ids) > 1:
+            raise ValueError(f"records of more than one workload: {sorted(workload_ids)}")
 
     @classmethod
     def from_records(cls, records: Iterable[TrajectoryRecord]) -> "Dataset":
@@ -269,8 +273,8 @@ class Dataset:
 def load_dataset(path, validate: bool = True) -> Dataset:
     """Load a trajectory file, recovering from a truncated final line.
 
-    Records of more than one environment are an error, and with `validate`
-    so is a repeated (experiment, step) pair.
+    Records of more than one environment or workload are an error, and with
+    `validate` so is a repeated (experiment, step) pair.
     """
     path = Path(path)
     records = []
@@ -316,7 +320,7 @@ def _validate_records(records: list[TrajectoryRecord], path) -> None:
 
 
 def merge(datasets: list[Dataset]) -> Dataset:
-    """Concatenate datasets of one environment."""
+    """Concatenate datasets of one environment and workload."""
     if not datasets:
         raise ValueError("nothing to merge")
     return Dataset([r for d in datasets for r in d.records])
@@ -332,7 +336,8 @@ def sample_mixture(
 
     The rounding residue goes one record at a time to the largest sources
     (ties in name order) whose count stays >= 0 and within 1 of p*size.  A
-    `Dataset` refuses a mixture of records of more than one environment.
+    `Dataset` refuses a mixture of records of more than one environment or
+    workload.
     """
     for agent, p in proportions.items():
         if not 0.0 <= p <= 1.0:  # also refuses NaN

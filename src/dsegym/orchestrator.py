@@ -16,11 +16,14 @@ digest, seed) order, the order `run_sweep` sorts them into.  It builds each
 `mean_normalized` sums each pool in that order, so another order can change
 its last bits.
 
-Parallel sweeps run trials in a process pool, whose workers inherit the
-caller's BLAS thread count.  No BLAS call of a shipped agent config is
-large enough for OpenBLAS to thread it, even at 64 threads; a BO window or
-candidate pool far above the defaults can be, and then each worker may
-use every core.
+A parallel sweep splits its trials round-robin into one share per worker.
+The caller runs the first share itself and forks one child per other
+share when the sweep starts, so each child sees the caller's process as it
+is then; a child sends its outcomes back over a pipe and ends.  Children
+inherit the caller's BLAS thread count.  No BLAS call of a shipped agent
+config is large enough for OpenBLAS to thread it, even at 64 threads; a BO
+window or candidate pool far above the defaults can be, and then each
+worker may use every core.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -242,6 +245,46 @@ def _run_spec(spec: TrialSpec) -> tuple[TrialSpec, TrialResult | None, str | Non
         return spec, None, str(exc)
 
 
+def _run_share(specs: list[TrialSpec]) -> list:
+    return [_run_spec(s) for s in specs]
+
+
+_FORK = multiprocessing.get_context("fork")
+
+
+def _share_child(specs: list[TrialSpec], conn) -> None:
+    """A forked child's work: run one share, send (outcomes, None) or (None, exception)."""
+    try:
+        reply = (_run_share(specs), None)
+    except Exception as exc:
+        reply = (None, exc)
+    conn.send(reply)
+    conn.close()
+
+
+def _fork_share(specs: list[TrialSpec]):
+    """Fork a child that runs `specs`; returns it and the read end of its pipe."""
+    conn, child_conn = _FORK.Pipe(duplex=False)
+    child = _FORK.Process(target=_share_child, args=(specs, child_conn))
+    child.start()
+    child_conn.close()  # the caller keeps no write end, so a dead child reads as EOF
+    return child, conn
+
+
+def _join_share(child, conn) -> list:
+    """The outcomes a child sent; re-raises the exception it sent instead."""
+    try:
+        outcomes, exc = conn.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(
+            f"sweep child {child.pid} exited with code {child.exitcode} before sending its share"
+        ) from None
+    if exc is not None:
+        raise exc
+    return outcomes
+
+
 @dataclass
 class SweepSummary:
     """Reward statistics of a sweep; wall times live in a separate section
@@ -336,19 +379,33 @@ _SUMMARY_SHAPES = {
 def run_sweep(config: SweepConfig) -> SweepSummary:
     """Run the grid; trial failures are recorded and the sweep continues.
 
-    The trials run in min(parallelism, number of trials) worker processes
-    (a pool forks every worker up front, so it starts none it cannot use);
-    each worker keeps the caller's BLAS thread count.  With one worker the
-    trials run in the caller's process.
+    The trials split round-robin into min(parallelism, number of trials)
+    shares: share k holds trials k, k + workers, k + 2 * workers, ...  The
+    caller runs share 0 in its own process and, before that, forks one
+    child for each other share, so a one-worker sweep forks nothing.  A
+    child keeps the caller's BLAS thread count.  An exception other than
+    `TrialError` in any share, or a child that ends before sending its
+    outcomes, fails the sweep; no child outlives the call.
     """
     specs = _sweep_specs(config)
     workers = min(config.parallelism, len(specs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_spec, specs))
-    else:
-        outcomes = [_run_spec(s) for s in specs]
-    # deterministic fold regardless of completion order
+    children = []
+    try:
+        for k in range(1, workers):
+            children.append(_fork_share(specs[k::workers]))
+        shares = [_run_share(specs[::workers])] + [_join_share(*c) for c in children]
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, conn in children:
+            child.join()
+            conn.close()
+    outcomes = [None] * len(specs)
+    for k, share in enumerate(shares):
+        outcomes[k::workers] = share
+    # the (agent type, digest, seed) order `summarize` folds in
     outcomes.sort(
         key=lambda o: (o[0].agent_type, o[1].hyperparam_digest if o[1] else "", o[0].seed)
     )

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from dsegym.agents import AGENT_CLASSES, AGENT_TYPES, make_agent, sweep_configs
 from dsegym.agents.bayesian import GaussianProcess
-from dsegym.envs import make_env
+from dsegym.envs import ENV_IDS, get_space, make_env
 from dsegym.rng import make_rng
-from dsegym.spaces import Categorical, Numeric, ParameterSpace, ParameterSpec
+from dsegym.spaces import Categorical, Numeric, ParameterSpace, ParameterSpec, sample_uniform
 
 from .strategies import spaces
 
@@ -233,6 +233,18 @@ class TestGeneticOperators:
         assert run(operators)[0] == points
         # the operator took part: the run differs from one without it
         assert run({})[0] != points
+
+    @pytest.mark.parametrize("env_id", ENV_IDS)
+    def test_initial_population_is_one_sample_uniform_per_individual(self, env_id):
+        space = get_space(env_id)
+        agent = make_agent("GA", space, {"population_size": 32})
+        rng, reference = make_rng(7), make_rng(7)
+        agent.propose(rng)
+        assert [i.point for i in agent.population] == [
+            sample_uniform(space, reference) for _ in range(32)
+        ]
+        # the generator is left where 32 calls leave it
+        assert repr(rng.bit_generator.state) == repr(reference.bit_generator.state)
 
     def test_aging_keeps_the_two_fittest_when_fewer_than_two_are_young(self):
         agent = make_agent("GA", SMALL_SPACE, {"population_size": 2, "aging": True,

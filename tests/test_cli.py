@@ -94,6 +94,18 @@ def test_a_step_delay_is_an_unrecognised_argument(argv, tmp_path, monkeypatch, c
     assert not (tmp_path / "unused").exists()
 
 
+def test_aggregate_of_two_workloads_is_a_usage_error(tmp_path, capsys):
+    _run(tmp_path, "RW", 4)  # stream
+    argv = ["run", "--env", "dram-small", "--workload", "cloud-1", "--objective", "low-power",
+            "--agent", "RW", "--budget", "4", "--out", str(tmp_path / "runs")]
+    assert cli.main(argv) == cli.EXIT_OK
+    out = tmp_path / "agg"
+    argv = ["aggregate", *_trajectory_files(tmp_path), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "records of more than one workload: ['cloud-1', 'stream']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_aggregate_of_a_corrupt_file_reports_its_location(tmp_path, capsys):
     _run(tmp_path, "RW", 3)
     (path,) = _trajectory_files(tmp_path)
@@ -364,7 +376,7 @@ def test_bench_proxy_on_the_undelayed_env(tmp_path, capsys):
     for queries in ("0", "-3"):
         argv = ["bench-proxy", "--model", str(model), *ENV, "--queries", queries]
         assert cli.main(argv) == cli.EXIT_USAGE
-        assert f"n_queries must be >= 1, got {queries}" in capsys.readouterr().err
+        assert f"--queries must be >= 1, got {queries}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", ["1", "2"])

@@ -291,6 +291,13 @@ class TestLoad:
         with pytest.raises(DataError, match=re.escape(message)):
             load_dataset(path)
 
+    def test_records_of_two_workloads_are_a_data_error_naming_them(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        _write_lines(path, _lines(2) + _lines(2, workload_id="other-wl", experiment_id="exp-2"))
+        message = f"{path}: records of more than one workload: ['other-wl', 'wl']"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_dataset(path)
+
     def test_from_json_rejects_a_non_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             TrajectoryRecord.from_json("[1,2]")
