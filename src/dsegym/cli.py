@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="YAML file: agent type -> hyperparameter grid")
     p.add_argument("--out", required=True)
     p.add_argument("--parallel", type=int, default=1,
-                   help="worker processes (>= 1); a sweep starts min(N, trials) of "
-                        "them, and runs in this process when that is 1")
+                   help="worker processes (>= 1): a sweep runs one share of its trials "
+                        "in this process and forks min(N, trials) - 1 children for the rest")
     p.add_argument("--no-trajectories", action="store_true",
                    help="skip trajectory logging (summary only)")
 
@@ -271,6 +271,9 @@ def _cmd_eval_proxy(args) -> int:
     if data.env_id != model.env_id:
         raise UsageError(f"model {args.model} was trained on env {model.env_id!r}, "
                          f"not on the env {data.env_id!r} of {args.data}")
+    if model.workload_id and data.workload_id != model.workload_id:
+        raise UsageError(f"model {args.model} was trained on workload {model.workload_id!r}, "
+                         f"not on the workload {data.workload_id!r} of {args.data}")
     report = proxy.evaluate_rmse(model, data)
     text = json.dumps(asdict(report), indent=2, sort_keys=True)
     print(text)
@@ -284,6 +287,9 @@ def _cmd_bench_proxy(args) -> int:
     if model.env_id != args.env:
         raise UsageError(f"model {args.model} was trained on env {model.env_id!r}, "
                          f"not on --env {args.env}")
+    if model.workload_id and model.workload_id != args.workload:
+        raise UsageError(f"model {args.model} was trained on workload {model.workload_id!r}, "
+                         f"not on --workload {args.workload}")
     if args.queries < 1:
         raise UsageError(f"--queries must be >= 1, got {args.queries}")
     env = make_env(args.env, args.workload, args.objective)

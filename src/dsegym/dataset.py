@@ -255,6 +255,10 @@ class Dataset:
         return self.records[0].env_id if self.records else None
 
     @property
+    def workload_id(self) -> str | None:
+        return self.records[0].workload_id if self.records else None
+
+    @property
     def provenance(self) -> Counter:
         """Record count per (agent_type, experiment_id)."""
         return Counter((r.agent_type, r.experiment_id) for r in self.records)

@@ -11,10 +11,12 @@ agent-internal computation is free.
 A sweep runs each trial once: `SweepConfig` refuses a repeated seed, budget
 or agent type, and two configs of one agent with the same hyperparameter
 digest, before any trial runs.  `summarize` expects results in (agent type,
-digest, seed) order, the order `run_sweep` sorts them into.  It builds each
-(agent, budget) pool of best rewards once, in that order, and
-`mean_normalized` sums each pool in that order, so another order can change
-its last bits.
+digest, seed) order, the order `run_sweep` sorts them into.  Its
+`mean_normalized` is the fraction of the optimum each agent reaches: the
+mean, over the agent's pool of best rewards, of each divided by the task's
+exact optimum reward, which `stored_oracle` reads without enumerating.  It
+is 1.0 where every trial reached the optimum, below 0 where best rewards
+are negative, and the same whichever other agents ran.
 
 A parallel sweep splits its trials round-robin into one share per worker.
 The caller runs the first share itself and forks one child per other
@@ -29,12 +31,14 @@ worker may use every core.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import multiprocessing
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
+from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -238,11 +242,11 @@ def _sweep_specs(config: SweepConfig) -> list[TrialSpec]:
     return specs
 
 
-def _run_spec(spec: TrialSpec) -> tuple[TrialSpec, TrialResult | None, str | None]:
+def _run_spec(spec: TrialSpec) -> tuple[TrialSpec, TrialResult | None, dict | None]:
     try:
         return spec, run_trial(spec), None
     except TrialError as exc:
-        return spec, None, str(exc)
+        return spec, None, {"error": str(exc), "error_type": type(exc.__cause__ or exc).__name__}
 
 
 def _run_share(specs: list[TrialSpec]) -> list:
@@ -298,7 +302,7 @@ class SweepSummary:
     configs: dict  # agent -> digest -> hyperparams
     best_rewards: dict  # agent -> digest -> str(budget) -> str(seed) -> reward
     stats: dict  # agent -> str(budget) -> five-number summary + iqr + best digest
-    mean_normalized: dict  # agent -> str(budget) -> [0, 1], min-max over all agents
+    mean_normalized: dict  # agent -> str(budget) -> mean of best reward / optimum reward
     timing: dict  # agent -> mean/total wall seconds (not deterministic)
     failures: list
 
@@ -412,8 +416,8 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
 
     results = [r for _, r, _ in outcomes if r is not None]
     failures = [
-        {"agent_type": s.agent_type, "seed": s.seed, "error": err}
-        for s, r, err in outcomes
+        {"agent_type": s.agent_type, "hyperparams": dict(s.hyperparams), "seed": s.seed, **failure}
+        for s, r, failure in outcomes
         if r is None
     ]
     return summarize(config, results, failures)
@@ -435,8 +439,9 @@ def summarize(config: SweepConfig, results: list[TrialResult], failures: list) -
         t["trials"] += 1
 
     stats: dict = {}
-    pools: dict = {}  # agent -> budget -> best rewards of every config and seed
+    mean_normalized: dict = {}
     for agent_type, by_digest in best_rewards.items():
+        optimum = stored_oracle(config.env_id, config.workload_id, config.objective).best_reward
         for budget in config.budgets:
             key = str(budget)
             pooled = [v for by_budget in by_digest.values() for v in by_budget[key].values()]
@@ -453,7 +458,10 @@ def summarize(config: SweepConfig, results: list[TrialResult], failures: list) -
                     sorted(by_digest), key=lambda d: max(by_digest[d][key].values())
                 ),
             }
-            pools.setdefault(agent_type, {})[budget] = pooled
+            # every ratio is <= 1, as no reward beats the exact optimum, which is > 0
+            mean_normalized.setdefault(agent_type, {})[key] = (
+                math.fsum(v / optimum for v in pooled) / len(pooled)
+            )
 
     return SweepSummary(
         env_id=config.env_id,
@@ -464,45 +472,10 @@ def summarize(config: SweepConfig, results: list[TrialResult], failures: list) -
         configs=configs,
         best_rewards=best_rewards,
         stats=stats,
-        mean_normalized={
-            agent: {str(b): v for b, v in by_budget.items()}
-            for agent, by_budget in mean_normalized_reward(pools).items()
-        },
+        mean_normalized=mean_normalized,
         timing=timing,
         failures=failures,
     )
-
-
-# ---------------------------------------------------------------------------
-# Statistics
-
-
-def mean_normalized_reward(
-    best_by_agent_budget: Mapping[str, Mapping[int, Sequence[float]]],
-) -> dict[str, dict[int, float]]:
-    """Per (agent, budget) mean of best rewards, min-max scaled into [0, 1].
-
-    The scale runs from the lowest to the highest best reward of any agent
-    at the same budget, so it holds for rewards of any sign; a budget where
-    every best reward is equal normalizes to 1.
-    """
-    budgets = sorted({b for by_b in best_by_agent_budget.values() for b in by_b})
-    out: dict[str, dict[int, float]] = {a: {} for a in best_by_agent_budget}
-    for budget in budgets:
-        pooled = [
-            v for by_b in best_by_agent_budget.values() if budget in by_b for v in by_b[budget]
-        ]
-        group_min, group_max = min(pooled), max(pooled)
-        for agent, by_b in best_by_agent_budget.items():
-            if budget not in by_b:
-                continue
-            if group_max == group_min:
-                out[agent][budget] = 1.0
-            else:
-                # np.mean can round just past the values it averages
-                mean = min(max(float(np.mean(by_b[budget])), group_min), group_max)
-                out[agent][budget] = (mean - group_min) / (group_max - group_min)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +514,23 @@ def enumerate_oracle(env_id: str, workload_id: str, objective: str) -> OracleRes
     full accel or soc task under 0.03 s.
     """
     return enumerate_oracles(env_id, workload_id, (objective,))[0]
+
+
+@functools.cache
+def _stored_optima() -> dict:
+    ref = resources.files("dsegym.envs") / "fixtures" / "optima.json"
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+def stored_oracle(env_id: str, workload_id: str, objective: str) -> OracleResult:
+    """`enumerate_oracle` of a shipped task, as scripts/optima.py stored it
+    in the package; an unknown task is a `ValueError`."""
+    task = f"{env_id}/{workload_id}/{objective}"
+    entry = _stored_optima().get(task)
+    if entry is None:
+        raise ValueError(f"no stored optimum for task {task!r}")
+    return OracleResult(env_id, workload_id, objective, dict(entry["design"]), entry["reward"],
+                        entry["cardinality"])
 
 
 def enumerate_oracles(
@@ -611,17 +601,9 @@ def report(summary: SweepSummary, out_dir) -> list[str]:
     )
 
     budgets = sorted(summary.budgets)
-    rows = []
-    for agent in sorted(summary.mean_normalized):
-        row = [agent]
-        for b in budgets:
-            row.append(summary.mean_normalized[agent].get(str(b), ""))
-        rows.append(row)
-    _write_csv(
-        out / "normalized_rewards.csv",
-        ["agent"] + [f"budget_{b}" for b in budgets],
-        rows,
-    )
+    rows = [[agent] + [by_budget.get(str(b), "") for b in budgets]
+            for agent, by_budget in sorted(summary.mean_normalized.items())]
+    _write_csv(out / "normalized_rewards.csv", ["agent"] + [f"budget_{b}" for b in budgets], rows)
 
     rows = []
     for agent in sorted(summary.timing):

@@ -209,7 +209,7 @@ def _best_split(X, y, idx, features, min_leaf):
     return best
 
 
-# Keys `RandomForestModel.load` requires; `n_train` may be absent (read as 0).
+# Keys `RandomForestModel.load` requires; `n_train` (read as 0) and `workload_id` may be absent.
 _MODEL_KEYS = ("format_version", "env_id", "target", "hyperparams", "seed", "train_range",
                "feature_space", "trees")
 
@@ -225,6 +225,7 @@ class RandomForestModel:
     train_min: float
     train_max: float
     n_train: int = 0
+    workload_id: str = ""
 
     def predict_features(self, x: np.ndarray) -> float:
         x = x.tolist()
@@ -238,6 +239,7 @@ class RandomForestModel:
         doc = {
             "format_version": 1,
             "env_id": self.env_id,
+            "workload_id": self.workload_id,
             "target": self.target,
             "hyperparams": self.hyperparams,
             "seed": self.seed,
@@ -286,6 +288,7 @@ class RandomForestModel:
             train_min=train_min,
             train_max=train_max,
             n_train=doc.get("n_train", 0),
+            workload_id=doc.get("workload_id", ""),
         )
 
 
@@ -369,6 +372,7 @@ def train_forest(
         train_min=float(np.min(y)),
         train_max=float(np.max(y)),
         n_train=len(y),
+        workload_id=dataset.workload_id or "",
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 from dsegym import cli
 from dsegym import orchestrator as orch
 from dsegym import proxy
-from dsegym.agents import RandomWalker
+from dsegym.agents import GeneticAlgorithm
 from dsegym.dataset import load_dataset
 
 ENV = ["--env", "dram-small", "--workload", "stream", "--objective", "low-power"]
@@ -120,11 +120,17 @@ def test_sweep_with_a_failed_trial_exits_with_failure(tmp_path, monkeypatch, cap
     def broken(self, rng):
         raise RuntimeError("simulated agent fault")
 
-    monkeypatch.setattr(RandomWalker, "propose", broken)
-    argv = ["sweep", *ENV, "--agents", "RW", "--budgets", "2", "--out", str(tmp_path / "sw")]
+    monkeypatch.setattr(GeneticAlgorithm, "propose", broken)
+    grid = tmp_path / "grid.yaml"
+    grid.write_text("GA:\n  population_size: [4]\n", encoding="utf-8")
+    argv = ["sweep", *ENV, "--agents", "GA", "--budgets", "2", "--grid", str(grid),
+            "--out", str(tmp_path / "sw")]
     assert cli.main(argv) == cli.EXIT_FAILURE
     assert "1 trial(s) failed" in capsys.readouterr().err
-    assert (tmp_path / "sw" / "summary.json").exists()
+    (failure,) = orch.SweepSummary.load(tmp_path / "sw" / "summary.json").failures
+    assert failure["hyperparams"] == {"population_size": 4}
+    assert failure["error_type"] == "RuntimeError"
+    assert "simulated agent fault" in failure["error"]
 
 
 def test_sweep_records_a_trial_whose_log_cannot_be_opened(tmp_path, capsys):
@@ -136,6 +142,7 @@ def test_sweep_records_a_trial_whose_log_cannot_be_opened(tmp_path, capsys):
     assert "1 trial(s) failed" in capsys.readouterr().err
     (failure,) = orch.SweepSummary.load(out / "summary.json").failures
     assert failure["agent_type"] == "RW" and "failed at step 0" in failure["error"]
+    assert failure["hyperparams"] == {} and failure["error_type"] == "FileExistsError"
 
 
 @pytest.mark.parametrize("parallel", ["0", "-1"])
@@ -413,6 +420,43 @@ def test_eval_proxy_refuses_a_dataset_of_another_env(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "'dram-small'" in err and "'dram'" in err
+
+
+def _model_of_the_stream_workload(tmp_path):
+    _run(tmp_path, "RW", 20)
+    (path,) = _trajectory_files(tmp_path)
+    model = tmp_path / "model.json"
+    argv = ["train-proxy", "--data", path, "--target", "power", "--out", str(model),
+            "--set", "n_trees=2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    return model
+
+
+def test_eval_proxy_refuses_a_dataset_of_another_workload(tmp_path, capsys):
+    model = _model_of_the_stream_workload(tmp_path)
+    argv = ["run", *ENV[:2], "--workload", "cloud-1", "--agent", "RW", "--budget", "4",
+            "--out", str(tmp_path / "cloud")]
+    assert cli.main(argv) == cli.EXIT_OK
+    (other,) = (tmp_path / "cloud").glob("*.jsonl")
+    capsys.readouterr()
+    argv = ["eval-proxy", "--model", str(model), "--data", str(other)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "workload 'stream'" in err and "workload 'cloud-1'" in err
+
+
+def test_bench_proxy_refuses_another_workload(tmp_path, capsys):
+    model = _model_of_the_stream_workload(tmp_path)
+    capsys.readouterr()
+    argv = ["bench-proxy", "--model", str(model), *ENV[:2], "--workload", "cloud-1",
+            "--queries", "1"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "workload 'stream'" in err and "--workload cloud-1" in err
+    # a model saved before models recorded their workload runs on any
+    v1_model = Path(__file__).parent / "data" / "model_v1.json"
+    argv[2] = str(v1_model)
+    assert cli.main(argv) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("setting", ["n_trees=0", "max_depth=-1"])

@@ -1,15 +1,18 @@
-"""The batch cost formula, the batch reward and the chunked exact oracle.
+"""The batch cost formula, the batch reward, the chunked exact oracle and
+the stored optima.
 
 `metrics_batch` must equal `observe` bit for bit, and `enumerate_oracle`
 must find the optimum the per-point enumeration found: the pinned small-
-task digest and tests/data/full_optima.json (written by
-scripts/full_optima.py) hold the designs and rewards it returned.
+task digest holds the designs and rewards it returned.  The package's
+fixtures/optima.json (written by scripts/optima.py), which `stored_oracle`
+reads, must hold `enumerate_oracle`'s answer for every shipped task; full
+dram is too large to re-enumerate here, so its entries are checked by
+scoring them, and re-enumerated only in the slow test.
 """
 
 import hashlib
 import itertools
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,6 @@ from dsegym.spaces import (
     sample_uniform_indices,
 )
 
-FULL_OPTIMA = json.loads((Path(__file__).parent / "data" / "full_optima.json").read_text())
 REFERENCE_POINTS = 20_000
 
 ENV_WORKLOADS = [(env_id, wl) for env_id in ENV_IDS for wl in list_workloads(env_id)]
@@ -121,17 +123,28 @@ def test_small_oracles_are_pinned():
 
 
 def test_full_optima_fixture_covers_every_task():
-    assert sorted(FULL_OPTIMA) == sorted(map(_key, FULL_TASKS))
-    assert len(FULL_OPTIMA) == 27
+    assert sorted(orch._stored_optima()) == sorted(map(_key, TASKS))
+    assert len(TASKS) == 54
+
+
+def test_every_stored_optimum_reward_is_positive():
+    # so that a best reward divided by it is at most 1 (`summarize`)
+    assert all(orch.stored_oracle(*task).best_reward > 0 for task in TASKS)
+
+
+def test_stored_oracle_refuses_an_unknown_task():
+    with pytest.raises(ValueError, match="no stored optimum for task 'dram-small/nope/joint'"):
+        orch.stored_oracle("dram-small", "nope", "joint")
+
+
+@pytest.mark.parametrize("task", SMALL_TASKS, ids=_key)
+def test_small_optimum_matches_the_fixture(task):
+    assert orch.stored_oracle(*task) == orch.enumerate_oracle(*task)
 
 
 @pytest.mark.parametrize("task", [t for t in FULL_TASKS if t[0] != "dram"], ids=_key)
 def test_full_optimum_matches_the_fixture(task):
-    result = orch.enumerate_oracle(*task)
-    expected = FULL_OPTIMA[_key(task)]
-    assert result.best_design == expected["design"]
-    assert result.best_reward == expected["reward"]
-    assert result.space_cardinality == expected["cardinality"]
+    assert orch.stored_oracle(*task) == orch.enumerate_oracle(*task)
 
 
 @pytest.mark.parametrize("task", [t for t in FULL_TASKS if t[0] == "dram"], ids=_key)
@@ -139,21 +152,19 @@ def test_dram_optimum_scores_its_reward(task):
     """A fixture entry too large to recompute here: `score` of its design is
     its reward, and no uniform design beats it."""
     env = make_env(*task)
-    entry = FULL_OPTIMA[_key(task)]
-    assert entry["cardinality"] == cardinality(env.space())
-    best = point_from_map(env.space(), entry["design"])
-    assert score(env.reward_spec, env.observe(best)) == entry["reward"]
+    stored = orch.stored_oracle(*task)
+    assert stored.space_cardinality == cardinality(env.space())
+    best = point_from_map(env.space(), stored.best_design)
+    assert score(env.reward_spec, env.observe(best)) == stored.best_reward
     rows = sample_uniform_indices(env.space(), make_rng(5), 2_000)
     rewards = score_batch(env.reward_spec, *env.metrics_batch(rows))
-    assert rewards.max() <= entry["reward"]
+    assert rewards.max() <= stored.best_reward
 
 
 @pytest.mark.slow
 def test_dram_optimum_is_recomputed():
     task = ("dram", "cloud-1", "joint")
-    result = orch.enumerate_oracle(*task)
-    expected = FULL_OPTIMA[_key(task)]
-    assert (result.best_design, result.best_reward) == (expected["design"], expected["reward"])
+    assert orch.enumerate_oracle(*task) == orch.stored_oracle(*task)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -10,10 +11,12 @@ from dsegym.orchestrator import (
     SweepConfig,
     SweepSummary,
     TrialError,
+    TrialResult,
     TrialSpec,
-    mean_normalized_reward,
     run_sweep,
     run_trial,
+    stored_oracle,
+    summarize,
 )
 
 from .test_agents_common import FAST_HP
@@ -213,9 +216,15 @@ class TestTrajectoryFiles:
         assert len(load_dataset(partial).records) == 2
 
 
+def _fraction_of_optimum(summary, agent, budget):
+    optimum = stored_oracle(summary.env_id, summary.workload_id, summary.objective).best_reward
+    pooled = [v for by_b in summary.best_rewards[agent].values() for v in by_b[budget].values()]
+    return math.fsum(v / optimum for v in pooled) / len(pooled)
+
+
 class TestMeanNormalized:
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_lies_in_unit_interval_for_negative_rewards(self, seed):
+    def test_is_the_fraction_of_the_optimum_for_negative_rewards(self, seed):
         env_id, workload_id, objective = BUDGET_ENV
         summary = run_sweep(
             SweepConfig(
@@ -232,15 +241,31 @@ class TestMeanNormalized:
         assert min(s["min"] for by_b in summary.stats.values() for s in by_b.values()) < 0
         values = [v for by_b in summary.mean_normalized.values() for v in by_b.values()]
         assert len(values) == len(AGENT_TYPES) * 4
-        assert all(0.0 <= v <= 1.0 for v in values)
+        assert max(values) <= 1.0 and min(values) < 0.0
+        for agent, by_b in summary.mean_normalized.items():
+            assert by_b == {b: _fraction_of_optimum(summary, agent, b) for b in by_b}
+            assert list(by_b) == ["1", "2", "4", "8"]
 
-    def test_group_min_max(self):
-        normalized = mean_normalized_reward(
-            {"A": {1: [-3.0, -1.0], 2: [4.0]}, "B": {1: [-5.0], 2: [4.0]}}
-        )
-        assert normalized == {"A": {1: 0.75, 2: 1.0}, "B": {1: 0.0, 2: 1.0}}
+    def test_adding_agents_leaves_each_agent_bit_identical(self):
+        def bits(agent_types):
+            summary = run_sweep(SweepConfig(*BUDGET_ENV, agent_types, budgets=(2, 8, 16),
+                                            seeds=(0, 1)))
+            assert not summary.failures
+            return {agent: {b: v.hex() for b, v in by_b.items()}
+                    for agent, by_b in summary.mean_normalized.items()}
 
-    def test_mean_rounding_stays_in_range(self):
-        # np.mean([0.1] * 3) rounds to 0.10000000000000002 > 0.1
-        normalized = mean_normalized_reward({"A": {1: [0.1] * 3}, "B": {1: [0.0]}})
-        assert normalized == {"A": {1: 1.0}, "B": {1: 0.0}}
+        joined = bits(("GA", "RW", "BO"))
+        assert bits(("GA",))["GA"] == joined["GA"]
+        assert bits(("RW",))["RW"] == joined["RW"]
+
+    def test_a_pool_at_the_optimum_reads_exactly_one(self):
+        config = SweepConfig(*BUDGET_ENV, ("RW",), budgets=(2, 4), seeds=(0, 1, 2))
+        optimum = stored_oracle(*BUDGET_ENV).best_reward
+        # every trial ends at the optimum; at budget 2 each is half-way there
+        results = [
+            TrialResult(f"t{seed}", "RW", "d", {}, seed, 4, None, optimum, 0.0, None,
+                        best_at={2: optimum / 2, 4: optimum})
+            for seed in config.seeds
+        ]
+        summary = summarize(config, results, [])
+        assert summary.mean_normalized == {"RW": {"2": 0.5, "4": 1.0}}

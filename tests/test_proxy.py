@@ -232,6 +232,15 @@ def test_load_reads_a_missing_n_train_as_zero(tmp_path):
     assert [t.nodes for t in model.trees] == [t.nodes for t in full.trees]
 
 
+def test_a_model_records_its_workload(model, tmp_path):
+    assert model.workload_id == "stream"
+    model.save(tmp_path / "model.json")
+    assert RandomForestModel.load(tmp_path / "model.json").workload_id == "stream"
+    # a v1 file from before models recorded it: a workload not known
+    assert "workload_id" not in json.loads(MODEL_V1.read_text(encoding="utf-8"))
+    assert RandomForestModel.load(MODEL_V1).workload_id == ""
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -34,21 +34,21 @@ SWEEPS = {
 
 GOLDEN = {
     "accel-small-shipped": {
-        "summary.json": "f08a636d2607155393bd74b5318ebd63f887518d5dad80128f86e1671ee6a7c6",
+        "summary.json": "5860a0fd047ac293a399d23cd08bf5e90ec41d34f440543256262dcfd4c18fc7",
         "quartiles.csv": "d9fbfbc3a9263925559c59a269de2f95508bbbdb510fd154920e6e0ee51be955",
-        "normalized_rewards.csv": "ebb1a56baf03c2114ea9d61208a390aa09a563c4d7d02cadc0e288818853ddfd",
+        "normalized_rewards.csv": "01e77c8f19ffa8dda36d0ac3cd8fe5602dad2f9d41852d2f03892322fa55eb86",
         "time_to_completion.csv": "7c6d5617f6f58437312a02e03a3812b075755afa1d2d16428b43c2193393dbe2",
     },
     "dram-small-unsorted": {
-        "summary.json": "43a1dc6a0f18fa710d5f71c44c078986de86a71f65d1946c13a392a701f0c82d",
+        "summary.json": "b7a1d9c7293dee78a57f39ab91bd16ddaf839847f5fcabaaafd40e3634ed316b",
         "quartiles.csv": "e884834b3b4a66a77bfde5b46d6daf7b742c8f30b5d109a17f45bd07420f5fda",
-        "normalized_rewards.csv": "f7ee6590bde29bc75595b385446f0291c9ba0f8bce8b0b140efcb2aac4122af5",
+        "normalized_rewards.csv": "f846ebba7371754002d0c95c46d6dc6266261413ca87ddd89c0fb7d2c0a74db9",
         "time_to_completion.csv": "ccb6964f3c2743f51a790f7d59a3b81157016cafdcb1303a8f9f183613b21f81",
     },
     "soc-small-budget": {
-        "summary.json": "29266b3ef4c9ad2e1766cb1617e7f9bfaf4fafbe4bb614c68278c0445933205d",
+        "summary.json": "9be25f698d1f056c711ff79ad933bafbb2e20fa626a711de80ba4cf76ab15d63",
         "quartiles.csv": "ac2b63f45cf7f1a57f21f887145ff9d768630decb205c03bbbc3d344e7857c0f",
-        "normalized_rewards.csv": "20619b1387592a4915bfd81f1b6c2bff27d9c252c3ad91fb06120b2c2795e489",
+        "normalized_rewards.csv": "0e6181d30c6944e2528f7410a86a26ed1286beaa49af39294cf4938b5f16bd78",
         "time_to_completion.csv": "8763bcf6088216795f9a7b9e227f5fd7b6e33d903161e714ddc455ebcff693af",
     },
 }
