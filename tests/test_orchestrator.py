@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -222,20 +223,25 @@ def _fraction_of_optimum(summary, agent, budget):
     return math.fsum(v / optimum for v in pooled) / len(pooled)
 
 
+@functools.cache
+def _budget_sweep(seed):
+    env_id, workload_id, objective = BUDGET_ENV
+    return run_sweep(
+        SweepConfig(
+            env_id=env_id,
+            workload_id=workload_id,
+            objective=objective,
+            agent_types=tuple(AGENT_TYPES),
+            budgets=(1, 2, 4, 8),
+            seeds=(seed,),
+        )
+    )
+
+
 class TestMeanNormalized:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_is_the_fraction_of_the_optimum_for_negative_rewards(self, seed):
-        env_id, workload_id, objective = BUDGET_ENV
-        summary = run_sweep(
-            SweepConfig(
-                env_id=env_id,
-                workload_id=workload_id,
-                objective=objective,
-                agent_types=tuple(AGENT_TYPES),
-                budgets=(1, 2, 4, 8),
-                seeds=(seed,),
-            )
-        )
+        summary = _budget_sweep(seed)
         assert not summary.failures
         # the budget objective hands out negative best rewards at small budgets
         assert min(s["min"] for by_b in summary.stats.values() for s in by_b.values()) < 0
@@ -245,6 +251,18 @@ class TestMeanNormalized:
         for agent, by_b in summary.mean_normalized.items():
             assert by_b == {b: _fraction_of_optimum(summary, agent, b) for b in by_b}
             assert list(by_b) == ["1", "2", "4", "8"]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lies_in_unit_interval_for_negative_rewards(self, seed):
+        # cells whose best rewards are all >= 0 read within [0, 1] even though
+        # other cells of the same sweep are negative
+        summary = _budget_sweep(seed)
+        assert not summary.failures
+        cells = [(agent, b) for agent, by_b in summary.stats.items() for b in by_b]
+        non_negative = [(agent, b) for agent, b in cells if summary.stats[agent][b]["min"] >= 0]
+        assert 0 < len(non_negative) < len(cells)
+        for agent, b in non_negative:
+            assert 0.0 <= summary.mean_normalized[agent][b] <= 1.0
 
     def test_adding_agents_leaves_each_agent_bit_identical(self):
         def bits(agent_types):
