@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Per-step cost of each agent, in process: p50/p99 µs of propose, observe and env.step.
+"""Per-step cost of each agent, in process: mean/p50/p99 µs of propose, observe, env.step.
 
 Runs fixed-seed trials of every agent at its default hyperparameters on
 the three `-small` and the three full benchmark tasks, times each call
 with `time.perf_counter_ns`, and prints one JSON object:
-agent -> env id -> {propose, observe, step} -> {p50, p99} in µs.
+agent -> env id -> {propose, observe, step} -> {mean, p50, p99} in µs.
+The mean counts a cost that falls on few calls, which the percentiles
+hide: GA breeds a whole generation in one `propose` of every
+`population_size`.
 
 It profiles one checkout: where a step's time goes, and which agent or
 env is slow.  It cannot resolve a ±10 % difference between two checkouts
@@ -41,6 +44,7 @@ FULL_TASKS = (
 )
 TASKS = tuple((f"{env}-small", wl, obj) for env, wl, obj in FULL_TASKS) + FULL_TASKS
 CALLS = ("propose", "observe", "step")
+STATS = ("mean", "p50", "p99")
 
 
 def time_trial(agent_type: str, task: tuple, steps: int, seed: int) -> dict[str, list[int]]:
@@ -65,7 +69,7 @@ def time_trial(agent_type: str, task: tuple, steps: int, seed: int) -> dict[str,
 
 
 def step_timing(steps: int, seeds: int, agents=AGENT_TYPES) -> dict:
-    """agent -> env id -> call -> {p50, p99} in µs, over `seeds` trials each."""
+    """agent -> env id -> call -> {mean, p50, p99} in µs, over `seeds` trials each."""
     table: dict = {}
     for agent_type in agents:
         for task in TASKS:
@@ -76,7 +80,7 @@ def step_timing(steps: int, seeds: int, agents=AGENT_TYPES) -> dict:
             table.setdefault(agent_type, {})[task[0]] = {
                 call: {
                     q: round(float(v) / 1e3, 1)
-                    for q, v in zip(("p50", "p99"), np.percentile(ns, [50, 99]))
+                    for q, v in zip(STATS, (np.mean(ns), *np.percentile(ns, [50, 99])))
                 }
                 for call, ns in pooled.items()
             }

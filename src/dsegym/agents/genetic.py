@@ -1,19 +1,23 @@
 """Genetic algorithm: tournament selection, uniform crossover, per-gene mutation.
 
-The population is generational with single-individual elitism.  Three
+The population is generational with single-individual elitism.  A
+generation draws its randomness as one `rng.random((population_size - 1,
+m))` block, one row per child, and breeds from it in plain Python.  Three
 optional domain operators mirror accelerator-mapping GA variants: gene
 reordering before crossover, aging out of long-lived individuals, and
 growth (an extra mutated copy of the elite, with the population trimmed
-back to size at the next generation).
+back to size at the next generation).  Reordering and growth make their
+own draws besides the block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from ..spaces import DesignPoint, ParameterSpace, resample_position
+from ..spaces import DesignPoint, resample_position
 from .base import Agent
 
 
@@ -24,34 +28,18 @@ class Individual:
     age: int = 0
 
 
-def uniform_crossover(
-    a: DesignPoint,
-    b: DesignPoint,
-    rng: np.random.Generator,
-    order: np.ndarray | None = None,
-) -> DesignPoint:
-    """Per-gene 50/50 mix of two parents, visited in `order` if given.
+def floyd_sample(n: int, uniforms: Sequence[float]) -> list[int]:
+    """`len(uniforms)` distinct indices of `range(n)`, every subset equally likely.
 
-    The coins are one `rng.random(n)` batch used in visiting order: the
-    same doubles as n scalar draws.
+    Floyd's algorithm (Bentley & Floyd, CACM 1987): the step for j in
+    `n - k .. n - 1` picks `v = int(u * (j + 1))` from `0 .. j`, or j
+    itself if v is already picked.
     """
-    indices = list(a)
-    positions = order if order is not None else range(len(indices))
-    coins = rng.random(len(positions)).tolist()
-    for pos, coin in zip(positions, coins):
-        if coin < 0.5:
-            indices[pos] = b[pos]
-    return tuple(indices)
-
-
-def mutate(
-    space: ParameterSpace, point: DesignPoint, prob: float, rng: np.random.Generator
-) -> DesignPoint:
-    """Each gene independently resampled (excluding its value) with prob `prob`."""
-    for pos in range(len(space)):
-        if rng.random() < prob:
-            point = resample_position(space, point, pos, rng)
-    return point
+    picks: list[int] = []
+    for j, u in zip(range(n - len(uniforms), n), uniforms):
+        v = int(u * (j + 1))
+        picks.append(j if v in picks else v)
+    return picks
 
 
 class GeneticAlgorithm(Agent):
@@ -106,11 +94,6 @@ class GeneticAlgorithm(Agent):
                 return ind
         return None
 
-    def _tournament(self, pool: list[Individual], rng: np.random.Generator) -> Individual:
-        k = min(self._hyperparams["tournament_size"], len(pool))
-        picks = rng.choice(len(pool), size=k, replace=False)
-        return max((pool[int(i)] for i in picks), key=lambda i: i.fitness)
-
     def _breed(self, rng: np.random.Generator) -> None:
         hp = self._hyperparams
         size = hp["population_size"]
@@ -126,20 +109,39 @@ class GeneticAlgorithm(Agent):
             survivors = pool
         elite = max(survivors, key=lambda i: i.fitness)
 
-        order = rng.permutation(len(self.space)) if hp["reordering"] else None
+        d = len(self.space)
+        order = rng.permutation(d).tolist() if hp["reordering"] else range(d)
+        n = len(survivors)
+        k = min(hp["tournament_size"], n)
+        # a child's row: two tournaments' k uniforms each, the crossover
+        # coin, then d crossover coins, d mutation coins, d resample uniforms
+        cx, mut, res = 2 * k + 1, 2 * k + 1 + d, 2 * k + 1 + 2 * d
+        block = rng.random((size - 1, res + d)).tolist()
+        points = [i.point for i in survivors]
+        fitness = [i.fitness for i in survivors]
+
+        def winner(uniforms):
+            return points[max(floyd_sample(n, uniforms), key=fitness.__getitem__)]
+
+        crossover_prob, mutation_prob = hp["crossover_prob"], hp["mutation_prob"]
+        # a mutated gene takes one of the size - 1 other grid indices
+        others = [s - 1 for s in self.space.sizes]
         children = [Individual(elite.point, elite.fitness, elite.age + 1)]
-        while len(children) < size:
-            parent = self._tournament(survivors, rng)
-            if rng.random() < hp["crossover_prob"]:
-                other = self._tournament(survivors, rng)
-                child = uniform_crossover(parent.point, other.point, rng, order)
-            else:
-                child = parent.point
-            child = mutate(self.space, child, hp["mutation_prob"], rng)
-            children.append(Individual(child))
+        for row in block:
+            child = list(winner(row[:k]))
+            if row[2 * k] < crossover_prob:
+                other = winner(row[k : 2 * k])
+                for pos, coin in zip(order, row[cx:mut]):
+                    if coin < 0.5:
+                        child[pos] = other[pos]
+            for pos, coin in enumerate(row[mut:res]):
+                if coin < mutation_prob and others[pos]:
+                    new = int(row[res + pos] * others[pos])
+                    child[pos] = new + 1 if new >= child[pos] else new
+            children.append(Individual(tuple(child)))
         if hp["growth"] and rng.random() < hp["growth_prob"]:
             sprout = resample_position(
-                self.space, elite.point, int(rng.integers(0, len(self.space))), rng
+                self.space, elite.point, int(rng.integers(0, d)), rng
             )
             children.append(Individual(sprout))
         self.population = children

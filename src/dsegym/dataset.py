@@ -401,6 +401,7 @@ def write_manifest(path, files: list[str], dataset: Dataset) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "env_id": dataset.env_id,
+        "workload_id": dataset.workload_id,
         "record_count": len(dataset),
         "files": sorted(files),
         "provenance": [

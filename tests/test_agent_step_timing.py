@@ -24,7 +24,9 @@ def test_prints_percentiles_per_agent_env_and_call():
         for calls in by_env.values():
             assert set(calls) == {"propose", "observe", "step"}
             for q in calls.values():
-                assert 0.0 <= q["p50"] <= q["p99"]
+                assert set(q) == {"mean", "p50", "p99"}
+                # over two calls the mean lies between the median and the 99th percentile
+                assert 0.0 <= q["p50"] <= q["mean"] <= q["p99"]
 
 
 def test_rejects_a_step_count_below_one():

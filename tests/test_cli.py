@@ -43,6 +43,7 @@ def test_aggregate_train_eval_round_trip(tmp_path, capsys):
     assert len(load_dataset(out / "dataset.jsonl")) == 60
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["record_count"] == 60 and manifest["files"] == files
+    assert (manifest["env_id"], manifest["workload_id"]) == ("dram-small", "stream")
 
     model = tmp_path / "model.json"
     argv = ["train-proxy", "--data", str(out / "dataset.jsonl"), "--target", "power",

@@ -25,15 +25,15 @@ SEEDS = (0, 1)
 
 DIGESTS = {
     ("dram", "ACO"): "fad7dc936a2667a36604d7f7664e1ac6e467b1a39fe5f5bcb9a018cd27e5fb95",
-    ("dram", "GA"): "6faff54e9ca088cd4a3ec7f57ce1f2af542315cb7bc01c675e819af0622f4b0b",
+    ("dram", "GA"): "695beb3972b6472861b0ccc72614118f3833cc1a2ca6652b8c7ba03778c3b084",
     ("dram", "RL"): "79e6506d989e7e5518c45b38b568c2e8d955fb5acf5f28460dd93ad4a2cd9f32",
     ("dram", "RW"): "3609e444422601a679bada470adf58dcdd8d55eaa42e656f857f16bc2d0931c7",
     ("accel", "ACO"): "a47f8562ecbe61963dd73138bb3ac3d81622f06f0882160adb3d5911423366f4",
-    ("accel", "GA"): "f6e51faca3a77407318dd5168a8d360ee4d44a9c2255712fb79a3de4d6fa2def",
+    ("accel", "GA"): "0a04563cc571780fac8fd391b69d36be609e654bf6886cbbc23db7e2c35f064e",
     ("accel", "RL"): "621a71e1dc751832f89a3adb95eafc63004faaa07734d30d9b6f94bbaf5dac44",
     ("accel", "RW"): "37644d742eb8ba5866fb826d5a3ec5a50a8d1be1c1a7e30d1850cf2f17ddd638",
     ("soc", "ACO"): "3468891cdefd75cdba4380aa61603dc605ff445fb7372600ad8772b2a5b5692e",
-    ("soc", "GA"): "d01d7e95a4dca916d0d41104abdbf2adf7efae195f804c3a4ad6ac5d3450c6c6",
+    ("soc", "GA"): "54242cc25f586e776b0e12ffef3924171687e2c28efc98796a75eed90c56849b",
     ("soc", "RL"): "f5200f87947ca337e787dd51b25094e5390591a2423a24eb94d47bbb51648750",
     ("soc", "RW"): "6f7da57af45aa77fc036c9a2ba92a82616647df6e853f75aa03d67ad59e1080e",
 }

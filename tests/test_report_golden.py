@@ -40,9 +40,9 @@ GOLDEN = {
         "time_to_completion.csv": "7c6d5617f6f58437312a02e03a3812b075755afa1d2d16428b43c2193393dbe2",
     },
     "dram-small-unsorted": {
-        "summary.json": "b7a1d9c7293dee78a57f39ab91bd16ddaf839847f5fcabaaafd40e3634ed316b",
-        "quartiles.csv": "e884834b3b4a66a77bfde5b46d6daf7b742c8f30b5d109a17f45bd07420f5fda",
-        "normalized_rewards.csv": "f846ebba7371754002d0c95c46d6dc6266261413ca87ddd89c0fb7d2c0a74db9",
+        "summary.json": "b23a0e9fb29fbace864bc2f281cc892f1f8280aa5b25ecd010f22028dba1d47a",
+        "quartiles.csv": "bec99d55aaf6fe6a434d6a50b4ecfbae16a6a274cab343d4ccb5b413ff293e51",
+        "normalized_rewards.csv": "758fbf45afc53600835d674068a5b94d43534ee34cebfe2f3ce246cee91c3c15",
         "time_to_completion.csv": "ccb6964f3c2743f51a790f7d59a3b81157016cafdcb1303a8f9f183613b21f81",
     },
     "soc-small-budget": {

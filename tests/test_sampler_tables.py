@@ -14,7 +14,6 @@ import pytest
 
 from dsegym.agents import make_agent
 from dsegym.agents.ant_colony import mean_ranks
-from dsegym.agents.genetic import uniform_crossover
 from dsegym.agents.reinforce import policy_gradient, softmax
 from dsegym.envs import make_env
 from dsegym.rng import make_rng
@@ -155,25 +154,3 @@ def test_policy_gradient_matches_reference(n):
 @pytest.mark.parametrize("epsilon", [0, 0.1, 1])
 def test_aco_matches_reference_sampler(epsilon, beta, space_name):
     _drive_pair("ACO", {"epsilon": epsilon, "beta": beta, "ants": 8}, space_name, STEPS)
-
-
-def reference_uniform_crossover(a, b, rng, order=None):
-    indices = list(a)
-    for pos in order if order is not None else range(len(indices)):
-        if rng.random() < 0.5:
-            indices[pos] = b[pos]
-    return tuple(indices)
-
-
-@pytest.mark.parametrize("reordered", [False, True])
-def test_uniform_crossover_matches_scalar_coins(reordered):
-    rng, ref_rng = make_rng(5), make_rng(5)
-    for n in (0, 1, 9, 40):
-        a, b = tuple(range(n)), tuple(range(100, 100 + n))
-        for _ in range(20):
-            order = rng.permutation(n) if reordered else None
-            ref_order = ref_rng.permutation(n) if reordered else None
-            assert uniform_crossover(a, b, rng, order) == reference_uniform_crossover(
-                a, b, ref_rng, ref_order
-            )
-    assert rng.integers(2**63) == ref_rng.integers(2**63)
