@@ -8,6 +8,11 @@ reordering before crossover, aging out of long-lived individuals, and
 growth (an extra mutated copy of the elite, with the population trimmed
 back to size at the next generation).  Reordering and growth make their
 own draws besides the block.
+
+The first `population_size` proposals are the uniform initial population,
+so a trial whose budget is at most `population_size` never breeds: at the
+default of 32 it is uniform random sampling, and its best reward depends on
+no GA operator or hyperparameter but `population_size`.
 """
 
 from __future__ import annotations

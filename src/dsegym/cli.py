@@ -268,12 +268,7 @@ def _cmd_train_proxy(args) -> int:
 def _cmd_eval_proxy(args) -> int:
     model = proxy.RandomForestModel.load(args.model)
     data = ds.load_dataset(args.data)
-    if data.env_id != model.env_id:
-        raise UsageError(f"model {args.model} was trained on env {model.env_id!r}, "
-                         f"not on the env {data.env_id!r} of {args.data}")
-    if model.workload_id and data.workload_id != model.workload_id:
-        raise UsageError(f"model {args.model} was trained on workload {model.workload_id!r}, "
-                         f"not on the workload {data.workload_id!r} of {args.data}")
+    model.check_task(data.env_id, data.workload_id, args.data)
     report = proxy.evaluate_rmse(model, data)
     text = json.dumps(asdict(report), indent=2, sort_keys=True)
     print(text)
@@ -284,12 +279,7 @@ def _cmd_eval_proxy(args) -> int:
 
 def _cmd_bench_proxy(args) -> int:
     model = proxy.RandomForestModel.load(args.model)
-    if model.env_id != args.env:
-        raise UsageError(f"model {args.model} was trained on env {model.env_id!r}, "
-                         f"not on --env {args.env}")
-    if model.workload_id and model.workload_id != args.workload:
-        raise UsageError(f"model {args.model} was trained on workload {model.workload_id!r}, "
-                         f"not on --workload {args.workload}")
+    model.check_task(args.env, args.workload, f"--env {args.env} --workload {args.workload}")
     if args.queries < 1:
         raise UsageError(f"--queries must be >= 1, got {args.queries}")
     env = make_env(args.env, args.workload, args.objective)

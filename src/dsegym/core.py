@@ -7,12 +7,17 @@ A `RewardSpec` sets one of two fields, and the field it sets is its mode:
   geometric mean);
 * `budgets`, budget distance: sum_m alpha_m * (D_m - B_m) / B_m, negated
   by `score` so that higher is better in every mode.
+
+Each formula is written once, in `_reward`: `score` runs it on one
+observation with `math`'s operations, `score_batch` on metric columns with
+numpy's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -66,14 +71,12 @@ class RewardSpec:
     def __post_init__(self):
         if bool(self.targets) == bool(self.budgets):
             raise ValueError("a reward spec sets exactly one of targets and budgets")
-        for metric, target in self.targets:
-            if target <= 0:
-                raise ValueError(f"target for {metric!r} must be positive, got {target}")
-        for metric, budget, weight in self.budgets:
-            if budget <= 0:
-                raise ValueError(f"budget for {metric!r} must be positive, got {budget}")
-            if weight <= 0:
-                raise ValueError(f"weight for {metric!r} must be positive, got {weight}")
+        checks = [("target", m, t) for m, t in self.targets]
+        for m, b, w in self.budgets:
+            checks += [("budget", m, b), ("weight", m, w)]
+        for kind, metric, value in checks:
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{kind} for {metric!r} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -82,57 +85,50 @@ class StepResult:
     reward: float
 
 
+# `_reward`'s operations on one point; numpy's serve a batch
+_POINT_OPS = SimpleNamespace(where=lambda cond, a, b: a if cond else b, minimum=min, maximum=max,
+                             log=math.log, exp=math.exp)
+
+
+def _reward(spec: RewardSpec, read, x):
+    """`spec`'s reward from `read(metric)`, a value or a column, with `x`'s operations.
+
+    `maximum` only keeps an exact match on a point from dividing by zero;
+    `where` has already picked the cap there.
+    """
+    if spec.targets:
+        cap = DEFAULT_SINGULARITY_CAP
+        rewards = []
+        for metric, target in spec.targets:
+            gap = abs(target - read(metric))
+            floor = target / cap
+            rewards.append(x.where(gap < floor, cap, x.minimum(target / x.maximum(gap, floor), cap)))
+        if len(rewards) == 1:
+            return rewards[0]
+        return x.exp(sum(map(x.log, rewards)) / len(rewards))
+    total = 0.0
+    for metric, budget, weight in spec.budgets:
+        total += weight * (read(metric) - budget) / budget
+    return -total
+
+
 def score(spec: RewardSpec, obs: Observation) -> float:
     """Scalar reward for an observation; higher is better in every mode.
 
     Infeasible observations score 0 (the observation's `valid` flag marks
     them instead of an exception).
     """
-    if not obs.valid:
-        return 0.0
-    if spec.targets:
-        cap = DEFAULT_SINGULARITY_CAP
-        rewards = []
-        for metric, target in spec.targets:
-            gap = abs(target - obs[metric])
-            rewards.append(cap if gap < target / cap else min(target / gap, cap))
-        if len(rewards) == 1:
-            return rewards[0]
-        logs = [math.log(r) for r in rewards]
-        return math.exp(sum(logs) / len(logs))
-    observed = [obs[metric] for metric, _, _ in spec.budgets]
-    total = 0.0
-    for d, (_, b, w) in zip(observed, spec.budgets):
-        total += w * (d - b) / b
-    return -total
+    return _reward(spec, obs.__getitem__, _POINT_OPS) if obs.valid else 0.0
 
 
 def score_batch(
     spec: RewardSpec, metrics: Mapping[str, np.ndarray], valid: np.ndarray
 ) -> np.ndarray:
-    """`score` of every row of metric columns and a validity mask.
-
-    Each row takes `score`'s float operations in the same order, so its
-    reward is `score`'s bit for bit, except a joint target's geometric
-    mean: numpy's log and exp may differ from `math`'s in the last bits.
-    """
+    """`score` of every row of metric columns and a validity mask, bit for bit,
+    except a joint target's geometric mean: numpy's log and exp may differ
+    from `math`'s in the last bits."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if spec.targets:
-            cap = DEFAULT_SINGULARITY_CAP
-            rewards = []
-            for metric, target in spec.targets:
-                gap = np.abs(target - metrics[metric])
-                rewards.append(np.where(gap < target / cap, cap, np.minimum(target / gap, cap)))
-            if len(rewards) == 1:
-                reward = rewards[0]
-            else:
-                reward = np.exp(sum(np.log(r) for r in rewards) / len(rewards))
-        else:
-            total = 0.0
-            for metric, budget, weight in spec.budgets:
-                total += weight * (metrics[metric] - budget) / budget
-            reward = -total
-    return np.where(valid, reward, 0.0)
+        return np.where(valid, _reward(spec, metrics.__getitem__, np), 0.0)
 
 
 def reward_spec_from_config(config: dict) -> RewardSpec:

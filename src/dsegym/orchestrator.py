@@ -505,8 +505,9 @@ def enumerate_oracle(env_id: str, workload_id: str, objective: str) -> OracleRes
     The space is walked in chunks of `_ORACLE_CHUNK` rows, in enumeration
     order (first parameter slowest).  `metrics_batch` scores each chunk
     with the family's one cost formula, bit for bit as `observe` would, and
-    `score_batch` gives each row `score`'s reward.  A joint target's batch
-    reward may differ from `score` in the last bits, so there every row
+    `score_batch` gives each row `score`'s reward from the same reward
+    formula.  A joint target's batch reward may still differ from `score`
+    in the last bits (numpy's log and exp against `math`'s), so there every row
     within `_RESCORE_RTOL` of the running maximum is re-scored with `score`.
     The first design in enumeration order with the highest reward wins.
     Every shipped space is enumerable: the largest, full dram (18.9M

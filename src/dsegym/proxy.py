@@ -235,6 +235,17 @@ class RandomForestModel:
         # np.mean's pairwise sum and division, bit for bit, without its overhead
         return float(np.add.reduce(values)) / len(values)
 
+    def check_task(self, env_id: str, workload_id: str, source: str) -> None:
+        """Refuse, with a `ValueError` naming `source`, a task the model was not
+        trained on: the env must match, and so must the workload whenever the
+        model records one (a model saved before models recorded it fits any)."""
+        if env_id != self.env_id:
+            raise ValueError(f"model trained on env {self.env_id!r} does not fit "
+                             f"env {env_id!r} of {source}")
+        if self.workload_id and workload_id != self.workload_id:
+            raise ValueError(f"model trained on workload {self.workload_id!r} does not fit "
+                             f"workload {workload_id!r} of {source}")
+
     def save(self, path) -> None:
         doc = {
             "format_version": 1,

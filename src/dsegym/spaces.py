@@ -16,6 +16,7 @@ trajectory records and in the subprocess protocol.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -66,6 +67,8 @@ class Numeric:
     step: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lo, self.hi, self.step))):
+            raise ValueError(f"numeric grid must be finite, got ({self.lo}, {self.hi}, {self.step})")
         if self.lo > self.hi:
             raise ValueError(f"numeric bounds inverted: ({self.lo}, {self.hi})")
         if self.step <= 0:

@@ -254,6 +254,10 @@ def test_a_model_records_its_workload(model, tmp_path):
                      id="parameter-without-name"),
         pytest.param(lambda doc: doc.update(feature_space=3), "not iterable",
                      id="feature-space-not-a-list"),
+        pytest.param(lambda doc: doc["feature_space"][3].update(step=math.inf),
+                     r"numeric grid must be finite, got \(\d+, \d+, inf\)", id="infinite-step"),
+        pytest.param(lambda doc: doc["feature_space"][5].update(min=math.nan),
+                     r"numeric grid must be finite, got \(nan, ", id="nan-min"),
     ],
 )
 def test_load_reports_a_malformed_document_as_a_data_error(tmp_path, text, message):
@@ -262,7 +266,7 @@ def test_load_reports_a_malformed_document_as_a_data_error(tmp_path, text, messa
         text(doc)
         text = json.dumps(doc)
     path = tmp_path / "model.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8")  # json writes inf and nan as Infinity and NaN
     with pytest.raises(DataError, match=message) as info:
         RandomForestModel.load(path)
     assert str(info.value).startswith(f"{path}: ")

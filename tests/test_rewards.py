@@ -12,6 +12,7 @@ from dsegym.core import (
     RewardSpec,
     reward_spec_from_config,
     score,
+    score_batch,
 )
 
 
@@ -253,6 +254,45 @@ class TestScore:
         assert score(spec, obs) == first
 
 
+def _score_batch_row(spec, obs):
+    """`score_batch` of a one-row batch; an invalid row's metrics are NaN."""
+    columns = {t[0]: np.array([obs.metrics.get(t[0], math.nan)])
+               for t in spec.targets + spec.budgets}
+    (reward,) = score_batch(spec, columns, np.array([obs.valid]))
+    return float(reward)
+
+
+_ULP = 2.0**-52  # the spacing of floats in [1, 2), so 1 + k * _ULP - 1 is exact
+_BELOW = int(1e-9 / _ULP)  # k * _ULP < target / cap = 1e-9 < (k + 1) * _ULP
+
+
+@pytest.mark.parametrize("scorer", [score, _score_batch_row], ids=["score", "score_batch"])
+@pytest.mark.parametrize(
+    "spec, metrics, expected",
+    [
+        pytest.param(target_spec(m=1.0), {"m": 1.0}, 1e9, id="exact-match"),
+        pytest.param(target_spec(m=1.0), {"m": 1.0 + _BELOW * _ULP}, 1e9,
+                     id="gap-just-below-cap"),
+        pytest.param(target_spec(m=1.0), {"m": 1.0 + (_BELOW + 1) * _ULP},
+                     1.0 / ((_BELOW + 1) * _ULP), id="gap-just-above-cap"),
+        pytest.param(target_spec(m=2.0, q=1.0), {"m": 2.0, "q": 1.5},
+                     math.exp((math.log(1e9) + math.log(2.0)) / 2), id="joint-exact-match"),
+        pytest.param(target_spec(m=1.0), None, 0.0, id="invalid"),
+        pytest.param(budget_spec(("m", 1.0, 1.0)), None, 0.0, id="invalid-budget"),
+        pytest.param(budget_spec(("m", 10.0, 1.0), ("q", 2.0, 3.0)), {"m": 8.0, "q": 2.0}, 0.2,
+                     id="negative-budget-distance"),
+    ],
+)
+def test_edge_cases_score_alike_for_a_point_and_a_batch(spec, metrics, expected, scorer):
+    assert _BELOW * _ULP < 1e-9 < (_BELOW + 1) * _ULP
+    obs = Observation({}, valid=False) if metrics is None else Observation(metrics)
+    got = scorer(spec, obs)
+    if len(spec.targets) > 1:  # numpy's log and exp may differ from math's in the last bits
+        assert got == pytest.approx(expected, rel=1e-15, abs=0)
+    else:
+        assert got == expected
+
+
 class TestObservation:
     def test_rejects_nan_metrics(self):
         with pytest.raises(InvalidObservationError):
@@ -278,6 +318,30 @@ class TestRewardSpecValidation:
             RewardSpec(budgets=(("a", 0.0, 1.0),))
         with pytest.raises(ValueError, match="weight"):
             RewardSpec(budgets=(("a", 1.0, 0.0),))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_refused(self, value):
+        # NaN passes a `<= 0` check, and score would return NaN or -inf
+        finite = r"for 'power' must be positive and finite, got "
+        with pytest.raises(ValueError, match="target " + finite):
+            RewardSpec(targets=(("latency", 1.0), ("power", value)))
+        with pytest.raises(ValueError, match="budget " + finite):
+            RewardSpec(budgets=(("latency", 1.0, 1.0), ("power", value, 1.0)))
+        with pytest.raises(ValueError, match="weight " + finite):
+            RewardSpec(budgets=(("latency", 1.0, 1.0), ("power", 1.0, value)))
+
+    @pytest.mark.parametrize(
+        "config, kind",
+        [
+            ({"targets": {"latency": 1.0, "power": "nan"}}, "target"),
+            ({"targets": {"power": math.inf}}, "target"),
+            ({"budgets": {"power": [math.nan, 1.0]}}, "budget"),
+            ({"budgets": {"latency": [1.0, 1.0], "power": [1.0, "inf"]}}, "weight"),
+        ],
+    )
+    def test_from_config_refuses_non_finite_values(self, config, kind):
+        with pytest.raises(ValueError, match=f"{kind} for 'power' must be positive and finite"):
+            reward_spec_from_config(config)
 
     def test_from_config(self):
         spec = reward_spec_from_config({"targets": {"latency": 2.0}})

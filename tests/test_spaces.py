@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -204,13 +205,20 @@ class TestSpaceConfig:
         (lambda: Numeric(4, 2, 1), "numeric bounds inverted: (4, 2)"),
         (lambda: Numeric(0, 4, 0), "step must be positive, got 0"),
         (lambda: Numeric(0, 4, -2), "step must be positive, got -2"),
+        (lambda: Numeric(0, 1, math.inf), "numeric grid must be finite, got (0, 1, inf)"),
+        (lambda: Numeric(0, 4, math.nan), "numeric grid must be finite, got (0, 4, nan)"),
+        (lambda: Numeric(-math.inf, 4, 1), "numeric grid must be finite, got (-inf, 4, 1)"),
+        (lambda: Numeric(0, math.inf, 1), "numeric grid must be finite, got (0, inf, 1)"),
+        (lambda: space_from_config([{"name": "A", "min": 0, "max": 4, "step": math.nan}]),
+         "numeric grid must be finite, got (0, 4, nan)"),
         (lambda: Numeric(0, 4, 2).index_of(-2), "value -2 outside grid (0, 4, 2)"),
         (lambda: Numeric(0, 4, 2).index_of(6), "value 6 outside grid (0, 4, 2)"),
         (lambda: space_from_config([{"name": "A", "kind": "ordinal", "values": ["x"]}]),
          "unknown parameter kind 'ordinal' for 'A'"),
     ],
     ids=["empty-categorical", "duplicate-label", "unknown-label", "inverted-bounds",
-         "zero-step", "negative-step", "below-grid", "above-grid", "unknown-kind"],
+         "zero-step", "negative-step", "infinite-step", "nan-step", "infinite-lo", "infinite-hi",
+         "nan-step-from-config", "below-grid", "above-grid", "unknown-kind"],
 )
 def test_a_bad_parameter_or_value_is_refused(build, message):
     with pytest.raises(ValueError) as info:
