@@ -16,6 +16,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from ..core import finite_number
 from ..spaces import DesignPoint, ParameterSpace
 
 
@@ -70,10 +71,11 @@ class Agent(ABC):
                 )
             for key, value in hyperparams.items():
                 kind = type(self.DEFAULTS[key])
-                # a float takes an int too; bool is an int subclass that only a bool takes
-                kinds = (int, float) if kind is float else kind
-                if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
-                    raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
+                # a float takes a finite int too; bool is an int subclass that only a bool takes
+                if not (finite_number(value) if kind is float else
+                        isinstance(value, kind) and isinstance(value, bool) == (kind is bool)):
+                    name = "finite float" if kind is float else kind.__name__
+                    raise ValueError(f"{key} must be of type {name}, got {value!r}")
             merged.update(hyperparams)
         self.space = space
         self._hyperparams = HyperparamSet(merged)

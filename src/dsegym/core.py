@@ -11,11 +11,15 @@ A `RewardSpec` sets one of two fields, and the field it sets is its mode:
 Each formula is written once, in `_reward`: `score` runs it on one
 observation with `math`'s operations, `score_batch` on metric columns with
 numpy's.
+
+One rule, `finite_number`, decides what a number is: every reader of a
+file, a child process or the command line calls it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Mapping
@@ -23,6 +27,12 @@ from typing import Mapping
 import numpy as np
 
 DEFAULT_SINGULARITY_CAP = 1e9
+
+
+def finite_number(value) -> bool:
+    """A finite int or float, not a bool; unlike `math.isfinite`, no overflow on a huge int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and (
+        abs(value) <= sys.float_info.max)
 
 
 class MissingMetricError(ValueError):
@@ -75,8 +85,12 @@ class RewardSpec:
         for m, b, w in self.budgets:
             checks += [("budget", m, b), ("weight", m, w)]
         for kind, metric, value in checks:
-            if not (value > 0 and math.isfinite(value)):
+            if not (finite_number(value) and value > 0):
                 raise ValueError(f"{kind} for {metric!r} must be positive and finite, got {value}")
+            # `_reward` divides by target / cap on an exact match
+            if kind == "target" and value / DEFAULT_SINGULARITY_CAP == 0:
+                raise ValueError(f"target for {metric!r} is so small that target / "
+                                 f"{DEFAULT_SINGULARITY_CAP:g} underflows to 0, got {value}")
 
 
 @dataclass

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import warnings
 import weakref
 from collections import Counter
@@ -31,6 +30,7 @@ from typing import ClassVar, Iterable, Mapping
 
 import numpy as np
 
+from .core import finite_number
 from .spaces import DesignPoint, ParameterSpace
 
 SCHEMA_VERSION = 1
@@ -61,7 +61,6 @@ _TRIAL_FIELDS = _FIELDS[: _FIELDS.index("step_index")]
 _FIELD_KINDS = (
     (_TRIAL_FIELDS[1:-1], (str,), "a string"),
     (("seed", "step_index", "wall_time_ms"), (int,), "an integer"),
-    (("reward",), (int, float), "a number"),
     (("design", "observation"), (dict,), "a JSON object"),
 )
 
@@ -98,9 +97,8 @@ class TrajectoryRecord:
     def __post_init__(self):
         if self.step_index < 0:
             raise ValueError(f"step_index must be >= 0, got {self.step_index}")
-        # unlike math.isfinite, the comparison does not overflow on a huge int
-        if not abs(self.reward) <= sys.float_info.max:
-            raise ValueError(f"reward must be finite, got {self.reward}")
+        if not finite_number(self.reward):
+            raise ValueError(f"reward must be a finite number, got {self.reward!r}")
 
     def to_json(self) -> str:
         return _ENCODER.encode({name: getattr(self, name) for name in _FIELDS})
@@ -114,15 +112,13 @@ class TrajectoryRecord:
             raise ValueError(f"unsupported schema_version {data.get('schema_version')!r}")
         kwargs = {name: data[name] for name in _FIELDS if name != "schema_version"}
         # json.loads yields exact types, so comparing types also refuses a
-        # bool (an int subclass) where a number is due
+        # bool (an int subclass) where an integer is due
         for names, kinds, kind_name in _FIELD_KINDS:
             for name in names:
                 if type(kwargs[name]) not in kinds:
                     raise ValueError(f"{name} must be {kind_name}, got {kwargs[name]!r}")
         for metric, value in kwargs["observation"].items():
-            # bool is an int subclass; NaN fails the comparison, and json.loads
-            # reads Infinity and ints too large for a float
-            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            if not finite_number(value):
                 raise ValueError(f"metric {metric!r} must be a finite number, got {value!r}")
         return cls(**kwargs)
 

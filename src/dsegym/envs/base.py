@@ -20,7 +20,6 @@ bit for bit.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass, field
 from importlib import resources
@@ -29,7 +28,7 @@ from typing import Callable
 import numpy as np
 import yaml
 
-from ..core import Observation, RewardSpec, StepResult, score
+from ..core import Observation, RewardSpec, StepResult, finite_number, score
 from ..spaces import DesignPoint, ParameterSpace, check_indices, design_map, point_from_map
 
 
@@ -42,7 +41,7 @@ class WorkloadSpec:
 
     def __post_init__(self):
         for name, value in self.traits.items():
-            if not math.isfinite(value):
+            if not finite_number(value):
                 raise ValueError(f"trait {name!r} must be finite, got {value}")
             if name.endswith(("_fraction", "_locality")) and not 0.0 <= value <= 1.0:
                 raise ValueError(f"trait {name!r} must lie in [0, 1], got {value}")

@@ -29,8 +29,9 @@ import contextlib
 import json
 import queue
 import subprocess
-import sys
 import threading
+
+from ..core import finite_number
 
 PROTOCOL_VERSION = 1
 
@@ -185,9 +186,7 @@ def _parse_response(line: str, request_id: int) -> tuple[dict, bool]:
         raise SimulatorProtocolError(f"protocol error: valid = {valid!r}", raw=line)
     metrics = {}
     for name, value in items:
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        # refuses NaN and inf, and an int too large for a float without converting it
-        if not number or not abs(value) <= sys.float_info.max:
+        if not finite_number(value):
             raise SimulatorProtocolError(
                 f"protocol error: metric {name!r} = {value!r} is not a finite number", raw=line
             )

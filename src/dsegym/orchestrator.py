@@ -45,7 +45,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .agents import make_agent, sweep_configs
-from .core import score, score_batch
+from .core import finite_number, score, score_batch
 from .dataset import DataError, TrajectoryWriter
 from .envs import get_objective, get_space, make_env
 from .rng import digest_stream, make_rng
@@ -328,10 +328,6 @@ class SweepSummary:
         return cls(**doc)
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _table(value, depth: int, leaf) -> bool:
     """`depth` levels of JSON objects whose innermost values pass `leaf`."""
     if depth == 0:
@@ -344,20 +340,18 @@ def _by_budget(value, leaf) -> bool:
     return isinstance(value, dict) and all(b.isdigit() and leaf(v) for b, v in value.items())
 
 
-_STAT_KEYS = {"min", "q1", "median", "q3", "max", "iqr", "n", "best_digest"}
-
-
 def _stat_record(value) -> bool:
-    return isinstance(value, dict) and _STAT_KEYS <= value.keys()
+    return isinstance(value, dict) and "best_digest" in value and all(
+        finite_number(value.get(k)) for k in ("min", "q1", "median", "q3", "max", "iqr", "n"))
 
 
 def _wall_time(value) -> bool:
     return (isinstance(value, dict) and value.keys() == {"total_wall_s", "trials"}
-            and all(map(_number, value.values())))
+            and all(map(finite_number, value.values())))
 
 
 _TEXT = (lambda v: isinstance(v, str), "a string")
-_NUMBERS = (lambda v: isinstance(v, list) and all(map(_number, v)), "a list of numbers")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(finite_number, v)), "a list of numbers")
 
 # field -> (check of its value, what the error calls the expected shape);
 # the nested checks cover what `report` reads
@@ -369,11 +363,11 @@ _SUMMARY_SHAPES = {
     "seeds": _NUMBERS,
     "configs": (lambda v: _table(v, 2, lambda hp: isinstance(hp, dict)),
                 "agent -> digest -> hyperparameters"),
-    "best_rewards": (lambda v: _table(v, 4, _number),
+    "best_rewards": (lambda v: _table(v, 4, finite_number),
                      "agent -> digest -> budget -> seed -> reward"),
     "stats": (lambda v: _table(v, 1, lambda by_b: _by_budget(by_b, _stat_record)),
               "agent -> budget -> statistics record"),
-    "mean_normalized": (lambda v: _table(v, 1, lambda by_b: _by_budget(by_b, _number)),
+    "mean_normalized": (lambda v: _table(v, 1, lambda by_b: _by_budget(by_b, finite_number)),
                         "agent -> budget -> number"),
     "timing": (lambda v: _table(v, 1, _wall_time), "agent -> {total_wall_s, trials}"),
     "failures": (lambda v: isinstance(v, list), "a list"),

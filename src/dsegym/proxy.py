@@ -24,6 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .core import finite_number
 from .dataset import DataError, Dataset
 from .rng import spawn_seeds
 from .spaces import (
@@ -82,6 +83,8 @@ class RegressionTree:
             raise ValueError("cannot fit a tree on no rows")
         if max_depth is not None and not (_is_int(max_depth) and max_depth >= 0):
             raise ValueError(f"max_depth must be None or an int >= 0, got {max_depth!r}")
+        if not _is_int(min_samples_leaf):
+            raise ValueError(f"min_samples_leaf must be an int >= 1, got {min_samples_leaf!r}")
         if min_samples_leaf < 1:
             raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
         if len(y) < min_samples_leaf:
@@ -146,7 +149,7 @@ class RegressionTree:
             keys = node.keys() if type(node) is dict else set()
             if "v" in keys:
                 value = node["v"]
-                if type(value) not in (int, float):
+                if not finite_number(value):
                     raise ValueError(f"tree {tree}, node {i}: leaf value {value!r} is no number")
                 out.append((-1, None, None, float(value)))
                 continue
@@ -158,7 +161,7 @@ class RegressionTree:
                 raise ValueError(
                     f"tree {tree}, node {i}: feature {feature!r} outside [0, {n_features})"
                 )
-            if type(threshold) not in (int, float):
+            if not finite_number(threshold):
                 raise ValueError(f"tree {tree}, node {i}: threshold {threshold!r} is no number")
             if type(left) is not int or left != i + 1:
                 raise ValueError(f"tree {tree}, node {i}: left child {left!r} is not {i + 1}")
@@ -288,7 +291,13 @@ class RandomForestModel:
             raise ValueError("model has no trees")
         space = space_from_config(doc["feature_space"])
         width = encode_dim(space)
-        train_min, train_max = doc["train_range"]
+        train_range = doc["train_range"]
+        try:
+            train_min, train_max = train_range
+        except (TypeError, ValueError) as exc:  # its message counts the values
+            raise ValueError(f"train_range {train_range!r} is not [lo, hi]: {exc}") from None
+        if not (finite_number(train_min) and finite_number(train_max) and train_min <= train_max):
+            raise ValueError(f"train_range {train_range!r} is not two finite numbers lo <= hi")
         return cls(
             trees=[RegressionTree.from_v1(t, width, k) for k, t in enumerate(doc["trees"])],
             space=space,

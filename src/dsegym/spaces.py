@@ -16,13 +16,14 @@ trajectory records and in the subprocess protocol.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 import yaml
+
+from .core import finite_number
 
 # Tolerance used when deciding whether a value sits on the step grid and
 # whether max is an exact multiple of step away from min.
@@ -67,7 +68,7 @@ class Numeric:
     step: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.lo, self.hi, self.step))):
+        if not all(map(finite_number, (self.lo, self.hi, self.step))):
             raise ValueError(f"numeric grid must be finite, got ({self.lo}, {self.hi}, {self.step})")
         if self.lo > self.hi:
             raise ValueError(f"numeric bounds inverted: ({self.lo}, {self.hi})")

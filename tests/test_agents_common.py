@@ -159,11 +159,22 @@ class TestHyperparams:
     @pytest.mark.parametrize(
         "hyperparams",
         [{"population_size": True}, {"population_size": 8.0}, {"aging": 1},
-         {"mutation_prob": False}, {"mutation_prob": None}],
+         {"mutation_prob": False}, {"mutation_prob": None},
+         pytest.param({"mutation_prob": math.nan}, id="nan-float")],
     )
     def test_values_of_another_type_rejected(self, hyperparams):
         with pytest.raises(ValueError, match="must be of type"):
             make_agent("GA", SMALL_SPACE, hyperparams)
+
+    @pytest.mark.parametrize("agent_type", [at for at in AGENT_TYPES if at != "RW"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "negative-inf", "huge-int"])
+    def test_a_float_hyperparameter_must_be_finite(self, agent_type, value):
+        keys = [k for k, v in AGENT_CLASSES[agent_type].DEFAULTS.items() if type(v) is float]
+        assert keys
+        for key in keys:
+            with pytest.raises(ValueError, match=f"^{key} must be of type finite float, got "):
+                make_agent(agent_type, SMALL_SPACE, {key: value})
 
     def test_a_float_takes_an_int(self):
         agent = make_agent("GA", SMALL_SPACE, {"mutation_prob": 0, "aging": True})

@@ -1,6 +1,7 @@
 """The command-line front end, run in process through `cli.main(argv)`."""
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -161,6 +162,21 @@ def test_run_rejects_a_hyperparameter_of_the_wrong_type(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: population_size must be of type int") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "agent, assignment",
+    [("BO", "length_scale=NaN"), ("RL", "learning_rate=Infinity"), ("ACO", "deposit=Infinity"),
+     ("ACO", "beta=Infinity"), ("ACO", "tau_min=-Infinity")],
+)
+def test_run_refuses_a_float_hyperparameter_that_is_not_finite(agent, assignment, tmp_path,
+                                                                capsys):
+    argv = ["run", *ENV, "--agent", agent, "--budget", "16", "--set", assignment,
+            "--out", str(tmp_path / "runs")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    key = assignment.split("=")[0]
+    assert capsys.readouterr().err.startswith(f"error: {key} must be of type finite float, got ")
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_of_a_failed_trial_exits_with_failure(tmp_path, capsys):
@@ -595,8 +611,16 @@ def test_report_of_a_malformed_summary_is_a_data_error(text, message, tmp_path, 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("stats", 5), ("stats", {"RW": 5}), ("timing", {"RW": {}}), ("budgets", "x")],
-    ids=["stats-number", "stats-agent-number", "timing-empty-record", "budgets-string"],
+    [("stats", 5), ("stats", {"RW": 5}), ("timing", {"RW": {}}), ("budgets", "x"),
+     ("mean_normalized", {"RW": {"2": math.nan}}),
+     ("best_rewards", {"RW": {"d": {"2": {"0": math.inf}}}}),
+     ("stats", {"RW": {"2": {"min": 0.1, "q1": math.nan, "median": 0.2, "q3": 0.3, "max": 0.4,
+                             "iqr": 0.2, "n": 2, "best_digest": "d"}}}),
+     ("timing", {"RW": {"total_wall_s": -math.inf, "trials": 1}}),
+     ("seeds", [10**400])],
+    ids=["stats-number", "stats-agent-number", "timing-empty-record", "budgets-string",
+         "nan-mean-normalized", "infinite-best-reward", "nan-quartile", "infinite-wall-time",
+         "huge-int-seed"],
 )
 def test_report_of_a_summary_with_a_bad_value_is_a_data_error(field, value, tmp_path, capsys):
     sweep = tmp_path / "sw"

@@ -242,6 +242,12 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError):
             WorkloadSpec("w", {"flops": math.inf})
 
+    @pytest.mark.parametrize("value", [math.nan, 10**400, True, "1"],
+                             ids=["nan", "huge-int", "bool", "string"])
+    def test_a_trait_that_is_no_finite_number_is_refused(self, value):
+        with pytest.raises(ValueError, match="^trait 'flops' must be finite, got "):
+            WorkloadSpec("w", {"flops": value})
+
     def test_registry_traits(self):
         wl = get_workload("dram", "stream")
         assert wl.id == "stream"

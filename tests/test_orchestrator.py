@@ -5,6 +5,7 @@ import re
 import pytest
 
 import dsegym.envs
+from dsegym import orchestrator
 from dsegym.agents import AGENT_TYPES, AntColony, make_agent
 from dsegym.dataset import load_dataset
 from dsegym.envs import make_env
@@ -111,6 +112,20 @@ def test_sweep_config_refuses_a_repeated_trial(changes, message):
                   agent_types=("GA", "RW"), budgets=(4, 8), seeds=(1, 2))
     with pytest.raises(ValueError, match=re.escape(message)):
         SweepConfig(**{**config, **changes})
+
+
+@pytest.mark.parametrize(
+    "grids",
+    [{"BO": [{"length_scale": math.nan}]}, {"RL": [{"learning_rate": math.inf}]},
+     {"ACO": [{}, {"tau_min": math.inf}]}],
+    ids=["bo-nan", "rl-inf", "aco-inf"],
+)
+def test_sweep_config_refuses_a_float_hyperparameter_that_is_not_finite(grids, monkeypatch):
+    calls = []
+    monkeypatch.setattr(orchestrator, "run_trial", lambda spec: calls.append(spec))
+    with pytest.raises(ValueError, match="must be of type finite float, got "):
+        run_sweep(SweepConfig(*BUDGET_ENV, tuple(grids), budgets=(4,), seeds=(1,), grids=grids))
+    assert calls == []
 
 
 @pytest.mark.parametrize(

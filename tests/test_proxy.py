@@ -133,6 +133,10 @@ def _metric_free(data):
          "cannot fit a tree on no rows"),
         (lambda data: RegressionTree.fit(*_rows(4), None, 0, 1.0, make_rng(0)),
          "min_samples_leaf must be >= 1, got 0"),
+        (lambda data: RegressionTree.fit(*_rows(4), None, 1.5, 1.0, make_rng(0)),
+         "min_samples_leaf must be an int >= 1, got 1.5"),
+        (lambda data: train_forest(data, "power", {"min_samples_leaf": math.nan}),
+         "min_samples_leaf must be an int >= 1, got nan"),
         (lambda data: RegressionTree.fit(*_rows(4), None, 5, 1.0, make_rng(0)),
          "need at least min_samples_leaf=5 rows, got 4"),
         (lambda data: RegressionTree.fit(*_rows(4), None, 1, 0.0, make_rng(0)),
@@ -146,7 +150,8 @@ def _metric_free(data):
         (lambda data: train_forest(_metric_free(data), "power"),
          "no records with metric 'power'"),
     ],
-    ids=["no-rows", "leaf-below-one", "fewer-rows-than-a-leaf", "subsample-zero",
+    ids=["no-rows", "leaf-below-one", "leaf-float", "leaf-nan", "fewer-rows-than-a-leaf",
+         "subsample-zero",
          "subsample-above-one", "unknown-hyperparameter", "record-lacks-target",
          "no-record-has-target"],
 )
@@ -193,6 +198,16 @@ def _set(tree, key, value):
                      id="threshold-string"),
         pytest.param(lambda trees: trees[0][-1].update(v=None),
                      r"tree 0, node 24: leaf value None is no number", id="leaf-value-null"),
+        pytest.param(lambda trees: trees[0][-1].update(v=math.nan),
+                     r"tree 0, node 24: leaf value nan is no number", id="leaf-value-nan"),
+        pytest.param(lambda trees: trees[0][-1].update(v=10**400),
+                     r"tree 0, node 24: leaf value 1000+ is no number", id="leaf-value-huge-int"),
+        pytest.param(_set(0, "t", math.inf), r"tree 0, node 0: threshold inf is no number",
+                     id="threshold-infinite"),
+        pytest.param(_set(0, "t", -math.inf), r"tree 0, node 0: threshold -inf is no number",
+                     id="threshold-negative-infinite"),
+        pytest.param(_set(0, "t", 10**400), r"tree 0, node 0: threshold 1000+ is no number",
+                     id="threshold-huge-int"),
         pytest.param(lambda trees: trees[2][-1].pop("v"),
                      r"tree 2, node 26: expected a leaf {v} or a split", id="leaf-without-value"),
         pytest.param(lambda trees: trees[1].__setitem__(3, [0.5]),
@@ -250,6 +265,19 @@ def test_a_model_records_its_workload(model, tmp_path):
                      id="format-version"),
         pytest.param(lambda doc: doc.update(train_range=[0.0]), "not enough values to unpack",
                      id="short-train-range"),
+        pytest.param(lambda doc: doc.update(train_range=[1, 2, 3]),
+                     r"train_range \[1, 2, 3\] is not \[lo, hi\]: too many values to unpack",
+                     id="long-train-range"),
+        pytest.param(lambda doc: doc.update(train_range=3),
+                     r"train_range 3 is not \[lo, hi\]: cannot unpack", id="train-range-number"),
+        pytest.param(lambda doc: doc.update(train_range=["a", "b"]),
+                     r"train_range \['a', 'b'\] is not two finite numbers lo <= hi",
+                     id="train-range-strings"),
+        pytest.param(lambda doc: doc.update(train_range=[0.0, math.nan]),
+                     r"train_range \[0.0, nan\] is not two finite numbers", id="train-range-nan"),
+        pytest.param(lambda doc: doc.update(train_range=[2.0, 1.0]),
+                     r"train_range \[2.0, 1.0\] is not two finite numbers lo <= hi",
+                     id="inverted-train-range"),
         pytest.param(lambda doc: doc["feature_space"][0].pop("name"), "missing key 'name'",
                      id="parameter-without-name"),
         pytest.param(lambda doc: doc.update(feature_space=3), "not iterable",
@@ -258,6 +286,8 @@ def test_a_model_records_its_workload(model, tmp_path):
                      r"numeric grid must be finite, got \(\d+, \d+, inf\)", id="infinite-step"),
         pytest.param(lambda doc: doc["feature_space"][5].update(min=math.nan),
                      r"numeric grid must be finite, got \(nan, ", id="nan-min"),
+        pytest.param(lambda doc: doc["feature_space"][3].update(step=10**400),
+                     r"numeric grid must be finite, got \(\d+, \d+, 1000+\)", id="huge-int-step"),
     ],
 )
 def test_load_reports_a_malformed_document_as_a_data_error(tmp_path, text, message):

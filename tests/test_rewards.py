@@ -6,14 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsegym.core import (
+    DEFAULT_SINGULARITY_CAP,
     InvalidObservationError,
     MissingMetricError,
     Observation,
     RewardSpec,
+    finite_number,
     reward_spec_from_config,
     score,
     score_batch,
 )
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(True, False), (1, True), (-0.0, True), (1.5, True), (10**400, False), (math.nan, False),
+     (math.inf, False), (-math.inf, False), ("1", False), (None, False),
+     (np.float64(1.0), True)],
+    ids=["bool", "int", "negative-zero", "float", "huge-int", "nan", "inf", "negative-inf",
+         "string", "none", "numpy-float"],
+)
+def test_finite_number(value, expected):
+    assert finite_number(value) == expected
 
 
 def target_spec(**targets):
@@ -319,7 +333,8 @@ class TestRewardSpecValidation:
         with pytest.raises(ValueError, match="weight"):
             RewardSpec(budgets=(("a", 1.0, 0.0),))
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10**400, id="huge-int")])
     def test_non_finite_values_refused(self, value):
         # NaN passes a `<= 0` check, and score would return NaN or -inf
         finite = r"for 'power' must be positive and finite, got "
@@ -329,6 +344,24 @@ class TestRewardSpecValidation:
             RewardSpec(budgets=(("latency", 1.0, 1.0), ("power", value, 1.0)))
         with pytest.raises(ValueError, match="weight " + finite):
             RewardSpec(budgets=(("latency", 1.0, 1.0), ("power", 1.0, value)))
+
+    def test_a_target_that_underflows_against_the_cap_is_refused(self):
+        # score would divide by target / cap, which is 0 for such a target
+        with pytest.raises(ValueError, match=r"^target for 'm' is so small that target / 1e\+09 "
+                                             r"underflows to 0, got 1e-320$"):
+            target_spec(m=1e-320)
+
+    def test_the_smallest_target_that_does_not_underflow_scores_the_cap(self):
+        # halve until target / cap would round to 0
+        target = 1e-300
+        while target / 2 / DEFAULT_SINGULARITY_CAP > 0:
+            target /= 2
+        spec = target_spec(m=target)
+        assert score(spec, Observation({"m": target})) == DEFAULT_SINGULARITY_CAP
+        batch = score_batch(spec, {"m": np.array([target])}, np.array([True]))
+        assert batch.tolist() == [DEFAULT_SINGULARITY_CAP]
+        with pytest.raises(ValueError, match="underflows to 0"):
+            target_spec(m=target / 2)
 
     @pytest.mark.parametrize(
         "config, kind",

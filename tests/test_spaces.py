@@ -209,6 +209,7 @@ class TestSpaceConfig:
         (lambda: Numeric(0, 4, math.nan), "numeric grid must be finite, got (0, 4, nan)"),
         (lambda: Numeric(-math.inf, 4, 1), "numeric grid must be finite, got (-inf, 4, 1)"),
         (lambda: Numeric(0, math.inf, 1), "numeric grid must be finite, got (0, inf, 1)"),
+        (lambda: Numeric(0, 4, 10**400), f"numeric grid must be finite, got (0, 4, {10**400})"),
         (lambda: space_from_config([{"name": "A", "min": 0, "max": 4, "step": math.nan}]),
          "numeric grid must be finite, got (0, 4, nan)"),
         (lambda: Numeric(0, 4, 2).index_of(-2), "value -2 outside grid (0, 4, 2)"),
@@ -218,6 +219,7 @@ class TestSpaceConfig:
     ],
     ids=["empty-categorical", "duplicate-label", "unknown-label", "inverted-bounds",
          "zero-step", "negative-step", "infinite-step", "nan-step", "infinite-lo", "infinite-hi",
+         "huge-int-step",
          "nan-step-from-config", "below-grid", "above-grid", "unknown-kind"],
 )
 def test_a_bad_parameter_or_value_is_refused(build, message):
