@@ -18,7 +18,6 @@ from .spaces import (
     DesignPoint,
     Numeric,
     ParameterSpace,
-    ParameterSpec,
     cardinality,
     encode,
     encode_batch,
@@ -33,7 +32,6 @@ __all__ = [
     "Numeric",
     "Observation",
     "ParameterSpace",
-    "ParameterSpec",
     "RewardSpec",
     "StepResult",
     "cardinality",

@@ -3,6 +3,8 @@
 Every agent proposes design points, consumes scalar rewards, and tracks
 the best design seen so far.  Hyperparameters carry a collision-resistant
 digest so trajectory records can attribute data to an exact configuration.
+A float hyperparameter is stored as a float, so ``1`` and ``1.0`` are one
+configuration with one digest; an int one must fit in int64.
 """
 
 from __future__ import annotations
@@ -73,10 +75,11 @@ class Agent(ABC):
                 kind = type(self.DEFAULTS[key])
                 # a float takes a finite int too; bool is an int subclass that only a bool takes
                 if not (finite_number(value) if kind is float else
-                        isinstance(value, kind) and isinstance(value, bool) == (kind is bool)):
-                    name = "finite float" if kind is float else kind.__name__
+                        isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+                        and (kind is not int or abs(value) < 2**63)):
+                    name = {float: "finite float", int: "int64"}.get(kind, kind.__name__)
                     raise ValueError(f"{key} must be of type {name}, got {value!r}")
-            merged.update(hyperparams)
+                merged[key] = kind(value)
         self.space = space
         self._hyperparams = HyperparamSet(merged)
         self._best_point: DesignPoint | None = None

@@ -151,7 +151,18 @@ def reward_spec_from_config(config: dict) -> RewardSpec:
     unknown = sorted(set(config) - {"targets", "budgets"})
     if unknown:
         raise ValueError(f"unknown objective keys: {', '.join(unknown)}")
+
+    def number(kind: str, metric: str, value) -> float:
+        if not finite_number(value):
+            raise ValueError(f"{kind} for {metric!r} must be positive and finite, got {value!r}")
+        return float(value)
+
+    budgets = config.get("budgets", {})
+    for m, pair in budgets.items():
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ValueError(f"budgets for {m!r} must be a [budget, weight] pair, got {pair!r}")
     return RewardSpec(
-        targets=tuple((m, float(t)) for m, t in config.get("targets", {}).items()),
-        budgets=tuple((m, float(b), float(w)) for m, (b, w) in config.get("budgets", {}).items()),
+        targets=tuple((m, number("target", m, t)) for m, t in config.get("targets", {}).items()),
+        budgets=tuple((m, number("budget", m, b), number("weight", m, w))
+                      for m, (b, w) in budgets.items()),
     )

@@ -1,7 +1,8 @@
 """Parameter spaces: the action vocabulary of every environment.
 
-A space is an ordered list of named parameters, each either categorical
-(a set of string labels) or numeric (a finite stepped grid ``min + k*step``).
+A space is an ordered list of parameters, each a `Categorical` (a set of
+string labels) or a `Numeric` (a finite stepped grid ``lo + k*step``) that
+carries its own name, so each refusal it raises names the parameter.
 Designs have two representations, both made of per-parameter grid indices:
 
 * a design point is a plain ``tuple`` of Python ints, one per parameter
@@ -37,15 +38,20 @@ _ENCODE_BLOCK = 8192
 DesignPoint = tuple[int, ...]
 
 
+def _refusal(parameter, problem: str) -> ValueError:
+    return ValueError(f"parameter {parameter.name!r}: {problem}")
+
+
 @dataclass(frozen=True)
 class Categorical:
+    name: str
     values: tuple[str, ...]
 
     def __post_init__(self):
         if not self.values:
-            raise ValueError("categorical parameter needs at least one value")
+            raise _refusal(self, "categorical needs at least one value")
         if len(set(self.values)) != len(self.values):
-            raise ValueError(f"duplicate categorical values: {self.values}")
+            raise _refusal(self, f"duplicate categorical values: {self.values}")
 
     @property
     def size(self) -> int:
@@ -58,22 +64,27 @@ class Categorical:
         try:
             return self.values.index(value)
         except ValueError:
-            raise ValueError(f"label {value!r} not in {self.values}") from None
+            raise _refusal(self, f"label {value!r} not in {self.values}") from None
 
 
 @dataclass(frozen=True)
 class Numeric:
+    name: str
     lo: float
     hi: float
     step: float
 
     def __post_init__(self):
         if not all(map(finite_number, (self.lo, self.hi, self.step))):
-            raise ValueError(f"numeric grid must be finite, got ({self.lo}, {self.hi}, {self.step})")
+            raise _refusal(self, f"numeric grid must be finite, got {self._grid}")
         if self.lo > self.hi:
-            raise ValueError(f"numeric bounds inverted: ({self.lo}, {self.hi})")
+            raise _refusal(self, f"numeric bounds inverted: ({self.lo}, {self.hi})")
         if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+            raise _refusal(self, f"step must be positive, got {self.step}")
+
+    @property
+    def _grid(self) -> str:
+        return f"({self.lo}, {self.hi}, {self.step})"
 
     @cached_property
     def size(self) -> int:
@@ -87,32 +98,16 @@ class Numeric:
     def index_of(self, value) -> int:
         k = int(round((value - self.lo) / self.step))
         if k < 0 or k >= self.size:
-            raise ValueError(f"value {value} outside grid ({self.lo}, {self.hi}, {self.step})")
+            raise _refusal(self, f"value {value} outside grid {self._grid}")
         grid = self.value(k)
         if abs(value - grid) > _GRID_RTOL * max(1.0, abs(grid)):
-            raise ValueError(f"value {value} not on step grid ({self.lo}, {self.hi}, {self.step})")
+            raise _refusal(self, f"value {value} not on step grid {self._grid}")
         return k
 
 
 @dataclass(frozen=True)
-class ParameterSpec:
-    name: str
-    kind: Categorical | Numeric
-
-    @property
-    def size(self) -> int:
-        return self.kind.size
-
-    def value(self, k: int):
-        return self.kind.value(k)
-
-    def index_of(self, value) -> int:
-        return self.kind.index_of(value)
-
-
-@dataclass(frozen=True)
 class ParameterSpace:
-    parameters: tuple[ParameterSpec, ...]
+    parameters: tuple[Categorical | Numeric, ...]
 
     def __post_init__(self):
         names = [p.name for p in self.parameters]
@@ -139,16 +134,16 @@ class ParameterSpace:
         """
         offsets, columns, values = [], [], []
         pos = 0
-        for spec in self.parameters:
+        for p in self.parameters:
             offsets.append(len(columns))
-            if isinstance(spec.kind, Categorical):
-                columns += range(pos, pos + spec.size)
-                values += [1.0] * spec.size
-                pos += spec.size
+            if isinstance(p, Categorical):
+                columns += range(pos, pos + p.size)
+                values += [1.0] * p.size
+                pos += p.size
             else:
-                lo, span = spec.kind.lo, spec.kind.hi - spec.kind.lo
-                columns += [pos] * spec.size
-                values += [(spec.value(k) - lo) / span if span else 0.0 for k in range(spec.size)]
+                span = p.hi - p.lo
+                columns += [pos] * p.size
+                values += [(p.value(k) - p.lo) / span if span else 0.0 for k in range(p.size)]
                 pos += 1
         return (
             pos,
@@ -161,7 +156,7 @@ class ParameterSpace:
     def _grid_values(self) -> tuple[tuple[str, tuple], ...]:
         """Per parameter: its name and the concrete value of every grid index."""
         return tuple(
-            (spec.name, tuple(spec.value(k) for k in range(spec.size))) for spec in self.parameters
+            (p.name, tuple(p.value(k) for k in range(p.size))) for p in self.parameters
         )
 
     def __len__(self) -> int:
@@ -170,9 +165,9 @@ class ParameterSpace:
     def validate_point(self, point: DesignPoint) -> None:
         if len(point) != len(self.parameters):
             raise ValueError(f"point has {len(point)} values, space has {len(self.parameters)}")
-        for spec, size, k in zip(self.parameters, self.sizes, point):
+        for p, size, k in zip(self.parameters, self.sizes, point):
             if not 0 <= k < size:
-                raise ValueError(f"index {k} out of range for parameter {spec.name!r}")
+                raise ValueError(f"index {k} out of range for parameter {p.name!r}")
 
 
 def cardinality(space: ParameterSpace) -> int:
@@ -268,10 +263,10 @@ def design_map(space: ParameterSpace, point: DesignPoint) -> dict:
 
 def point_from_map(space: ParameterSpace, values: Mapping) -> DesignPoint:
     indices = []
-    for spec in space.parameters:
-        if spec.name not in values:
-            raise ValueError(f"missing parameter {spec.name!r}")
-        indices.append(spec.index_of(values[spec.name]))
+    for p in space.parameters:
+        if p.name not in values:
+            raise ValueError(f"missing parameter {p.name!r}")
+        indices.append(p.index_of(values[p.name]))
     point = tuple(indices)
     space.validate_point(point)
     return point
@@ -284,10 +279,9 @@ def point_from_map(space: ParameterSpace, values: Mapping) -> DesignPoint:
 def space_from_config(config: Sequence[Mapping]) -> ParameterSpace:
     """Build a space from the parameter-list schema used in fixture files.
 
-    Each entry is either
-      {name: ..., kind: categorical, values: [...]}
-    or
-      {name: ..., kind: numeric, min: ..., max: ..., step: ...}
+    Each entry becomes one parameter with its name:
+      {name: ..., kind: categorical, values: [...]}  a `Categorical`, or
+      {name: ..., kind: numeric, min: ..., max: ..., step: ...}  a `Numeric`.
     (`kind` may be omitted; it is inferred from the keys.)
     """
     params = []
@@ -297,30 +291,21 @@ def space_from_config(config: Sequence[Mapping]) -> ParameterSpace:
         if kind is None:
             kind = "categorical" if "values" in entry else "numeric"
         if kind == "categorical":
-            params.append(ParameterSpec(name, Categorical(tuple(str(v) for v in entry["values"]))))
+            params.append(Categorical(name, tuple(str(v) for v in entry["values"])))
         elif kind == "numeric":
-            params.append(ParameterSpec(name, Numeric(entry["min"], entry["max"], entry["step"])))
+            params.append(Numeric(name, entry["min"], entry["max"], entry["step"]))
         else:
             raise ValueError(f"unknown parameter kind {kind!r} for {name!r}")
     return ParameterSpace(tuple(params))
 
 
 def space_to_config(space: ParameterSpace) -> list[dict]:
-    out = []
-    for p in space.parameters:
-        if isinstance(p.kind, Categorical):
-            out.append({"name": p.name, "kind": "categorical", "values": list(p.kind.values)})
-        else:
-            out.append(
-                {
-                    "name": p.name,
-                    "kind": "numeric",
-                    "min": p.kind.lo,
-                    "max": p.kind.hi,
-                    "step": p.kind.step,
-                }
-            )
-    return out
+    return [
+        {"name": p.name, "kind": "categorical", "values": list(p.values)}
+        if isinstance(p, Categorical) else
+        {"name": p.name, "kind": "numeric", "min": p.lo, "max": p.hi, "step": p.step}
+        for p in space.parameters
+    ]
 
 
 def load_space(path) -> ParameterSpace:

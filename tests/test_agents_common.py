@@ -11,7 +11,7 @@ from dsegym.agents import AGENT_CLASSES, AGENT_TYPES, make_agent, sweep_configs
 from dsegym.agents.bayesian import GaussianProcess
 from dsegym.envs import ENV_IDS, get_space, make_env
 from dsegym.rng import make_rng
-from dsegym.spaces import Categorical, Numeric, ParameterSpace, ParameterSpec, sample_uniform
+from dsegym.spaces import Categorical, Numeric, ParameterSpace, sample_uniform
 
 from .strategies import spaces
 
@@ -19,9 +19,9 @@ DATA = Path(__file__).parent / "data"
 
 SMALL_SPACE = ParameterSpace(
     (
-        ParameterSpec("a", Categorical(("x", "y", "z"))),
-        ParameterSpec("b", Numeric(0, 6, 2)),
-        ParameterSpec("c", Categorical(("u", "v"))),
+        Categorical("a", ("x", "y", "z")),
+        Numeric("b", 0, 6, 2),
+        Categorical("c", ("u", "v")),
     )
 )
 
@@ -133,9 +133,10 @@ class TestHyperparams:
 
     @pytest.mark.parametrize("agent_type", AGENT_TYPES)
     def test_shipped_sweep_config_digests(self, agent_type):
-        # json.dumps of a value is part of the digest (0 and 0.0 hash apart),
-        # and the digest seeds each trial's rng stream, so this pins every
-        # shipped config's values and their types
+        # json.dumps of a value is part of the digest (0 and 0.0 hash apart,
+        # so a float hyperparameter is stored as a float), and the digest
+        # seeds each trial's rng stream, so this pins every shipped config's
+        # values and their types
         pinned = json.loads((DATA / "sweep_config_digests.json").read_text(encoding="utf-8"))
         digests = [
             make_agent(agent_type, SMALL_SPACE, config).hyperparams().digest
@@ -179,6 +180,30 @@ class TestHyperparams:
     def test_a_float_takes_an_int(self):
         agent = make_agent("GA", SMALL_SPACE, {"mutation_prob": 0, "aging": True})
         assert agent.hyperparams()["mutation_prob"] == 0
+
+    def test_a_float_spelled_as_an_int_is_one_config(self):
+        as_int = make_agent("ACO", SMALL_SPACE, {"beta": 1}).hyperparams()
+        as_float = make_agent("ACO", SMALL_SPACE, {"beta": 1.0}).hyperparams()
+        assert type(as_int["beta"]) is float
+        assert as_int.digest == as_float.digest
+
+    def test_aco_default_is_in_its_sweep_grid(self):
+        default = make_agent("ACO", SMALL_SPACE).hyperparams().digest
+        grid = [make_agent("ACO", SMALL_SPACE, c).hyperparams().digest
+                for c in sweep_configs("ACO")]
+        assert default in grid
+
+    @pytest.mark.parametrize("agent_type, key", [("GA", "population_size"),
+                                                 ("BO", "candidate_pool")])
+    @pytest.mark.parametrize("value", [2**63, -(2**63), 10**400],
+                             ids=["2**63", "-2**63", "10**400"])
+    def test_an_int_hyperparameter_must_fit_in_int64(self, agent_type, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be of type int64, got {value}$"):
+            make_agent(agent_type, SMALL_SPACE, {key: value})
+
+    def test_the_largest_int64_is_taken(self):
+        agent = make_agent("GA", SMALL_SPACE, {"aging_limit": 2**63 - 1})
+        assert agent.hyperparams()["aging_limit"] == 2**63 - 1
 
     @pytest.mark.parametrize("key", ["candidate_pool", "n_initial", "max_train_points"])
     def test_bo_names_a_count_below_one(self, key):
@@ -271,7 +296,7 @@ class TestGeneticOperators:
 
 class TestRandomWalker:
     def test_single_point_space(self):
-        space = ParameterSpace((ParameterSpec("a", Categorical(("only",))),))
+        space = ParameterSpace((Categorical("a", ("only",)),))
         agent = make_agent("RW", space)
         assert agent.propose(make_rng(0)) == (0,)
 

@@ -21,7 +21,6 @@ from dsegym.spaces import (
     Categorical,
     Numeric,
     ParameterSpace,
-    ParameterSpec,
     encode,
     encode_batch,
     encode_dim,
@@ -34,11 +33,11 @@ SHIPPED = ["dram", "accel", "soc", "dram-small", "accel-small", "soc-small"]
 # the shipped grids are all integer; this one makes the min-max rounding matter
 FLOAT_GRID = ParameterSpace(
     (
-        ParameterSpec("a", Numeric(0.1, 0.7, 0.2)),
-        ParameterSpec("b", Categorical(("x", "y", "z"))),
-        ParameterSpec("c", Numeric(-3.3, 4.5, 0.3)),
-        ParameterSpec("d", Numeric(5, 5, 1)),
-        ParameterSpec("e", Numeric(1e-9, 7.1e-8, 3e-9)),
+        Numeric("a", 0.1, 0.7, 0.2),
+        Categorical("b", ("x", "y", "z")),
+        Numeric("c", -3.3, 4.5, 0.3),
+        Numeric("d", 5, 5, 1),
+        Numeric("e", 1e-9, 7.1e-8, 3e-9),
     )
 )
 
@@ -47,13 +46,13 @@ def reference_encode(space, point):
     space.validate_point(point)
     out = np.zeros(encode_dim(space))
     pos = 0
-    for spec, k in zip(space.parameters, point):
-        if isinstance(spec.kind, Categorical):
+    for p, k in zip(space.parameters, point):
+        if isinstance(p, Categorical):
             out[pos + k] = 1.0
-            pos += spec.size
+            pos += p.size
         else:
-            span = spec.kind.hi - spec.kind.lo
-            out[pos] = 0.0 if span == 0 else (spec.value(k) - spec.kind.lo) / span
+            span = p.hi - p.lo
+            out[pos] = 0.0 if span == 0 else (p.value(k) - p.lo) / span
             pos += 1
     return out
 

@@ -164,6 +164,14 @@ def test_run_rejects_a_hyperparameter_of_the_wrong_type(tmp_path, capsys):
     assert err.startswith("error: population_size must be of type int") and err.count("\n") == 1
 
 
+def test_run_refuses_an_int_hyperparameter_beyond_int64(tmp_path, capsys):
+    argv = ["run", *ENV, "--agent", "GA", "--budget", "2", "--set", f"population_size={10**400}",
+            "--out", str(tmp_path / "runs")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: population_size must be of type int64, got ")
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize(
     "agent, assignment",
     [("BO", "length_scale=NaN"), ("RL", "learning_rate=Infinity"), ("ACO", "deposit=Infinity"),

@@ -27,7 +27,6 @@ from dsegym.spaces import (
     Categorical,
     Numeric,
     ParameterSpace,
-    ParameterSpec,
     design_map,
     sample_uniform_indices,
 )
@@ -52,10 +51,10 @@ CONSTANTS = dict(
 )
 FLOAT_GRID = ParameterSpace(
     (
-        ParameterSpec("tenths", Numeric(0.1, 1.0, 0.1)),
-        ParameterSpec("quarters", Numeric(-1.0, 1.0, 0.25)),
-        ParameterSpec("ints", Numeric(3, 9, 2)),
-        ParameterSpec('la"bel µ', Categorical(("α", 'q"uote', "back\\slash", "tab\t"))),
+        Numeric("tenths", 0.1, 1.0, 0.1),
+        Numeric("quarters", -1.0, 1.0, 0.25),
+        Numeric("ints", 3, 9, 2),
+        Categorical('la"bel µ', ("α", 'q"uote', "back\\slash", "tab\t")),
     )
 )
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
@@ -142,8 +141,8 @@ class TestWriterBytes:
         assert path.read_text(encoding="utf-8") == line + "\n"
 
     def test_equal_spaces_keep_their_own_values(self, tmp_path):
-        ints = ParameterSpace((ParameterSpec("x", Numeric(0, 10, 5)),))
-        floats = ParameterSpace((ParameterSpec("x", Numeric(0.0, 10.0, 5.0)),))
+        ints = ParameterSpace((Numeric("x", 0, 10, 5),))
+        floats = ParameterSpace((Numeric("x", 0.0, 10.0, 5.0),))
         assert ints == floats
         lines = []
         for i, space in enumerate((ints, floats)):
@@ -203,7 +202,7 @@ class TestRoundTrip:
     @example(design_value=2.2250738585072014e-308, observation=[1e308], reward=-0.0)
     @settings(max_examples=80, deadline=None)
     def test_floats_round_trip_bit_exactly(self, tmp_path_factory, design_value, observation, reward):
-        space = ParameterSpace((ParameterSpec("v", Numeric(design_value, design_value, 1.0)),))
+        space = ParameterSpace((Numeric("v", design_value, design_value, 1.0),))
         point = (0,)
         metrics = {f"m{i}": x for i, x in enumerate(observation)}
         path = tmp_path_factory.mktemp("rt") / "t.jsonl"

@@ -16,7 +16,7 @@ from dsegym.agents import make_agent
 from dsegym.agents.genetic import Individual, floyd_sample
 from dsegym.envs import get_space
 from dsegym.rng import make_rng
-from dsegym.spaces import Categorical, Numeric, ParameterSpace, ParameterSpec
+from dsegym.spaces import Categorical, Numeric, ParameterSpace
 
 from .test_agents_common import SMALL_SPACE, drive
 
@@ -78,9 +78,9 @@ def test_the_largest_uniform_mutates_onto_the_grid(env_id, corner):
 
 def test_a_size_one_parameter_never_mutates():
     space = ParameterSpace((
-        ParameterSpec("only", Categorical(("x",))),
+        Categorical("only", ("x",)),
         *SMALL_SPACE.parameters,
-        ParameterSpec("fixed", Numeric(4, 4, 1)),
+        Numeric("fixed", 4, 4, 1),
     ))
     assert (space.sizes[0], space.sizes[-1]) == (1, 1)
     agent = make_agent("GA", space, {"population_size": 4, "mutation_prob": 1.0})

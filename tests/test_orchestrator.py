@@ -103,8 +103,10 @@ class TestSweepConfigs:
         (dict(budgets=(8, 4, 8)), "repeated budget 8"),
         (dict(agent_types=("GA", "RW", "GA")), "repeated agent type 'GA'"),
         (dict(grids={"GA": [{}, {"population_size": 32}]}), "repeated GA hyperparameter digest"),
+        (dict(agent_types=("ACO",), grids={"ACO": [{"beta": 1}, {"beta": 1.0}]}),
+         "repeated ACO hyperparameter digest"),
     ],
-    ids=["seed", "budget", "agent", "config-digest"],
+    ids=["seed", "budget", "agent", "config-digest", "int-spelling-of-a-float"],
 )
 def test_sweep_config_refuses_a_repeated_trial(changes, message):
     env_id, workload_id, objective = BUDGET_ENV

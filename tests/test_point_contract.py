@@ -19,7 +19,6 @@ from dsegym.spaces import (
     Categorical,
     Numeric,
     ParameterSpace,
-    ParameterSpec,
     design_map,
     point_from_map,
     resample_position,
@@ -33,11 +32,11 @@ SHIPPED = ["dram", "accel", "soc", "dram-small", "accel-small", "soc-small"]
 # size-1 parameters, which a draw returns without consuming the rng, between others
 WITH_SIZE_ONE = ParameterSpace(
     (
-        ParameterSpec("a", Numeric(4, 4, 1)),
-        ParameterSpec("b", Categorical(("x", "y", "z"))),
-        ParameterSpec("c", Categorical(("only",))),
-        ParameterSpec("d", Numeric(0, 70, 10)),
-        ParameterSpec("e", Numeric(2, 2, 1)),
+        Numeric("a", 4, 4, 1),
+        Categorical("b", ("x", "y", "z")),
+        Categorical("c", ("only",)),
+        Numeric("d", 0, 70, 10),
+        Numeric("e", 2, 2, 1),
     )
 )
 SPACES = {name: get_space(name) for name in SHIPPED}

@@ -288,6 +288,9 @@ def test_a_model_records_its_workload(model, tmp_path):
                      r"numeric grid must be finite, got \(nan, ", id="nan-min"),
         pytest.param(lambda doc: doc["feature_space"][3].update(step=10**400),
                      r"numeric grid must be finite, got \(\d+, \d+, 1000+\)", id="huge-int-step"),
+        pytest.param(lambda doc: doc["feature_space"][3].update(min=9),
+                     r"parameter 'RequestBufferSize': numeric bounds inverted: \(9, 8\)$",
+                     id="inverted-bounds"),
     ],
 )
 def test_load_reports_a_malformed_document_as_a_data_error(tmp_path, text, message):

@@ -34,15 +34,15 @@ SWEEPS = {
 
 GOLDEN = {
     "accel-small-shipped": {
-        "summary.json": "5860a0fd047ac293a399d23cd08bf5e90ec41d34f440543256262dcfd4c18fc7",
-        "quartiles.csv": "d9fbfbc3a9263925559c59a269de2f95508bbbdb510fd154920e6e0ee51be955",
-        "normalized_rewards.csv": "01e77c8f19ffa8dda36d0ac3cd8fe5602dad2f9d41852d2f03892322fa55eb86",
+        "summary.json": "b7e19fc0bec378e8a18774ed06b7854fba9e15b088add509408af83a5d22b1cd",
+        "quartiles.csv": "5167188616f70eadac119b00cad9b70cf354256d08c04acb7f2850e8e7031060",
+        "normalized_rewards.csv": "ec2c13c53bc8791994d46542af1686d902d5e0b8c61a35a106f9e8e1e01fe115",
         "time_to_completion.csv": "7c6d5617f6f58437312a02e03a3812b075755afa1d2d16428b43c2193393dbe2",
     },
     "dram-small-unsorted": {
-        "summary.json": "b23a0e9fb29fbace864bc2f281cc892f1f8280aa5b25ecd010f22028dba1d47a",
-        "quartiles.csv": "bec99d55aaf6fe6a434d6a50b4ecfbae16a6a274cab343d4ccb5b413ff293e51",
-        "normalized_rewards.csv": "758fbf45afc53600835d674068a5b94d43534ee34cebfe2f3ce246cee91c3c15",
+        "summary.json": "de1710da1534070697d9c9e4c683372194941c22f071544c32b75d18506613d9",
+        "quartiles.csv": "eed5caf77e1676d39dd4fde9387dfc5dfac0db83514f5abe7f82b1dafaf6e204",
+        "normalized_rewards.csv": "da2540c54608c5c3bde30f6ae7b5b3205d957dba522149a0e35a77e91fff8c91",
         "time_to_completion.csv": "ccb6964f3c2743f51a790f7d59a3b81157016cafdcb1303a8f9f183613b21f81",
     },
     "soc-small-budget": {

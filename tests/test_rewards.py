@@ -30,6 +30,10 @@ def test_finite_number(value, expected):
     assert finite_number(value) == expected
 
 
+# what `reward_spec_from_config` says of a value that is not a finite number
+_NOT_A_NUMBER = "must be positive and finite, got "
+
+
 def target_spec(**targets):
     return RewardSpec(targets=tuple(targets.items()))
 
@@ -375,6 +379,30 @@ class TestRewardSpecValidation:
     def test_from_config_refuses_non_finite_values(self, config, kind):
         with pytest.raises(ValueError, match=f"{kind} for 'power' must be positive and finite"):
             reward_spec_from_config(config)
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"targets": {"power": 10**400}}, f"target for 'power' {_NOT_A_NUMBER}{10**400}"),
+            ({"targets": {"power": "3"}}, f"target for 'power' {_NOT_A_NUMBER}'3'"),
+            ({"targets": {"power": "nan"}}, f"target for 'power' {_NOT_A_NUMBER}'nan'"),
+            ({"targets": {"power": True}}, f"target for 'power' {_NOT_A_NUMBER}True"),
+            ({"budgets": {"power": [10**400, 1.0]}},
+             f"budget for 'power' {_NOT_A_NUMBER}{10**400}"),
+            ({"budgets": {"power": [1.0, "2"]}}, f"weight for 'power' {_NOT_A_NUMBER}'2'"),
+            ({"budgets": {"power": [1.0, True]}}, f"weight for 'power' {_NOT_A_NUMBER}True"),
+            ({"budgets": {"power": {"m": 5}}},
+             "budgets for 'power' must be a [budget, weight] pair, got {'m': 5}"),
+            ({"budgets": {"power": [1.0]}},
+             "budgets for 'power' must be a [budget, weight] pair, got [1.0]"),
+        ],
+        ids=["huge-int-target", "string-target", "nan-string-target", "bool-target",
+             "huge-int-budget", "string-weight", "bool-weight", "budget-mapping", "short-budget"],
+    )
+    def test_from_config_applies_the_number_rule_before_float(self, config, message):
+        with pytest.raises(ValueError) as info:
+            reward_spec_from_config(config)
+        assert str(info.value) == message
 
     def test_from_config(self):
         spec = reward_spec_from_config({"targets": {"latency": 2.0}})

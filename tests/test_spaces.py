@@ -11,7 +11,6 @@ from dsegym.spaces import (
     Categorical,
     Numeric,
     ParameterSpace,
-    ParameterSpec,
     cardinality,
     design_map,
     encode,
@@ -27,26 +26,26 @@ from dsegym.spaces import (
 from .strategies import spaces
 
 
-def make_space(*specs):
-    return ParameterSpace(tuple(specs))
+def make_space(*parameters):
+    return ParameterSpace(tuple(parameters))
 
 
 TWO_BY_TWO = make_space(
-    ParameterSpec("A", Categorical(("x", "y"))),
-    ParameterSpec("B", Numeric(1, 2, 1)),
+    Categorical("A", ("x", "y")),
+    Numeric("B", 1, 2, 1),
 )
 
 
 class TestCardinality:
     def test_numeric_grid_enumerated(self):
         # oracle: count the grid values directly
-        space = make_space(ParameterSpec("NumPEs", Numeric(14, 336, 14)))
+        space = make_space(Numeric("NumPEs", 14, 336, 14))
         grid = [14 + 14 * k for k in range(1000) if 14 + 14 * k <= 336]
         assert len(grid) == 24
         assert cardinality(space) == 24
 
     def test_categorical_count(self):
-        space = make_space(ParameterSpec("S", Categorical(("Fifo", "FrFcFs", "FrFcFsGrp"))))
+        space = make_space(Categorical("S", ("Fifo", "FrFcFs", "FrFcFsGrp")))
         assert cardinality(space) == 3
 
     def test_full_memory_controller_space_matches_documented_total(self):
@@ -55,7 +54,7 @@ class TestCardinality:
         assert f"{cardinality(get_space('dram')):.1e}" == "1.9e+07"
 
     def test_non_multiple_span_truncates(self):
-        assert cardinality(make_space(ParameterSpec("n", Numeric(0, 10, 3)))) == 4  # 0,3,6,9
+        assert cardinality(make_space(Numeric("n", 0, 10, 3))) == 4  # 0,3,6,9
 
     @given(spaces())
     @settings(max_examples=60)
@@ -67,7 +66,7 @@ class TestCardinality:
 
 class TestSampleUniform:
     def test_single_value_space(self):
-        space = make_space(ParameterSpec("A", Categorical(("x",))))
+        space = make_space(Categorical("A", ("x",)))
         rng = make_rng(0)
         assert all(sample_uniform(space, rng) == (0,) for _ in range(10))
 
@@ -76,7 +75,7 @@ class TestSampleUniform:
         assert points[0] == points[1]
 
     def test_uniform_frequencies_chi_square(self):
-        space = make_space(ParameterSpec("n", Numeric(14, 336, 14)))
+        space = make_space(Numeric("n", 14, 336, 14))
         rng = make_rng(7)
         draws = [sample_uniform(space, rng)[0] for _ in range(24_000)]
         counts = np.bincount(draws, minlength=24)
@@ -100,17 +99,17 @@ class TestSampleUniform:
 
 class TestEncode:
     def test_one_hot(self):
-        space = make_space(ParameterSpec("A", Categorical(("x", "y"))))
+        space = make_space(Categorical("A", ("x", "y")))
         assert encode(space, (0,)).tolist() == [1.0, 0.0]
 
     def test_numeric_min_max_scaling(self):
-        space = make_space(ParameterSpec("n", Numeric(0, 10, 5)))
+        space = make_space(Numeric("n", 0, 10, 5))
         assert encode(space, (1,)).tolist() == [0.5]
 
     def test_dimension(self):
         space = make_space(
-            ParameterSpec("A", Categorical(("x", "y", "z"))),
-            ParameterSpec("B", Numeric(0, 10, 5)),
+            Categorical("A", ("x", "y", "z")),
+            Numeric("B", 0, 10, 5),
         )
         assert encode_dim(space) == 4
 
@@ -121,15 +120,15 @@ class TestEncode:
 
 class TestResamplePosition:
     def test_single_value_space_returns_same_point(self):
-        space = make_space(ParameterSpec("A", Categorical(("x",))))
+        space = make_space(Categorical("A", ("x",)))
         point = (0,)
         assert resample_position(space, point, 0, make_rng(0)) == point
 
     def test_changes_at_most_one_position(self):
         space = make_space(
-            ParameterSpec("a", Categorical(("1", "2", "3"))),
-            ParameterSpec("b", Numeric(0, 8, 1)),
-            ParameterSpec("c", Categorical(("u", "v"))),
+            Categorical("a", ("1", "2", "3")),
+            Numeric("b", 0, 8, 1),
+            Categorical("c", ("u", "v")),
         )
         rng = make_rng(11)
         point = sample_uniform(space, rng)
@@ -142,19 +141,19 @@ class TestResamplePosition:
 
 class TestGridSemantics:
     def test_max_included_iff_exact_multiple(self):
-        exact = Numeric(0, 9, 3)
+        exact = Numeric("n", 0, 9, 3)
         assert exact.value(exact.size - 1) == 9
-        truncated = Numeric(0, 10, 3)
+        truncated = Numeric("n", 0, 10, 3)
         assert truncated.value(truncated.size - 1) == 9 <= 10
 
     def test_float_step_no_drift(self):
-        kind = Numeric(0.0, 0.3, 0.1)
-        assert kind.size == 4
-        assert kind.index_of(kind.value(3)) == 3
+        p = Numeric("x", 0.0, 0.3, 0.1)
+        assert p.size == 4
+        assert p.index_of(p.value(3)) == 3
 
     def test_off_grid_value_rejected(self):
         with pytest.raises(ValueError, match="not on step grid"):
-            Numeric(1, 16, 1).index_of(4.5)
+            Numeric("n", 1, 16, 1).index_of(4.5)
 
 
 class TestDesignMaps:
@@ -188,8 +187,7 @@ class TestSpaceConfig:
         space = space_from_config(
             [{"name": "A", "values": ["x"]}, {"name": "B", "min": 0, "max": 1, "step": 1}]
         )
-        assert isinstance(space.parameters[0].kind, Categorical)
-        assert isinstance(space.parameters[1].kind, Numeric)
+        assert space.parameters == (Categorical("A", ("x",)), Numeric("B", 0, 1, 1))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate parameter names"):
@@ -199,28 +197,39 @@ class TestSpaceConfig:
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Categorical(()), "categorical parameter needs at least one value"),
-        (lambda: Categorical(("x", "y", "x")), "duplicate categorical values: ('x', 'y', 'x')"),
-        (lambda: Categorical(("x", "y")).index_of("z"), "label 'z' not in ('x', 'y')"),
-        (lambda: Numeric(4, 2, 1), "numeric bounds inverted: (4, 2)"),
-        (lambda: Numeric(0, 4, 0), "step must be positive, got 0"),
-        (lambda: Numeric(0, 4, -2), "step must be positive, got -2"),
-        (lambda: Numeric(0, 1, math.inf), "numeric grid must be finite, got (0, 1, inf)"),
-        (lambda: Numeric(0, 4, math.nan), "numeric grid must be finite, got (0, 4, nan)"),
-        (lambda: Numeric(-math.inf, 4, 1), "numeric grid must be finite, got (-inf, 4, 1)"),
-        (lambda: Numeric(0, math.inf, 1), "numeric grid must be finite, got (0, inf, 1)"),
-        (lambda: Numeric(0, 4, 10**400), f"numeric grid must be finite, got (0, 4, {10**400})"),
+        (lambda: Categorical("A", ()), "parameter 'A': categorical needs at least one value"),
+        (lambda: Categorical("A", ("x", "y", "x")),
+         "parameter 'A': duplicate categorical values: ('x', 'y', 'x')"),
+        (lambda: Categorical("A", ("x", "y")).index_of("z"),
+         "parameter 'A': label 'z' not in ('x', 'y')"),
+        (lambda: Numeric("A", 4, 2, 1), "parameter 'A': numeric bounds inverted: (4, 2)"),
+        (lambda: Numeric("A", 0, 4, 0), "parameter 'A': step must be positive, got 0"),
+        (lambda: Numeric("A", 0, 4, -2), "parameter 'A': step must be positive, got -2"),
+        (lambda: Numeric("A", 0, 1, math.inf),
+         "parameter 'A': numeric grid must be finite, got (0, 1, inf)"),
+        (lambda: Numeric("A", 0, 4, math.nan),
+         "parameter 'A': numeric grid must be finite, got (0, 4, nan)"),
+        (lambda: Numeric("A", -math.inf, 4, 1),
+         "parameter 'A': numeric grid must be finite, got (-inf, 4, 1)"),
+        (lambda: Numeric("A", 0, math.inf, 1),
+         "parameter 'A': numeric grid must be finite, got (0, inf, 1)"),
+        (lambda: Numeric("A", 0, 4, 10**400),
+         f"parameter 'A': numeric grid must be finite, got (0, 4, {10**400})"),
         (lambda: space_from_config([{"name": "A", "min": 0, "max": 4, "step": math.nan}]),
-         "numeric grid must be finite, got (0, 4, nan)"),
-        (lambda: Numeric(0, 4, 2).index_of(-2), "value -2 outside grid (0, 4, 2)"),
-        (lambda: Numeric(0, 4, 2).index_of(6), "value 6 outside grid (0, 4, 2)"),
+         "parameter 'A': numeric grid must be finite, got (0, 4, nan)"),
+        (lambda: space_from_config([{"name": "a", "min": 4, "max": 2, "step": 1}]),
+         "parameter 'a': numeric bounds inverted: (4, 2)"),
+        (lambda: Numeric("A", 0, 4, 2).index_of(-2),
+         "parameter 'A': value -2 outside grid (0, 4, 2)"),
+        (lambda: Numeric("A", 0, 4, 2).index_of(6),
+         "parameter 'A': value 6 outside grid (0, 4, 2)"),
         (lambda: space_from_config([{"name": "A", "kind": "ordinal", "values": ["x"]}]),
          "unknown parameter kind 'ordinal' for 'A'"),
     ],
     ids=["empty-categorical", "duplicate-label", "unknown-label", "inverted-bounds",
          "zero-step", "negative-step", "infinite-step", "nan-step", "infinite-lo", "infinite-hi",
-         "huge-int-step",
-         "nan-step-from-config", "below-grid", "above-grid", "unknown-kind"],
+         "huge-int-step", "nan-step-from-config", "inverted-bounds-from-config",
+         "below-grid", "above-grid", "unknown-kind"],
 )
 def test_a_bad_parameter_or_value_is_refused(build, message):
     with pytest.raises(ValueError) as info:
