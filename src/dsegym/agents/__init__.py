@@ -33,14 +33,8 @@ def make_agent(
     return _agent_class(agent_type)(space, hyperparams)
 
 
-def expand_grid(grid: Mapping) -> list[dict]:
-    """Cartesian product of per-hyperparameter value lists."""
-    keys = sorted(grid)
-    return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
-
-
 def sweep_configs(agent_type: str, grid: Mapping | None = None) -> list[dict]:
-    """Hyperparameter configs for a sweep: the class's SWEEP_GRID unless overridden."""
+    """The product of a grid's per-hyperparameter value lists; SWEEP_GRID unless given."""
     shipped = _agent_class(agent_type).SWEEP_GRID
     grid = shipped if grid is None else grid
     if not isinstance(grid, Mapping) or not all(
@@ -50,7 +44,8 @@ def sweep_configs(agent_type: str, grid: Mapping | None = None) -> list[dict]:
             f"the sweep grid for {agent_type} must map hyperparameter names to non-empty"
             f" lists of values, got {grid!r}"
         )
-    return expand_grid(grid)
+    keys = sorted(grid)
+    return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
 
 
 __all__ = [
@@ -65,7 +60,6 @@ __all__ = [
     "Individual",
     "RandomWalker",
     "Reinforce",
-    "expand_grid",
     "expected_improvement",
     "make_agent",
     "sweep_configs",

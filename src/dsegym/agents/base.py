@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from ..core import finite_number
+from ..core import finite_number, shown
 from ..spaces import DesignPoint, ParameterSpace
 
 
@@ -78,7 +78,7 @@ class Agent(ABC):
                         isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
                         and (kind is not int or abs(value) < 2**63)):
                     name = {float: "finite float", int: "int64"}.get(kind, kind.__name__)
-                    raise ValueError(f"{key} must be of type {name}, got {value!r}")
+                    raise ValueError(f"{key} must be of type {name}, got {shown(value)}")
                 merged[key] = kind(value)
         self.space = space
         self._hyperparams = HyperparamSet(merged)

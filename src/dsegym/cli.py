@@ -37,20 +37,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_value(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
-
-
 def _parse_assignments(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise UsageError(f"expected key=value, got {pair!r}")
         key, value = pair.split("=", 1)
-        out[key] = _parse_value(value)
+        try:
+            out[key] = json.loads(value)
+        except json.JSONDecodeError:
+            out[key] = value
     return out
 
 
@@ -65,15 +61,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dsegym", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_objective_arg(p):
+        p.add_argument("--objective", default="low-latency",
+                       help="objective name from the env fixture (e.g. low-power, "
+                       "low-latency, joint, budget)")
+
     def add_env_args(p):
         p.add_argument("--env", required=True, choices=ENV_IDS)
         p.add_argument("--workload", required=True)
-        p.add_argument(
-            "--objective",
-            default="low-latency",
-            help="objective name from the env fixture (e.g. low-power, "
-            "low-latency, joint, budget)",
-        )
+        add_objective_arg(p)
 
     p = sub.add_parser("run", help="run a single trial")
     add_env_args(p)
@@ -125,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="optionally write the report as JSON")
 
-    p = sub.add_parser("bench-proxy", help="proxy speed-up against the undelayed env")
+    p = sub.add_parser("bench-proxy", help="proxy speed-up against the env it was trained on")
     p.add_argument("--model", required=True)
-    add_env_args(p)
+    add_objective_arg(p)
     p.add_argument("--queries", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
 
@@ -150,7 +146,7 @@ def _cmd_run(args) -> int:
         agent_type=args.agent,
         budget=args.budget,
         seed=args.seed,
-        hyperparams=orch.TrialSpec.hyperparams_tuple(_parse_assignments(args.hyperparams)),
+        hyperparams=_parse_assignments(args.hyperparams),
         out_dir=args.out,
     )
     result = orch.run_trial(spec)
@@ -279,10 +275,9 @@ def _cmd_eval_proxy(args) -> int:
 
 def _cmd_bench_proxy(args) -> int:
     model = proxy.RandomForestModel.load(args.model)
-    model.check_task(args.env, args.workload, f"--env {args.env} --workload {args.workload}")
     if args.queries < 1:
         raise UsageError(f"--queries must be >= 1, got {args.queries}")
-    env = make_env(args.env, args.workload, args.objective)
+    env = make_env(model.env_id, model.workload_id, args.objective)
     points = sample_uniform_indices(env.space(), make_rng(args.seed), args.queries)
     result = proxy.speed_benchmark(model, env, points)
     print(json.dumps(asdict(result), indent=2, sort_keys=True))

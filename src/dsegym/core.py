@@ -35,6 +35,17 @@ def finite_number(value) -> bool:
         abs(value) <= sys.float_info.max)
 
 
+def shown(value) -> str:
+    """`repr(value)`, or, where it holds an int too long for Python to print
+    (past `sys.get_int_max_str_digits()`), that int's size."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an int too long to print"
+
+
 class MissingMetricError(ValueError):
     def __init__(self, name: str):
         super().__init__(f"missing metric {name!r} in observation")
@@ -86,7 +97,8 @@ class RewardSpec:
             checks += [("budget", m, b), ("weight", m, w)]
         for kind, metric, value in checks:
             if not (finite_number(value) and value > 0):
-                raise ValueError(f"{kind} for {metric!r} must be positive and finite, got {value}")
+                raise ValueError(f"{kind} for {metric!r} must be positive and finite, "
+                                 f"got {shown(value)}")
             # `_reward` divides by target / cap on an exact match
             if kind == "target" and value / DEFAULT_SINGULARITY_CAP == 0:
                 raise ValueError(f"target for {metric!r} is so small that target / "
@@ -154,13 +166,15 @@ def reward_spec_from_config(config: dict) -> RewardSpec:
 
     def number(kind: str, metric: str, value) -> float:
         if not finite_number(value):
-            raise ValueError(f"{kind} for {metric!r} must be positive and finite, got {value!r}")
+            raise ValueError(f"{kind} for {metric!r} must be positive and finite, "
+                             f"got {shown(value)}")
         return float(value)
 
     budgets = config.get("budgets", {})
     for m, pair in budgets.items():
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ValueError(f"budgets for {m!r} must be a [budget, weight] pair, got {pair!r}")
+            raise ValueError(f"budgets for {m!r} must be a [budget, weight] pair, "
+                             f"got {shown(pair)}")
     return RewardSpec(
         targets=tuple((m, number("target", m, t)) for m, t in config.get("targets", {}).items()),
         budgets=tuple((m, number("budget", m, b), number("weight", m, w))

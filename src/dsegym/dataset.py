@@ -26,7 +26,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -239,10 +239,6 @@ class Dataset:
         if len(workload_ids) > 1:
             raise ValueError(f"records of more than one workload: {sorted(workload_ids)}")
 
-    @classmethod
-    def from_records(cls, records: Iterable[TrajectoryRecord]) -> "Dataset":
-        return cls(list(records))
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -298,7 +294,7 @@ def load_dataset(path, validate: bool = True) -> Dataset:
     if validate:
         _validate_records(records, path)
     try:
-        return Dataset.from_records(records)
+        return Dataset(records)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -368,7 +364,7 @@ def sample_mixture(
         idx = rng.choice(len(source), size=counts[agent], replace=False)
         picked.extend(source.records[int(i)] for i in idx)
     order = rng.permutation(len(picked))
-    return Dataset.from_records([picked[int(i)] for i in order])
+    return Dataset([picked[int(i)] for i in order])
 
 
 def split(
@@ -383,8 +379,8 @@ def split(
     test_idx = sorted(int(i) for i in perm[:n_test])
     train_idx = sorted(int(i) for i in perm[n_test:])
     return (
-        Dataset.from_records([dataset.records[i] for i in train_idx]),
-        Dataset.from_records([dataset.records[i] for i in test_idx]),
+        Dataset([dataset.records[i] for i in train_idx]),
+        Dataset([dataset.records[i] for i in test_idx]),
     )
 
 

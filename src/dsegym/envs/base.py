@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 import yaml
 
-from ..core import Observation, RewardSpec, StepResult, finite_number, score
+from ..core import Observation, RewardSpec, StepResult, finite_number, score, shown
 from ..spaces import DesignPoint, ParameterSpace, check_indices, design_map, point_from_map
 
 
@@ -42,7 +42,7 @@ class WorkloadSpec:
     def __post_init__(self):
         for name, value in self.traits.items():
             if not finite_number(value):
-                raise ValueError(f"trait {name!r} must be finite, got {value}")
+                raise ValueError(f"trait {name!r} must be finite, got {shown(value)}")
             if name.endswith(("_fraction", "_locality")) and not 0.0 <= value <= 1.0:
                 raise ValueError(f"trait {name!r} must lie in [0, 1], got {value}")
 

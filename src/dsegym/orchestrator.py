@@ -66,13 +66,9 @@ class TrialSpec:
     agent_type: str
     budget: int
     seed: int
-    hyperparams: tuple = ()  # sorted (name, value) pairs; dicts don't hash
+    hyperparams: Mapping = field(default_factory=dict)
     out_dir: str | None = None
     checkpoints: tuple[int, ...] = ()
-
-    @staticmethod
-    def hyperparams_tuple(hp: Mapping | None) -> tuple:
-        return tuple(sorted((hp or {}).items()))
 
     def __post_init__(self):
         if self.budget < 1:
@@ -189,6 +185,8 @@ class SweepConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        if not self.agent_types:
+            raise ValueError("at least one agent type is required")
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if not self.budgets or min(self.budgets) < 1:
@@ -201,10 +199,10 @@ class SweepConfig:
         # a bad or repeated config fails here, before any trial runs
         space = get_space(self.env_id)
         for agent_type in self.agent_types:
-            digests = [
-                make_agent(agent_type, space, hp).hyperparams().digest
-                for hp in self.configs(agent_type)
-            ]
+            configs = self.configs(agent_type)
+            if not configs:
+                raise ValueError(f"{agent_type} has no configs; [{{}}] runs its defaults")
+            digests = [make_agent(agent_type, space, hp).hyperparams().digest for hp in configs]
             _reject_repeats(f"{agent_type} hyperparameter digest", digests)
 
     def configs(self, agent_type: str) -> list[dict]:
@@ -234,7 +232,7 @@ def _sweep_specs(config: SweepConfig) -> list[TrialSpec]:
                         agent_type=agent_type,
                         budget=max_budget,
                         seed=seed,
-                        hyperparams=TrialSpec.hyperparams_tuple(hp),
+                        hyperparams=hp,
                         out_dir=config.out_dir,
                         checkpoints=tuple(config.budgets),
                     )

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import finite_number
+from .core import finite_number, shown
 from .dataset import DataError, Dataset
 from .rng import spawn_seeds
 from .spaces import (
@@ -82,17 +82,18 @@ class RegressionTree:
         if len(y) == 0:
             raise ValueError("cannot fit a tree on no rows")
         if max_depth is not None and not (_is_int(max_depth) and max_depth >= 0):
-            raise ValueError(f"max_depth must be None or an int >= 0, got {max_depth!r}")
+            raise ValueError(f"max_depth must be None or an int >= 0, got {shown(max_depth)}")
         if not _is_int(min_samples_leaf):
-            raise ValueError(f"min_samples_leaf must be an int >= 1, got {min_samples_leaf!r}")
+            raise ValueError(f"min_samples_leaf must be an int >= 1, got {shown(min_samples_leaf)}")
         if min_samples_leaf < 1:
             raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
         if len(y) < min_samples_leaf:
             raise ValueError(
                 f"need at least min_samples_leaf={min_samples_leaf} rows, got {len(y)}"
             )
-        if not 0.0 < feature_subsample <= 1.0:
-            raise ValueError(f"feature_subsample must lie in (0, 1], got {feature_subsample}")
+        if not (finite_number(feature_subsample) and 0.0 < feature_subsample <= 1.0):
+            raise ValueError("feature_subsample must lie in (0, 1], "
+                             f"got {shown(feature_subsample)}")
         n_features = X.shape[1]
         n_sub = max(1, int(math.ceil(feature_subsample * n_features)))
         nodes: list[tuple] = []
@@ -174,7 +175,7 @@ class RegressionTree:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and type(value) is not bool and abs(value) < 2**63
 
 
 def _best_split(X, y, idx, features, min_leaf):
@@ -212,9 +213,9 @@ def _best_split(X, y, idx, features, min_leaf):
     return best
 
 
-# Keys `RandomForestModel.load` requires; `n_train` (read as 0) and `workload_id` may be absent.
-_MODEL_KEYS = ("format_version", "env_id", "target", "hyperparams", "seed", "train_range",
-               "feature_space", "trees")
+# Keys `RandomForestModel.load` requires.
+_MODEL_KEYS = ("format_version", "env_id", "workload_id", "target", "hyperparams", "seed",
+               "n_train", "train_range", "feature_space", "trees")
 
 
 @dataclass
@@ -227,8 +228,8 @@ class RandomForestModel:
     env_id: str
     train_min: float
     train_max: float
-    n_train: int = 0
-    workload_id: str = ""
+    n_train: int
+    workload_id: str
 
     def predict_features(self, x: np.ndarray) -> float:
         x = x.tolist()
@@ -240,12 +241,11 @@ class RandomForestModel:
 
     def check_task(self, env_id: str, workload_id: str, source: str) -> None:
         """Refuse, with a `ValueError` naming `source`, a task the model was not
-        trained on: the env must match, and so must the workload whenever the
-        model records one (a model saved before models recorded it fits any)."""
+        trained on: the env and the workload must both match."""
         if env_id != self.env_id:
             raise ValueError(f"model trained on env {self.env_id!r} does not fit "
                              f"env {env_id!r} of {source}")
-        if self.workload_id and workload_id != self.workload_id:
+        if workload_id != self.workload_id:
             raise ValueError(f"model trained on workload {self.workload_id!r} does not fit "
                              f"workload {workload_id!r} of {source}")
 
@@ -287,6 +287,9 @@ class RandomForestModel:
                 raise ValueError(f"model file lacks key {key!r}")
         if doc["format_version"] != 1:
             raise ValueError(f"unsupported model format {doc['format_version']!r}")
+        for key in ("env_id", "workload_id"):
+            if not (isinstance(doc[key], str) and doc[key]):
+                raise ValueError(f"{key} {doc[key]!r} is not a non-empty string")
         if not doc["trees"]:
             raise ValueError("model has no trees")
         space = space_from_config(doc["feature_space"])
@@ -307,8 +310,8 @@ class RandomForestModel:
             env_id=doc["env_id"],
             train_min=train_min,
             train_max=train_max,
-            n_train=doc.get("n_train", 0),
-            workload_id=doc.get("workload_id", ""),
+            n_train=doc["n_train"],
+            workload_id=doc["workload_id"],
         )
 
 
@@ -338,16 +341,6 @@ def dataset_matrix(
     return encode_batch(space, rows), np.asarray(targets)
 
 
-def _resolve_space(dataset: Dataset, space: ParameterSpace | None) -> ParameterSpace:
-    if space is not None:
-        return space
-    from .envs import get_space
-
-    if dataset.env_id is None:
-        raise ValueError("empty dataset and no explicit space")
-    return get_space(dataset.env_id)
-
-
 def train_forest(
     dataset: Dataset,
     target: str,
@@ -357,13 +350,20 @@ def train_forest(
 ) -> RandomForestModel:
     """n_trees CART trees on independent bootstrap resamples (per-tree seeds
     derived from the master seed, so parallel and serial builds agree)."""
-    space = _resolve_space(dataset, space)
+    if space is None:
+        if dataset.env_id is None:
+            raise ValueError("empty dataset and no explicit space")
+        from .envs import get_space
+
+        space = get_space(dataset.env_id)
     hp = {**DEFAULT_HYPERPARAMS, **(hyperparams or {})}
     unknown = set(hp) - set(DEFAULT_HYPERPARAMS)
     if unknown:
         raise ValueError(f"unknown proxy hyperparameters: {sorted(unknown)}")
     if not (_is_int(hp["n_trees"]) and hp["n_trees"] >= 1):
-        raise ValueError(f"n_trees must be an int >= 1, got {hp['n_trees']!r}")
+        raise ValueError(f"n_trees must be an int >= 1, got {shown(hp['n_trees'])}")
+    if type(hp["bootstrap"]) is not bool:
+        raise ValueError(f"bootstrap must be of type bool, got {shown(hp['bootstrap'])}")
     X, y = dataset_matrix(dataset, target, space)
     trees = []
     for tree_seed in spawn_seeds(seed, hp["n_trees"]):
@@ -388,11 +388,11 @@ def train_forest(
         target=target,
         hyperparams=hp,
         seed=seed,
-        env_id=dataset.env_id or "",
+        env_id=dataset.env_id,
         train_min=float(np.min(y)),
         train_max=float(np.max(y)),
         n_train=len(y),
-        workload_id=dataset.workload_id or "",
+        workload_id=dataset.workload_id,
     )
 
 

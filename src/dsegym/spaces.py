@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import yaml
 
-from .core import finite_number
+from .core import finite_number, shown
 
 # Tolerance used when deciding whether a value sits on the step grid and
 # whether max is an exact multiple of step away from min.
@@ -84,7 +84,7 @@ class Numeric:
 
     @property
     def _grid(self) -> str:
-        return f"({self.lo}, {self.hi}, {self.step})"
+        return f"({', '.join(map(shown, (self.lo, self.hi, self.step)))})"
 
     @cached_property
     def size(self) -> int:

@@ -12,6 +12,7 @@ from dsegym import orchestrator as orch
 from dsegym import proxy
 from dsegym.agents import GeneticAlgorithm
 from dsegym.dataset import load_dataset
+from dsegym.envs import make_env
 
 ENV = ["--env", "dram-small", "--workload", "stream", "--objective", "low-power"]
 
@@ -85,7 +86,7 @@ def test_unknown_names_are_usage_errors(argv, message, tmp_path, monkeypatch, ca
     [
         ["run", *ENV, "--agent", "RW", "--budget", "2", "--out", "unused"],
         ["sweep", *ENV, "--agents", "RW", "--out", "unused"],
-        ["bench-proxy", "--model", "unused.json", *ENV],
+        ["bench-proxy", "--model", "unused.json"],
     ],
     ids=["run", "sweep", "bench-proxy"],
 )
@@ -400,33 +401,15 @@ def test_bench_proxy_on_the_undelayed_env(tmp_path, capsys):
             "--set", "n_trees=2"]
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
-    argv = ["bench-proxy", "--model", str(model), *ENV, "--queries", "12"]
+    argv = ["bench-proxy", "--model", str(model), "--objective", "low-power", "--queries", "12"]
     assert cli.main(argv) == cli.EXIT_OK
     printed = _printed_json(capsys)
     assert set(printed) == {"speedup", "env_seconds", "model_seconds", "n_queries"}
     assert printed["n_queries"] == 12
     for queries in ("0", "-3"):
-        argv = ["bench-proxy", "--model", str(model), *ENV, "--queries", queries]
+        argv = ["bench-proxy", "--model", str(model), "--queries", queries]
         assert cli.main(argv) == cli.EXIT_USAGE
         assert f"--queries must be >= 1, got {queries}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("seed", ["1", "2"])
-def test_bench_proxy_refuses_a_model_of_another_env(seed, tmp_path, capsys):
-    argv = ["run", "--env", "accel-small", "--workload", "small_cnn", "--agent", "RW",
-            "--budget", "20", "--out", str(tmp_path / "runs")]
-    assert cli.main(argv) == cli.EXIT_OK
-    (path,) = _trajectory_files(tmp_path)
-    model = tmp_path / "model.json"
-    argv = ["train-proxy", "--data", path, "--target", "latency", "--out", str(model),
-            "--set", "n_trees=2"]
-    assert cli.main(argv) == cli.EXIT_OK
-    capsys.readouterr()
-    argv = ["bench-proxy", "--model", str(model), "--env", "soc-small", "--workload",
-            "audio_decoder", "--objective", "budget", "--queries", "1", "--seed", seed]
-    assert cli.main(argv) == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "'accel-small'" in err and "--env soc-small" in err
 
 
 def test_eval_proxy_refuses_a_dataset_of_another_env(tmp_path, capsys):
@@ -470,18 +453,59 @@ def test_eval_proxy_refuses_a_dataset_of_another_workload(tmp_path, capsys):
     assert "workload 'stream'" in err and "workload 'cloud-1'" in err
 
 
+def _model_of_the_small_cnn_workload(tmp_path):
+    argv = ["run", "--env", "accel-small", "--workload", "small_cnn", "--agent", "RW",
+            "--budget", "20", "--out", str(tmp_path / "runs")]
+    assert cli.main(argv) == cli.EXIT_OK
+    (path,) = _trajectory_files(tmp_path)
+    model = tmp_path / "model.json"
+    argv = ["train-proxy", "--data", path, "--target", "latency", "--out", str(model),
+            "--set", "n_trees=2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    return model
+
+
+def _record_tasks(monkeypatch):
+    tasks = []
+    monkeypatch.setattr(cli, "make_env", lambda *task: tasks.append(task) or make_env(*task))
+    return tasks
+
+
+def test_bench_proxy_times_the_task_of_its_model(tmp_path, monkeypatch, capsys):
+    model = _model_of_the_small_cnn_workload(tmp_path)
+    tasks = _record_tasks(monkeypatch)
+    argv = ["bench-proxy", "--model", str(model), "--objective", "joint", "--queries", "3"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert tasks == [("accel-small", "small_cnn", "joint")]
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_bench_proxy_refuses_a_model_of_another_env(seed, tmp_path, monkeypatch, capsys):
+    model = _model_of_the_small_cnn_workload(tmp_path)
+    capsys.readouterr()
+    tasks = _record_tasks(monkeypatch)
+    # the env is the model's own: naming another one is a usage error
+    argv = ["bench-proxy", "--model", str(model), "--env", "soc-small", "--workload",
+            "audio_decoder", "--objective", "budget", "--queries", "1", "--seed", seed]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --env soc-small --workload audio_decoder" in err
+    assert tasks == []
+
+
 def test_bench_proxy_refuses_another_workload(tmp_path, capsys):
     model = _model_of_the_stream_workload(tmp_path)
     capsys.readouterr()
-    argv = ["bench-proxy", "--model", str(model), *ENV[:2], "--workload", "cloud-1",
-            "--queries", "1"]
+    argv = ["bench-proxy", "--model", str(model), "--workload", "cloud-1", "--queries", "1"]
     assert cli.main(argv) == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "workload 'stream'" in err and "--workload cloud-1" in err
-    # a model saved before models recorded their workload runs on any
-    v1_model = Path(__file__).parent / "data" / "model_v1.json"
-    argv[2] = str(v1_model)
-    assert cli.main(argv) == cli.EXIT_OK
+    assert "unrecognized arguments: --workload cloud-1" in capsys.readouterr().err
+    # a model file that does not name its workload fits none
+    doc = json.loads((Path(__file__).parent / "data" / "model_v1.json").read_text())
+    del doc["workload_id"]
+    unnamed = tmp_path / "unnamed.json"
+    unnamed.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["bench-proxy", "--model", str(unnamed), "--queries", "1"]) == cli.EXIT_DATA
+    assert "model file lacks key 'workload_id'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting", ["n_trees=0", "max_depth=-1"])
@@ -496,6 +520,23 @@ def test_train_proxy_rejects_an_empty_or_negative_forest_size(setting, tmp_path,
     assert not model.exists()
 
 
+@pytest.mark.parametrize(
+    "setting",
+    ["bootstrap=0", 'bootstrap="no"', 'feature_subsample="0.5"', f"n_trees=1{'0' * 400}"],
+    ids=["bootstrap-int", "bootstrap-string", "subsample-string", "n-trees-past-int64"],
+)
+def test_train_proxy_refuses_a_hyperparameter_of_another_type(setting, tmp_path, capsys):
+    _run(tmp_path, "RW", 6)
+    (path,) = _trajectory_files(tmp_path)
+    model = tmp_path / "model.json"
+    argv = ["train-proxy", "--data", path, "--target", "power", "--out", str(model),
+            "--set", setting]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {setting.split('=')[0]} must ") and err.count("\n") == 1
+    assert not model.exists()
+
+
 def test_proxy_commands_reject_a_model_whose_walk_leaves_the_tree(tmp_path, capsys):
     _run(tmp_path, "RW", 6)
     (path,) = _trajectory_files(tmp_path)
@@ -504,7 +545,7 @@ def test_proxy_commands_reject_a_model_whose_walk_leaves_the_tree(tmp_path, caps
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
     for argv in (["eval-proxy", "--model", str(model), "--data", path],
-                 ["bench-proxy", "--model", str(model), *ENV]):
+                 ["bench-proxy", "--model", str(model)]):
         assert cli.main(argv) == cli.EXIT_DATA
         assert "tree 1, node 0: right child" in capsys.readouterr().err
 

@@ -321,7 +321,7 @@ def _dataset(n, agent_type="RW", experiment_id="e", env_id="test-env"):
                 agent_type=agent_type, experiment_id=experiment_id, env_id=env_id)
         for i in range(n)
     ]
-    return Dataset.from_records(records)
+    return Dataset(records)
 
 
 TWO_ENVS = "records of more than one environment: ['accel', 'dram']"

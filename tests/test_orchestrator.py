@@ -36,7 +36,7 @@ def _trial(agent_type, hyperparams, budget, out_dir=None):
             agent_type=agent_type,
             budget=budget,
             seed=7,
-            hyperparams=TrialSpec.hyperparams_tuple(hyperparams),
+            hyperparams=hyperparams,
             out_dir=out_dir,
         )
     )
@@ -141,8 +141,14 @@ def test_sweep_config_refuses_a_float_hyperparameter_that_is_not_finite(grids, m
          "budgets must be >= 1"),
         (lambda: SweepConfig(*BUDGET_ENV, ("RW",), budgets=(4, 0), seeds=(1,)),
          "budgets must be >= 1"),
+        (lambda: SweepConfig(*BUDGET_ENV, (), budgets=(4,), seeds=(1,)),
+         "at least one agent type is required"),
+        (lambda: SweepConfig(*BUDGET_ENV, ("GA", "RW"), budgets=(4,), seeds=(1,),
+                             grids={"RW": []}),
+         "RW has no configs; [{}] runs its defaults"),
     ],
-    ids=["trial-budget", "no-seeds", "no-budgets", "sweep-budget"],
+    ids=["trial-budget", "no-seeds", "no-budgets", "sweep-budget", "no-agents",
+         "agent-without-configs"],
 )
 def test_a_trial_or_sweep_without_samples_is_refused(build, message):
     with pytest.raises(ValueError) as info:

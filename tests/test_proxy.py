@@ -123,7 +123,7 @@ def _rows(n):
 
 
 def _metric_free(data):
-    return Dataset.from_records(replace(r, observation={}) for r in data.records)
+    return Dataset([replace(r, observation={}) for r in data.records])
 
 
 @pytest.mark.parametrize(
@@ -143,6 +143,18 @@ def _metric_free(data):
          "feature_subsample must lie in (0, 1], got 0.0"),
         (lambda data: RegressionTree.fit(*_rows(4), None, 1, 1.5, make_rng(0)),
          "feature_subsample must lie in (0, 1], got 1.5"),
+        (lambda data: train_forest(data, "power", {"feature_subsample": "0.5"}),
+         "feature_subsample must lie in (0, 1], got '0.5'"),
+        (lambda data: train_forest(data, "power", {"bootstrap": 0}),
+         "bootstrap must be of type bool, got 0"),
+        (lambda data: train_forest(data, "power", {"bootstrap": "no"}),
+         "bootstrap must be of type bool, got 'no'"),
+        (lambda data: train_forest(data, "power", {"n_trees": 10**400}),
+         f"n_trees must be an int >= 1, got {10**400}"),
+        (lambda data: train_forest(data, "power", {"max_depth": 2**63}),
+         f"max_depth must be None or an int >= 0, got {2**63}"),
+        (lambda data: train_forest(data, "power", {"min_samples_leaf": -(2**63) - 1}),
+         f"min_samples_leaf must be an int >= 1, got {-(2**63) - 1}"),
         (lambda data: train_forest(data, "power", {"depth": 3}),
          "unknown proxy hyperparameters: ['depth']"),
         (lambda data: train_forest(data, "area"),
@@ -152,7 +164,9 @@ def _metric_free(data):
     ],
     ids=["no-rows", "leaf-below-one", "leaf-float", "leaf-nan", "fewer-rows-than-a-leaf",
          "subsample-zero",
-         "subsample-above-one", "unknown-hyperparameter", "record-lacks-target",
+         "subsample-above-one", "subsample-string", "bootstrap-int", "bootstrap-string",
+         "n-trees-past-int64", "depth-past-int64", "leaf-past-int64", "unknown-hyperparameter",
+         "record-lacks-target",
          "no-record-has-target"],
 )
 def test_a_bad_fit_or_training_set_is_refused(dataset, build, message):
@@ -230,9 +244,7 @@ def _write_v1_without(tmp_path, key):
     return path
 
 
-@pytest.mark.parametrize(
-    "key", sorted(set(json.loads(MODEL_V1.read_text(encoding="utf-8"))) - {"n_train"})
-)
+@pytest.mark.parametrize("key", sorted(json.loads(MODEL_V1.read_text(encoding="utf-8"))))
 def test_load_names_the_key_a_model_file_lacks(tmp_path, key):
     path = _write_v1_without(tmp_path, key)
     with pytest.raises(DataError) as info:
@@ -240,20 +252,10 @@ def test_load_names_the_key_a_model_file_lacks(tmp_path, key):
     assert str(info.value) == f"{path}: model file lacks key {key!r}"
 
 
-def test_load_reads_a_missing_n_train_as_zero(tmp_path):
-    model = RandomForestModel.load(_write_v1_without(tmp_path, "n_train"))
-    full = RandomForestModel.load(MODEL_V1)
-    assert model.n_train == 0 and full.n_train > 0
-    assert [t.nodes for t in model.trees] == [t.nodes for t in full.trees]
-
-
 def test_a_model_records_its_workload(model, tmp_path):
     assert model.workload_id == "stream"
     model.save(tmp_path / "model.json")
     assert RandomForestModel.load(tmp_path / "model.json").workload_id == "stream"
-    # a v1 file from before models recorded it: a workload not known
-    assert "workload_id" not in json.loads(MODEL_V1.read_text(encoding="utf-8"))
-    assert RandomForestModel.load(MODEL_V1).workload_id == ""
 
 
 @pytest.mark.parametrize(
@@ -263,6 +265,10 @@ def test_a_model_records_its_workload(model, tmp_path):
         pytest.param("[1]", "expected a JSON object, got list", id="not-an-object"),
         pytest.param(lambda doc: doc.update(format_version=2), "unsupported model format 2",
                      id="format-version"),
+        pytest.param(lambda doc: doc.update(env_id=3), "env_id 3 is not a non-empty string$",
+                     id="env-id-not-a-string"),
+        pytest.param(lambda doc: doc.update(workload_id=""),
+                     "workload_id '' is not a non-empty string$", id="empty-workload-id"),
         pytest.param(lambda doc: doc.update(train_range=[0.0]), "not enough values to unpack",
                      id="short-train-range"),
         pytest.param(lambda doc: doc.update(train_range=[1, 2, 3]),

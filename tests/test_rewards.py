@@ -16,6 +16,10 @@ from dsegym.core import (
     score,
     score_batch,
 )
+from dsegym.agents import make_agent
+from dsegym.envs import WorkloadSpec, get_space
+from dsegym.proxy import RegressionTree
+from dsegym.spaces import Numeric
 
 
 @pytest.mark.parametrize(
@@ -28,6 +32,48 @@ from dsegym.core import (
 )
 def test_finite_number(value, expected):
     assert finite_number(value) == expected
+
+
+# More digits than Python prints an int with (4300 by default); 16610 bits.
+_HUGE = 10**5000
+
+
+def _fit(max_depth=None, min_samples_leaf=1, feature_subsample=1.0):
+    X, y = np.arange(8.0).reshape(4, 2), np.arange(4.0)
+    RegressionTree.fit(X, y, max_depth, min_samples_leaf, feature_subsample,
+                       np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda: make_agent("GA", get_space("dram-small"), {"population_size": _HUGE}),
+         "population_size must be of type int64, got an int of 16610 bits"),
+        (lambda: Numeric("a", 0, 4, _HUGE),
+         "parameter 'a': numeric grid must be finite, got (0, 4, an int of 16610 bits)"),
+        (lambda: RewardSpec(targets=(("m", _HUGE),)),
+         "target for 'm' must be positive and finite, got an int of 16610 bits"),
+        (lambda: reward_spec_from_config({"budgets": {"m": [1.0, _HUGE]}}),
+         "weight for 'm' must be positive and finite, got an int of 16610 bits"),
+        (lambda: reward_spec_from_config({"budgets": {"m": [_HUGE]}}),
+         "budgets for 'm' must be a [budget, weight] pair, got a list holding an int too long "
+         "to print"),
+        (lambda: WorkloadSpec("w", {"flops": _HUGE}),
+         "trait 'flops' must be finite, got an int of 16610 bits"),
+        (lambda: _fit(max_depth=_HUGE),
+         "max_depth must be None or an int >= 0, got an int of 16610 bits"),
+        (lambda: _fit(min_samples_leaf=-_HUGE),
+         "min_samples_leaf must be an int >= 1, got an int of 16610 bits"),
+        (lambda: _fit(feature_subsample=_HUGE),
+         "feature_subsample must lie in (0, 1], got an int of 16610 bits"),
+    ],
+    ids=["agent", "numeric", "reward-spec", "reward-config", "reward-config-pair", "workload",
+         "max-depth", "min-samples-leaf", "feature-subsample"],
+)
+def test_a_refusal_shows_a_huge_int_by_its_size(refuse, message):
+    with pytest.raises(ValueError) as info:
+        refuse()
+    assert str(info.value) == message
 
 
 # what `reward_spec_from_config` says of a value that is not a finite number
