@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from ..core import finite_number, shown
+from ..core import finite_number, shown, whole_number
 from ..spaces import DesignPoint, ParameterSpace
 
 
@@ -73,10 +73,9 @@ class Agent(ABC):
                 )
             for key, value in hyperparams.items():
                 kind = type(self.DEFAULTS[key])
-                # a float takes a finite int too; bool is an int subclass that only a bool takes
+                # a float takes a finite int too; a bool (an int subclass) passes only for a bool
                 if not (finite_number(value) if kind is float else
-                        isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
-                        and (kind is not int or abs(value) < 2**63)):
+                        whole_number(value) if kind is int else type(value) is kind):
                     name = {float: "finite float", int: "int64"}.get(kind, kind.__name__)
                     raise ValueError(f"{key} must be of type {name}, got {shown(value)}")
                 merged[key] = kind(value)

@@ -12,8 +12,12 @@ Each formula is written once, in `_reward`: `score` runs it on one
 observation with `math`'s operations, `score_batch` on metric columns with
 numpy's.
 
-One rule, `finite_number`, decides what a number is: every reader of a
-file, a child process or the command line calls it.
+The reader rules live here too.  `finite_number` decides what a number
+is, and every reader of a file, a child process or the command line calls
+it; `whole_number` decides what an int64 is.  `check_fields` decides what
+makes a JSON object one of the package's documents (a trajectory record, a
+proxy model file, a sweep summary) and how a refusal reads; each of their
+readers passes it a table of its fields.
 """
 
 from __future__ import annotations
@@ -27,12 +31,18 @@ from typing import Mapping
 import numpy as np
 
 DEFAULT_SINGULARITY_CAP = 1e9
+_FLOAT_MAX = sys.float_info.max  # bound once: each record's metrics call `finite_number`
 
 
 def finite_number(value) -> bool:
     """A finite int or float, not a bool; unlike `math.isfinite`, no overflow on a huge int."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and (
-        abs(value) <= sys.float_info.max)
+        abs(value) <= _FLOAT_MAX)
+
+
+def whole_number(value) -> bool:
+    """An int or numpy integer, not a bool, that fits in int64."""
+    return isinstance(value, (int, np.integer)) and type(value) is not bool and abs(value) < 2**63
 
 
 def shown(value) -> str:
@@ -44,6 +54,34 @@ def shown(value) -> str:
         if isinstance(value, int):
             return f"an int of {value.bit_length()} bits"
         return f"a {type(value).__name__} holding an int too long to print"
+
+
+_SHOWN_MAX = 200  # characters of a value a refusal quotes at most
+
+
+def check_fields(doc, fields: Mapping[str, tuple], what: str):
+    """`doc`, if it is a JSON object with exactly the keys of `fields` and
+    every value fits its field `(types, check, shape)`: its exact type is in
+    `types` (`json.loads` yields exact types, so a bool never passes for an
+    int) and it passes `check` unless that is None.  Any other `doc` raises
+    a `ValueError` naming the key, its shape and its value."""
+    if type(doc) is not dict:
+        raise ValueError(f"a {what} is a JSON object, not {type(doc).__name__}")
+    # as many keys as `fields`, each of them in `doc`, are exactly its keys
+    if len(doc) == len(fields):
+        for key, (types, check, shape) in fields.items():
+            try:
+                value = doc[key]
+            except KeyError:
+                break
+            if type(value) not in types or not (check is None or check(value)):
+                raise ValueError(f"{key} is not {shape}, got {shown(value)[:_SHOWN_MAX]}")
+        else:
+            return doc
+    unknown = sorted(doc.keys() - fields.keys())
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {shown(unknown)[:_SHOWN_MAX]}")
+    raise ValueError(f"{what} lacks key {next(k for k in fields if k not in doc)!r}")
 
 
 class MissingMetricError(ValueError):

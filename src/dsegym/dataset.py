@@ -30,7 +30,7 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 
-from .core import finite_number
+from .core import check_fields, finite_number
 from .spaces import DesignPoint, ParameterSpace
 
 SCHEMA_VERSION = 1
@@ -41,28 +41,26 @@ class DataError(ValueError):
     or repeated record, or a malformed model document."""
 
 
-_FIELDS = (
-    "schema_version",
-    "experiment_id",
-    "env_id",
-    "workload_id",
-    "agent_type",
-    "hyperparam_digest",
-    "seed",
-    "step_index",
-    "design",
-    "observation",
-    "reward",
-    "wall_time_ms",
-)
+_STRING = ((str,), None, "a string")
+_INTEGER = ((int,), None, "an integer")
+_RECORD_FIELDS = {
+    "schema_version": ((int,), SCHEMA_VERSION.__eq__, str(SCHEMA_VERSION)),
+    "experiment_id": _STRING,
+    "env_id": _STRING,
+    "workload_id": _STRING,
+    "agent_type": _STRING,
+    "hyperparam_digest": _STRING,
+    "seed": _INTEGER,
+    "step_index": ((int,), (0).__le__, "an integer >= 0"),
+    "design": ((dict,), None, "a JSON object"),
+    "observation": ((dict,), lambda m: all(map(finite_number, m.values())),
+                    "a JSON object of finite numbers"),
+    "reward": ((float, int), finite_number, "a finite number"),
+    "wall_time_ms": _INTEGER,
+}
+_FIELDS = tuple(_RECORD_FIELDS)
 # Fields every record of one trial shares; a line starts with them.
 _TRIAL_FIELDS = _FIELDS[: _FIELDS.index("step_index")]
-
-_FIELD_KINDS = (
-    (_TRIAL_FIELDS[1:-1], (str,), "a string"),
-    (("seed", "step_index", "wall_time_ms"), (int,), "an integer"),
-    (("design", "observation"), (dict,), "a JSON object"),
-)
 
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
@@ -94,33 +92,14 @@ class TrajectoryRecord:
     wall_time_ms: int
     schema_version: ClassVar[int] = SCHEMA_VERSION
 
-    def __post_init__(self):
-        if self.step_index < 0:
-            raise ValueError(f"step_index must be >= 0, got {self.step_index}")
-        if not finite_number(self.reward):
-            raise ValueError(f"reward must be a finite number, got {self.reward!r}")
-
     def to_json(self) -> str:
         return _ENCODER.encode({name: getattr(self, name) for name in _FIELDS})
 
     @classmethod
     def from_json(cls, line: str) -> "TrajectoryRecord":
-        data = json.loads(line)
-        if not isinstance(data, dict):
-            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-        if data.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {data.get('schema_version')!r}")
-        kwargs = {name: data[name] for name in _FIELDS if name != "schema_version"}
-        # json.loads yields exact types, so comparing types also refuses a
-        # bool (an int subclass) where an integer is due
-        for names, kinds, kind_name in _FIELD_KINDS:
-            for name in names:
-                if type(kwargs[name]) not in kinds:
-                    raise ValueError(f"{name} must be {kind_name}, got {kwargs[name]!r}")
-        for metric, value in kwargs["observation"].items():
-            if not finite_number(value):
-                raise ValueError(f"metric {metric!r} must be a finite number, got {value!r}")
-        return cls(**kwargs)
+        data = check_fields(json.loads(line), _RECORD_FIELDS, "trajectory record")
+        del data["schema_version"]
+        return cls(**data)
 
 
 # Fragment tables by space object, not by equal space: a grid of 0, 5, 10
@@ -176,8 +155,8 @@ class TrajectoryWriter:
         reward: float,
         wall_time_ms: int,
     ) -> None:
-        """Write and flush one record; raises, writing nothing, on the
-        fields `TrajectoryRecord` rejects and on an index off the grid."""
+        """Write and flush one record; raises, writing nothing, on a negative
+        step index, a reward that is not finite and an index off the grid."""
         if step_index < 0:
             raise ValueError(f"step_index must be >= 0, got {step_index}")
         if not math.isfinite(reward):
@@ -286,7 +265,7 @@ def load_dataset(path, validate: bool = True) -> Dataset:
     for i, line in enumerate(lines):
         try:
             records.append(TrajectoryRecord.from_json(line))
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             if i == len(lines) - 1 and not ends_clean:
                 warnings.warn(f"dropping partial trailing line in {path}")
                 break

@@ -44,13 +44,13 @@ class SimulatorTimeout(RuntimeError):
 class SimulatorProtocolError(RuntimeError):
     def __init__(self, msg: str = "protocol error", raw: str = ""):
         super().__init__(msg)
-        self.info = {"raw": raw}
+        self.raw = raw
 
 
 class SimulatorCrashed(RuntimeError):
     def __init__(self, msg: str = "simulator crashed", returncode: int | None = None):
         super().__init__(msg)
-        self.info = {"returncode": str(returncode)}
+        self.returncode = returncode
 
 
 class _Child:

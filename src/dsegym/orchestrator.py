@@ -37,7 +37,7 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -45,10 +45,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .agents import make_agent, sweep_configs
-from .core import finite_number, score, score_batch
+from .core import check_fields, finite_number, score, score_batch, whole_number
 from .dataset import DataError, TrajectoryWriter
 from .envs import get_objective, get_space, make_env
-from .rng import digest_stream, make_rng
+from .rng import check_seed, digest_stream, make_rng
 from .spaces import cardinality, design_map
 
 
@@ -73,6 +73,7 @@ class TrialSpec:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError(f"sample budget must be >= 1, got {self.budget}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -189,6 +190,8 @@ class SweepConfig:
             raise ValueError("at least one agent type is required")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        for seed in self.seeds:
+            check_seed(seed)
         if not self.budgets or min(self.budgets) < 1:
             raise ValueError("budgets must be >= 1")
         if self.parallelism < 1:
@@ -314,16 +317,10 @@ class SweepSummary:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:
             raise DataError(f"{path}: not a JSON sweep summary: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise DataError(f"{path}: a sweep summary is a JSON object, not {type(doc).__name__}")
-        names = {f.name for f in fields(cls)}
-        if doc.keys() != names:
-            raise DataError(f"{path}: missing keys {sorted(names - doc.keys())}, "
-                            f"unknown keys {sorted(doc.keys() - names)}")
-        for name, (ok, shape) in _SUMMARY_SHAPES.items():
-            if not ok(doc[name]):
-                raise DataError(f"{path}: {name} is not {shape}")
-        return cls(**doc)
+        try:
+            return cls(**check_fields(doc, _SUMMARY_FIELDS, "sweep summary"))
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def _table(value, depth: int, leaf) -> bool:
@@ -348,27 +345,22 @@ def _wall_time(value) -> bool:
             and all(map(finite_number, value.values())))
 
 
-_TEXT = (lambda v: isinstance(v, str), "a string")
-_NUMBERS = (lambda v: isinstance(v, list) and all(map(finite_number, v)), "a list of numbers")
-
-# field -> (check of its value, what the error calls the expected shape);
 # the nested checks cover what `report` reads
-_SUMMARY_SHAPES = {
-    "env_id": _TEXT,
-    "workload_id": _TEXT,
-    "objective": _TEXT,
-    "budgets": _NUMBERS,
-    "seeds": _NUMBERS,
-    "configs": (lambda v: _table(v, 2, lambda hp: isinstance(hp, dict)),
+_SUMMARY_FIELDS = {
+    **dict.fromkeys(("env_id", "workload_id", "objective"), ((str,), None, "a string")),
+    **dict.fromkeys(("budgets", "seeds"), ((list,), lambda v: all(map(whole_number, v)),
+                                           "a list of whole numbers")),
+    "configs": ((dict,), lambda v: _table(v, 2, lambda hp: isinstance(hp, dict)),
                 "agent -> digest -> hyperparameters"),
-    "best_rewards": (lambda v: _table(v, 4, finite_number),
+    "best_rewards": ((dict,), lambda v: _table(v, 4, finite_number),
                      "agent -> digest -> budget -> seed -> reward"),
-    "stats": (lambda v: _table(v, 1, lambda by_b: _by_budget(by_b, _stat_record)),
+    "stats": ((dict,), lambda v: _table(v, 1, lambda by_b: _by_budget(by_b, _stat_record)),
               "agent -> budget -> statistics record"),
-    "mean_normalized": (lambda v: _table(v, 1, lambda by_b: _by_budget(by_b, finite_number)),
+    "mean_normalized": ((dict,),
+                        lambda v: _table(v, 1, lambda by_b: _by_budget(by_b, finite_number)),
                         "agent -> budget -> number"),
-    "timing": (lambda v: _table(v, 1, _wall_time), "agent -> {total_wall_s, trials}"),
-    "failures": (lambda v: isinstance(v, list), "a list"),
+    "timing": ((dict,), lambda v: _table(v, 1, _wall_time), "agent -> {total_wall_s, trials}"),
+    "failures": ((list,), None, "a list"),
 }
 
 

@@ -24,9 +24,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import finite_number, shown
+from .core import check_fields, finite_number, shown, whole_number
 from .dataset import DataError, Dataset
-from .rng import spawn_seeds
+from .rng import check_seed, spawn_seeds
 from .spaces import (
     ParameterSpace,
     encode_batch,
@@ -81,10 +81,12 @@ class RegressionTree:
     ) -> "RegressionTree":
         if len(y) == 0:
             raise ValueError("cannot fit a tree on no rows")
-        if max_depth is not None and not (_is_int(max_depth) and max_depth >= 0):
-            raise ValueError(f"max_depth must be None or an int >= 0, got {shown(max_depth)}")
-        if not _is_int(min_samples_leaf):
-            raise ValueError(f"min_samples_leaf must be an int >= 1, got {shown(min_samples_leaf)}")
+        if max_depth is not None and not (whole_number(max_depth) and max_depth >= 0):
+            raise ValueError("max_depth must be None or an int >= 0 that fits in int64, "
+                             f"got {shown(max_depth)}")
+        if not whole_number(min_samples_leaf):
+            raise ValueError("min_samples_leaf must be an int >= 1 that fits in int64, "
+                             f"got {shown(min_samples_leaf)}")
         if min_samples_leaf < 1:
             raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
         if len(y) < min_samples_leaf:
@@ -174,10 +176,6 @@ class RegressionTree:
         return cls(out)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and type(value) is not bool and abs(value) < 2**63
-
-
 def _best_split(X, y, idx, features, min_leaf):
     """Largest-SSE-reduction split over the candidate features, or None."""
     yn = y[idx]
@@ -213,9 +211,20 @@ def _best_split(X, y, idx, features, min_leaf):
     return best
 
 
-# Keys `RandomForestModel.load` requires.
-_MODEL_KEYS = ("format_version", "env_id", "workload_id", "target", "hyperparams", "seed",
-               "n_train", "train_range", "feature_space", "trees")
+_NAME = ((str,), bool, "a non-empty string")
+_MODEL_FIELDS = {
+    "format_version": ((int,), (1).__eq__, "1"),
+    "env_id": _NAME,
+    "workload_id": _NAME,
+    "target": _NAME,
+    "hyperparams": ((dict,), None, "a JSON object"),
+    "seed": ((int,), whole_number, "an int64"),
+    "n_train": ((int,), lambda n: whole_number(n) and n >= 1, "an int64 >= 1"),
+    "train_range": ((list,), lambda r: len(r) == 2 and all(map(finite_number, r)) and r[0] <= r[1],
+                    "[lo, hi], two finite numbers lo <= hi"),
+    "feature_space": ((list,), None, "a list of parameters"),
+    "trees": ((list,), bool, "a non-empty list of trees"),
+}
 
 
 @dataclass
@@ -280,27 +289,10 @@ class RandomForestModel:
 
     @classmethod
     def _from_v1(cls, doc) -> "RandomForestModel":
-        if type(doc) is not dict:
-            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-        for key in _MODEL_KEYS:
-            if key not in doc:
-                raise ValueError(f"model file lacks key {key!r}")
-        if doc["format_version"] != 1:
-            raise ValueError(f"unsupported model format {doc['format_version']!r}")
-        for key in ("env_id", "workload_id"):
-            if not (isinstance(doc[key], str) and doc[key]):
-                raise ValueError(f"{key} {doc[key]!r} is not a non-empty string")
-        if not doc["trees"]:
-            raise ValueError("model has no trees")
+        check_fields(doc, _MODEL_FIELDS, "model file")
         space = space_from_config(doc["feature_space"])
         width = encode_dim(space)
-        train_range = doc["train_range"]
-        try:
-            train_min, train_max = train_range
-        except (TypeError, ValueError) as exc:  # its message counts the values
-            raise ValueError(f"train_range {train_range!r} is not [lo, hi]: {exc}") from None
-        if not (finite_number(train_min) and finite_number(train_max) and train_min <= train_max):
-            raise ValueError(f"train_range {train_range!r} is not two finite numbers lo <= hi")
+        train_min, train_max = doc["train_range"]
         return cls(
             trees=[RegressionTree.from_v1(t, width, k) for k, t in enumerate(doc["trees"])],
             space=space,
@@ -360,10 +352,12 @@ def train_forest(
     unknown = set(hp) - set(DEFAULT_HYPERPARAMS)
     if unknown:
         raise ValueError(f"unknown proxy hyperparameters: {sorted(unknown)}")
-    if not (_is_int(hp["n_trees"]) and hp["n_trees"] >= 1):
-        raise ValueError(f"n_trees must be an int >= 1, got {shown(hp['n_trees'])}")
+    if not (whole_number(hp["n_trees"]) and hp["n_trees"] >= 1):
+        raise ValueError("n_trees must be an int >= 1 that fits in int64, "
+                         f"got {shown(hp['n_trees'])}")
     if type(hp["bootstrap"]) is not bool:
         raise ValueError(f"bootstrap must be of type bool, got {shown(hp['bootstrap'])}")
+    check_seed(seed)  # a model file holds its seed as an int64
     X, y = dataset_matrix(dataset, target, space)
     trees = []
     for tree_seed in spawn_seeds(seed, hp["n_trees"]):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import shown, whole_number
+
 
 def make_rng(*entropy: int) -> np.random.Generator:
     """Build a Generator from one or more integer seed components.
@@ -19,14 +21,30 @@ def make_rng(*entropy: int) -> np.random.Generator:
     """
     if not entropy:
         raise ValueError("at least one seed component is required")
-    seq = np.random.SeedSequence([int(e) & 0xFFFFFFFFFFFFFFFF for e in entropy])
+    seq = np.random.SeedSequence(_words(entropy))
     return np.random.Generator(np.random.Philox(seq))
 
 
 def spawn_seeds(master: int, n: int) -> list[int]:
     """Derive n child seeds from a master seed (stable across runs)."""
-    children = np.random.SeedSequence([int(master) & 0xFFFFFFFFFFFFFFFF]).spawn(n)
+    children = np.random.SeedSequence(_words((master,))).spawn(n)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
+
+
+def _words(entropy) -> list[int]:
+    """Seed components as ints in [0, 2**64); any other is refused, not
+    wrapped, so two distinct seeds never give one stream."""
+    words = [int(e) for e in entropy]
+    for word in words:
+        if not 0 <= word < 2**64:
+            raise ValueError(f"seed component must lie in [0, 2**64), got {shown(word)}")
+    return words
+
+
+def check_seed(seed) -> None:
+    """A seed a caller passes is an int64 >= 0, so two seeds never share one stream."""
+    if not (whole_number(seed) and seed >= 0):
+        raise ValueError(f"seed must be an int64 >= 0, got {shown(seed)}")
 
 
 def digest_stream(digest: str) -> int:

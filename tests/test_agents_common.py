@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dsegym.agents import AGENT_CLASSES, AGENT_TYPES, make_agent, sweep_configs
 from dsegym.agents.bayesian import GaussianProcess
 from dsegym.envs import ENV_IDS, get_space, make_env
-from dsegym.rng import make_rng
+from dsegym.rng import make_rng, spawn_seeds
 from dsegym.spaces import Categorical, Numeric, ParameterSpace, sample_uniform
 
 from .strategies import spaces
@@ -215,6 +215,9 @@ class TestHyperparams:
     "build, message",
     [
         (lambda: make_rng(), "at least one seed component is required"),
+        (lambda: make_rng(2**64), f"seed component must lie in [0, 2**64), got {2**64}"),
+        (lambda: make_rng(7, -1), "seed component must lie in [0, 2**64), got -1"),
+        (lambda: spawn_seeds(2**64, 2), f"seed component must lie in [0, 2**64), got {2**64}"),
         (lambda: make_agent("RL", SMALL_SPACE).update([]), "empty update batch"),
         (lambda: GaussianProcess(0.0), "length_scale, signal_var and noise_var must be positive"),
         (lambda: GaussianProcess(1.0, signal_var=-1.0),
@@ -222,7 +225,8 @@ class TestHyperparams:
         (lambda: GaussianProcess(1.0, noise_var=0.0),
          "length_scale, signal_var and noise_var must be positive"),
     ],
-    ids=["rng-without-seed", "rl-empty-update", "gp-length-scale", "gp-signal-var",
+    ids=["rng-without-seed", "rng-seed-past-64-bits", "rng-negative-seed",
+         "spawn-seed-past-64-bits", "rl-empty-update", "gp-length-scale", "gp-signal-var",
          "gp-noise-var"],
 )
 def test_an_agent_building_block_refuses_bad_input(build, message):

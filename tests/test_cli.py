@@ -641,7 +641,7 @@ def test_report_writes_its_four_tables(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("{}", "missing keys ['best_rewards', "),
+        ("{}", "sweep summary lacks key 'env_id'"),
         ('{"extra": 1}', "unknown keys ['extra']"),
         ("[1]", "a sweep summary is a JSON object, not list"),
         ('{"env_id": "dram-small"', "not a JSON sweep summary"),
@@ -666,10 +666,10 @@ def test_report_of_a_malformed_summary_is_a_data_error(text, message, tmp_path, 
      ("stats", {"RW": {"2": {"min": 0.1, "q1": math.nan, "median": 0.2, "q3": 0.3, "max": 0.4,
                              "iqr": 0.2, "n": 2, "best_digest": "d"}}}),
      ("timing", {"RW": {"total_wall_s": -math.inf, "trials": 1}}),
-     ("seeds", [10**400])],
+     ("seeds", [10**400]), ("budgets", [4.0, 16.0]), ("seeds", [0.5])],
     ids=["stats-number", "stats-agent-number", "timing-empty-record", "budgets-string",
          "nan-mean-normalized", "infinite-best-reward", "nan-quartile", "infinite-wall-time",
-         "huge-int-seed"],
+         "huge-int-seed", "float-budgets", "float-seed"],
 )
 def test_report_of_a_summary_with_a_bad_value_is_a_data_error(field, value, tmp_path, capsys):
     sweep = tmp_path / "sw"
@@ -703,13 +703,15 @@ def _train_proxy_with_line_2_field(tmp_path, name, value):
 def test_train_proxy_of_a_record_with_a_bad_design_is_a_data_error(tmp_path, capsys):
     assert _train_proxy_with_line_2_field(tmp_path, "design", 5) == cli.EXIT_DATA
     bad = tmp_path / "bad.jsonl"
-    assert f"{bad}:2: corrupt record: design must be a JSON object" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{bad}:2: corrupt record: design is not a JSON object, got 5" in err
 
 
 def test_train_proxy_of_a_record_with_a_list_experiment_id_is_a_data_error(tmp_path, capsys):
     assert _train_proxy_with_line_2_field(tmp_path, "experiment_id", ["e"]) == cli.EXIT_DATA
     bad = tmp_path / "bad.jsonl"
-    assert f"{bad}:2: corrupt record: experiment_id must be a string" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{bad}:2: corrupt record: experiment_id is not a string, got ['e']" in err
 
 
 def test_enumerate_oracle_prints_the_oracle(tmp_path, capsys):

@@ -263,18 +263,20 @@ class TestLoad:
             lambda line: json.dumps({**json.loads(line), "seed": "s"}),
             lambda line: json.dumps({**json.loads(line), "step_index": 1.5}),
             lambda line: json.dumps({**json.loads(line), "wall_time_ms": False}),
+            lambda line: json.dumps({**json.loads(line), "extra": 1}),
+            lambda line: json.dumps({**json.loads(line), "schema_version": True}),
         ],
         ids=["truncated", "array", "string", "null", "schema-2", "nan-reward", "no-design",
              "int-design", "list-observation", "string-metric", "bool-metric", "null-metric",
              "infinite-metric", "huge-int-metric", "list-experiment-id", "object-agent-type",
              "int-env-id", "bool-reward", "string-reward", "huge-int-reward", "string-seed",
-             "float-step-index", "bool-wall-time"],
+             "float-step-index", "bool-wall-time", "unknown-key", "bool-schema-version"],
     )
     def test_corrupt_middle_line_names_its_location(self, corrupt, tmp_path):
         lines = _lines(3)
         path = tmp_path / "t.jsonl"
         _write_lines(path, [lines[0], corrupt(lines[1]), lines[2]])
-        with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt record")):
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: corrupt record")):
             load_dataset(path)
 
     def test_undecodable_file_is_a_data_error_naming_it(self, tmp_path):

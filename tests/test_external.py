@@ -151,7 +151,7 @@ class TestRestarts:
             assert sim(design) == _expected(design)
             with pytest.raises(SimulatorCrashed) as crash:
                 sim(design)
-            assert crash.value.info == {"returncode": "3"}
+            assert crash.value.returncode == 3
             assert len(children) == 2 and _exited(children[0])
             assert sim(design) == _expected(design)
         assert all(_exited(p) for p in children)

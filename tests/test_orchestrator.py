@@ -135,6 +135,14 @@ def test_sweep_config_refuses_a_float_hyperparameter_that_is_not_finite(grids, m
     [
         (lambda: TrialSpec(*BUDGET_ENV, "RW", budget=0, seed=1),
          "sample budget must be >= 1, got 0"),
+        (lambda: TrialSpec(*BUDGET_ENV, "RW", budget=4, seed=2**64),
+         f"seed must be an int64 >= 0, got {2**64}"),
+        (lambda: TrialSpec(*BUDGET_ENV, "RW", budget=4, seed=-1),
+         "seed must be an int64 >= 0, got -1"),
+        (lambda: SweepConfig(*BUDGET_ENV, ("RW",), budgets=(4,), seeds=(0, 2**64)),
+         f"seed must be an int64 >= 0, got {2**64}"),
+        (lambda: SweepConfig(*BUDGET_ENV, ("RW",), budgets=(4,), seeds=(True,)),
+         "seed must be an int64 >= 0, got True"),
         (lambda: SweepConfig(*BUDGET_ENV, ("RW",), budgets=(4,), seeds=()),
          "at least one seed is required"),
         (lambda: SweepConfig(*BUDGET_ENV, ("RW",), budgets=(), seeds=(1,)),
@@ -147,8 +155,9 @@ def test_sweep_config_refuses_a_float_hyperparameter_that_is_not_finite(grids, m
                              grids={"RW": []}),
          "RW has no configs; [{}] runs its defaults"),
     ],
-    ids=["trial-budget", "no-seeds", "no-budgets", "sweep-budget", "no-agents",
-         "agent-without-configs"],
+    ids=["trial-budget", "trial-seed-past-64-bits", "trial-negative-seed",
+         "sweep-seed-past-64-bits", "sweep-bool-seed", "no-seeds", "no-budgets", "sweep-budget",
+         "no-agents", "agent-without-configs"],
 )
 def test_a_trial_or_sweep_without_samples_is_refused(build, message):
     with pytest.raises(ValueError) as info:

@@ -134,9 +134,9 @@ def _metric_free(data):
         (lambda data: RegressionTree.fit(*_rows(4), None, 0, 1.0, make_rng(0)),
          "min_samples_leaf must be >= 1, got 0"),
         (lambda data: RegressionTree.fit(*_rows(4), None, 1.5, 1.0, make_rng(0)),
-         "min_samples_leaf must be an int >= 1, got 1.5"),
+         "min_samples_leaf must be an int >= 1 that fits in int64, got 1.5"),
         (lambda data: train_forest(data, "power", {"min_samples_leaf": math.nan}),
-         "min_samples_leaf must be an int >= 1, got nan"),
+         "min_samples_leaf must be an int >= 1 that fits in int64, got nan"),
         (lambda data: RegressionTree.fit(*_rows(4), None, 5, 1.0, make_rng(0)),
          "need at least min_samples_leaf=5 rows, got 4"),
         (lambda data: RegressionTree.fit(*_rows(4), None, 1, 0.0, make_rng(0)),
@@ -150,11 +150,13 @@ def _metric_free(data):
         (lambda data: train_forest(data, "power", {"bootstrap": "no"}),
          "bootstrap must be of type bool, got 'no'"),
         (lambda data: train_forest(data, "power", {"n_trees": 10**400}),
-         f"n_trees must be an int >= 1, got {10**400}"),
+         f"n_trees must be an int >= 1 that fits in int64, got {10**400}"),
         (lambda data: train_forest(data, "power", {"max_depth": 2**63}),
-         f"max_depth must be None or an int >= 0, got {2**63}"),
+         f"max_depth must be None or an int >= 0 that fits in int64, got {2**63}"),
         (lambda data: train_forest(data, "power", {"min_samples_leaf": -(2**63) - 1}),
-         f"min_samples_leaf must be an int >= 1, got {-(2**63) - 1}"),
+         f"min_samples_leaf must be an int >= 1 that fits in int64, got {-(2**63) - 1}"),
+        (lambda data: train_forest(data, "power", seed=2**63),
+         f"seed must be an int64 >= 0, got {2**63}"),
         (lambda data: train_forest(data, "power", {"depth": 3}),
          "unknown proxy hyperparameters: ['depth']"),
         (lambda data: train_forest(data, "area"),
@@ -165,7 +167,8 @@ def _metric_free(data):
     ids=["no-rows", "leaf-below-one", "leaf-float", "leaf-nan", "fewer-rows-than-a-leaf",
          "subsample-zero",
          "subsample-above-one", "subsample-string", "bootstrap-int", "bootstrap-string",
-         "n-trees-past-int64", "depth-past-int64", "leaf-past-int64", "unknown-hyperparameter",
+         "n-trees-past-int64", "depth-past-int64", "leaf-past-int64", "seed-past-int64",
+         "unknown-hyperparameter",
          "record-lacks-target",
          "no-record-has-target"],
 )
@@ -227,7 +230,8 @@ def _set(tree, key, value):
         pytest.param(lambda trees: trees[1].__setitem__(3, [0.5]),
                      r"tree 1, node 3: expected a leaf {v} or a split", id="node-not-object"),
         pytest.param(lambda trees: trees[1].clear(), r"tree 1 has no nodes", id="empty-tree"),
-        pytest.param(lambda trees: trees.clear(), r"model has no trees", id="no-trees"),
+        pytest.param(lambda trees: trees.clear(),
+                     r"trees is not a non-empty list of trees, got \[\]$", id="no-trees"),
     ],
 )
 def test_load_rejects_a_tree_a_walk_could_not_leave(tmp_path, edit, message):
@@ -262,31 +266,35 @@ def test_a_model_records_its_workload(model, tmp_path):
     "text, message",
     [
         pytest.param("{", "Expecting property name", id="not-json"),
-        pytest.param("[1]", "expected a JSON object, got list", id="not-an-object"),
-        pytest.param(lambda doc: doc.update(format_version=2), "unsupported model format 2",
+        pytest.param("[1]", "a model file is a JSON object, not list$", id="not-an-object"),
+        pytest.param(lambda doc: doc.update(format_version=2), "format_version is not 1, got 2$",
                      id="format-version"),
-        pytest.param(lambda doc: doc.update(env_id=3), "env_id 3 is not a non-empty string$",
+        pytest.param(lambda doc: doc.update(env_id=3), "env_id is not a non-empty string, got 3$",
                      id="env-id-not-a-string"),
         pytest.param(lambda doc: doc.update(workload_id=""),
-                     "workload_id '' is not a non-empty string$", id="empty-workload-id"),
-        pytest.param(lambda doc: doc.update(train_range=[0.0]), "not enough values to unpack",
+                     "workload_id is not a non-empty string, got ''$", id="empty-workload-id"),
+        pytest.param(lambda doc: doc.update(train_range=[0.0]),
+                     r"train_range is not \[lo, hi\], two finite numbers lo <= hi, got \[0.0\]$",
                      id="short-train-range"),
         pytest.param(lambda doc: doc.update(train_range=[1, 2, 3]),
-                     r"train_range \[1, 2, 3\] is not \[lo, hi\]: too many values to unpack",
+                     r"train_range is not \[lo, hi\], .* got \[1, 2, 3\]$",
                      id="long-train-range"),
         pytest.param(lambda doc: doc.update(train_range=3),
-                     r"train_range 3 is not \[lo, hi\]: cannot unpack", id="train-range-number"),
+                     r"train_range is not \[lo, hi\], .* got 3$",
+                     id="train-range-number"),
         pytest.param(lambda doc: doc.update(train_range=["a", "b"]),
-                     r"train_range \['a', 'b'\] is not two finite numbers lo <= hi",
+                     r"train_range is not \[lo, hi\], .* got \['a', 'b'\]$",
                      id="train-range-strings"),
         pytest.param(lambda doc: doc.update(train_range=[0.0, math.nan]),
-                     r"train_range \[0.0, nan\] is not two finite numbers", id="train-range-nan"),
+                     r"train_range is not \[lo, hi\], .* got \[0.0, nan\]$",
+                     id="train-range-nan"),
         pytest.param(lambda doc: doc.update(train_range=[2.0, 1.0]),
-                     r"train_range \[2.0, 1.0\] is not two finite numbers lo <= hi",
+                     r"train_range is not \[lo, hi\], .* got \[2.0, 1.0\]$",
                      id="inverted-train-range"),
         pytest.param(lambda doc: doc["feature_space"][0].pop("name"), "missing key 'name'",
                      id="parameter-without-name"),
-        pytest.param(lambda doc: doc.update(feature_space=3), "not iterable",
+        pytest.param(lambda doc: doc.update(feature_space=3),
+                     "feature_space is not a list of parameters, got 3$",
                      id="feature-space-not-a-list"),
         pytest.param(lambda doc: doc["feature_space"][3].update(step=math.inf),
                      r"numeric grid must be finite, got \(\d+, \d+, inf\)", id="infinite-step"),
@@ -297,6 +305,18 @@ def test_a_model_records_its_workload(model, tmp_path):
         pytest.param(lambda doc: doc["feature_space"][3].update(min=9),
                      r"parameter 'RequestBufferSize': numeric bounds inverted: \(9, 8\)$",
                      id="inverted-bounds"),
+        pytest.param(lambda doc: doc.update(n_train="forty"),
+                     "n_train is not an int64 >= 1, got 'forty'$", id="string-n-train"),
+        pytest.param(lambda doc: doc.update(hyperparams=[1]),
+                     r"hyperparams is not a JSON object, got \[1\]$", id="list-hyperparams"),
+        pytest.param(lambda doc: doc.update(seed=1.5), "seed is not an int64, got 1.5$",
+                     id="float-seed"),
+        pytest.param(lambda doc: doc.update(target=3), "target is not a non-empty string, got 3$",
+                     id="int-target"),
+        pytest.param(lambda doc: doc.update(format_version=True),
+                     "format_version is not 1, got True$", id="bool-format-version"),
+        pytest.param(lambda doc: doc.update(extra=1), r"model file has unknown keys \['extra'\]$",
+                     id="unknown-key"),
     ],
 )
 def test_load_reports_a_malformed_document_as_a_data_error(tmp_path, text, message):

@@ -61,9 +61,9 @@ def _fit(max_depth=None, min_samples_leaf=1, feature_subsample=1.0):
         (lambda: WorkloadSpec("w", {"flops": _HUGE}),
          "trait 'flops' must be finite, got an int of 16610 bits"),
         (lambda: _fit(max_depth=_HUGE),
-         "max_depth must be None or an int >= 0, got an int of 16610 bits"),
+         "max_depth must be None or an int >= 0 that fits in int64, got an int of 16610 bits"),
         (lambda: _fit(min_samples_leaf=-_HUGE),
-         "min_samples_leaf must be an int >= 1, got an int of 16610 bits"),
+         "min_samples_leaf must be an int >= 1 that fits in int64, got an int of 16610 bits"),
         (lambda: _fit(feature_subsample=_HUGE),
          "feature_subsample must lie in (0, 1], got an int of 16610 bits"),
     ],
