@@ -15,13 +15,13 @@ numpy's.
 The reader rules live here too.  `finite_number` decides what a number
 is, and every reader of a file, a child process or the command line calls
 it; `whole_number` decides what an int64 is.  `check_fields` decides what
-makes a JSON object one of the package's documents (a trajectory record, a
-proxy model file, a sweep summary) and how a refusal reads; each of their
-readers passes it a table of its fields.
+makes a JSON object one of the package's documents or one of their parts,
+and how a refusal reads; each reader passes it a table of its fields.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -43,6 +43,11 @@ def finite_number(value) -> bool:
 def whole_number(value) -> bool:
     """An int or numpy integer, not a bool, that fits in int64."""
     return isinstance(value, (int, np.integer)) and type(value) is not bool and abs(value) < 2**63
+
+
+def natural_number(value) -> bool:
+    """A `whole_number` >= 0: a seed, an index or a count."""
+    return whole_number(value) and value >= 0
 
 
 def shown(value) -> str:
@@ -82,6 +87,36 @@ def check_fields(doc, fields: Mapping[str, tuple], what: str):
     if unknown:
         raise ValueError(f"{what} has unknown keys {shown(unknown)[:_SHOWN_MAX]}")
     raise ValueError(f"{what} lacks key {next(k for k in fields if k not in doc)!r}")
+
+
+def fits(doc, fields: Mapping[str, tuple]) -> bool:
+    """Whether `check_fields` accepts `doc`."""
+    try:
+        check_fields(doc, fields, "")
+    except ValueError:
+        return False
+    return True
+
+
+def read_json(text: str, fields: Mapping[str, tuple], what: str):
+    """`check_fields` of the JSON in `text`; no JSON, or JSON nested too deep, is a `ValueError`."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"a {what} nested too deep to parse") from None
+    except ValueError as exc:
+        raise ValueError(f"not a JSON {what}: {exc}") from None
+    return check_fields(doc, fields, what)
+
+
+# field shapes the readers share
+STRING = ((str,), None, "a string")
+STRINGS = ((list,), lambda values: all(type(v) is str for v in values), "a list of strings")
+REAL = ((float, int), finite_number, "a finite number")
+NATURAL = ((int,), natural_number, "an int64 >= 0")
+COUNT = ((int,), lambda n: whole_number(n) and n >= 1, "an int64 >= 1")
+METRICS = ((dict,), lambda m: all(map(finite_number, m.values())),
+           "a JSON object of finite numbers")
 
 
 class MissingMetricError(ValueError):

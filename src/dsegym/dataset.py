@@ -24,13 +24,14 @@ import math
 import warnings
 import weakref
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Mapping
 
 import numpy as np
 
-from .core import check_fields, finite_number
+from .core import METRICS, NATURAL, REAL, STRING, read_json, whole_number
 from .spaces import DesignPoint, ParameterSpace
 
 SCHEMA_VERSION = 1
@@ -38,25 +39,34 @@ SCHEMA_VERSION = 1
 
 class DataError(ValueError):
     """A trajectory or model file whose contents cannot be used: a corrupt
-    or repeated record, or a malformed model document."""
+    or repeated record, a malformed model file or sweep summary."""
 
 
-_STRING = ((str,), None, "a string")
-_INTEGER = ((int,), None, "an integer")
+@contextmanager
+def reading(path):
+    """The text of the file `path`, for the block to parse; a `ValueError`
+    of the block, a decode error too, is raised as a `DataError` naming it."""
+    try:
+        yield Path(path).read_text(encoding="utf-8")
+    except DataError:
+        raise
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 _RECORD_FIELDS = {
     "schema_version": ((int,), SCHEMA_VERSION.__eq__, str(SCHEMA_VERSION)),
-    "experiment_id": _STRING,
-    "env_id": _STRING,
-    "workload_id": _STRING,
-    "agent_type": _STRING,
-    "hyperparam_digest": _STRING,
-    "seed": _INTEGER,
-    "step_index": ((int,), (0).__le__, "an integer >= 0"),
+    "experiment_id": STRING,
+    "env_id": STRING,
+    "workload_id": STRING,
+    "agent_type": STRING,
+    "hyperparam_digest": STRING,
+    "seed": NATURAL,
+    "step_index": NATURAL,
     "design": ((dict,), None, "a JSON object"),
-    "observation": ((dict,), lambda m: all(map(finite_number, m.values())),
-                    "a JSON object of finite numbers"),
-    "reward": ((float, int), finite_number, "a finite number"),
-    "wall_time_ms": _INTEGER,
+    "observation": METRICS,
+    "reward": REAL,
+    "wall_time_ms": ((int,), whole_number, "an int64"),
 }
 _FIELDS = tuple(_RECORD_FIELDS)
 # Fields every record of one trial shares; a line starts with them.
@@ -97,9 +107,11 @@ class TrajectoryRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "TrajectoryRecord":
-        data = check_fields(json.loads(line), _RECORD_FIELDS, "trajectory record")
+        data = read_json(line, _RECORD_FIELDS, "trajectory record")
         del data["schema_version"]
-        return cls(**data)
+        record = object.__new__(cls)  # `data`, checked, skips the frozen __init__'s setattrs
+        object.__setattr__(record, "__dict__", data)
+        return record
 
 
 # Fragment tables by space object, not by equal space: a grid of 0, 5, 10
@@ -251,47 +263,25 @@ def load_dataset(path, validate: bool = True) -> Dataset:
     Records of more than one environment or workload are an error, and with
     `validate` so is a repeated (experiment, step) pair.
     """
-    path = Path(path)
-    records = []
-    with open(path, encoding="utf-8") as f:
-        try:
-            raw = f.read()
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: {exc}") from exc
-    lines = raw.split("\n")
-    ends_clean = raw.endswith("\n") or raw == ""
-    if lines and lines[-1] == "":
-        lines.pop()
-    for i, line in enumerate(lines):
-        try:
-            records.append(TrajectoryRecord.from_json(line))
-        except ValueError as exc:
-            if i == len(lines) - 1 and not ends_clean:
-                warnings.warn(f"dropping partial trailing line in {path}")
-                break
-            raise DataError(f"{path}:{i + 1}: corrupt record: {exc}") from exc
-    if validate:
-        _validate_records(records, path)
-    try:
+    with reading(path) as raw:
+        *lines, tail = raw.split("\n")  # `tail`: a last line without its newline
+        if tail:
+            lines.append(tail)
+        records = []
+        for i, line in enumerate(lines):
+            try:
+                records.append(TrajectoryRecord.from_json(line))
+            except ValueError as exc:
+                if i == len(lines) - 1 and tail:
+                    warnings.warn(f"dropping partial trailing line in {path}")
+                    break
+                raise DataError(f"{path}:{i + 1}: corrupt record: {exc}") from exc
+        if validate:  # gaps and any order are fine: a mixture or a split shuffles a trial
+            steps = Counter((r.experiment_id, r.step_index) for r in records)
+            for (experiment, step), n in steps.items():
+                if n > 1:
+                    raise ValueError(f"experiment {experiment!r} step_index {step} occurs twice")
         return Dataset(records)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
-def _validate_records(records: list[TrajectoryRecord], path) -> None:
-    """Each (experiment, step) pair occurs at most once.
-
-    Gaps and any order are fine: a mixture or a split holds a sparse,
-    shuffled subset of each trial.  A trial logged twice repeats pairs.
-    """
-    seen: set[tuple[str, int]] = set()
-    for r in records:
-        key = (r.experiment_id, r.step_index)
-        if key in seen:
-            raise DataError(
-                f"{path}: experiment {r.experiment_id!r} step_index {r.step_index} occurs twice"
-            )
-        seen.add(key)
 
 
 def merge(datasets: list[Dataset]) -> Dataset:

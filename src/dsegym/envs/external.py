@@ -1,6 +1,7 @@
 """Cost function backed by an external simulator process (stdin/stdout).
 
-Wire protocol (one JSON record per line, UTF-8):
+Wire protocol (one JSON record per line, UTF-8; a handshake and a response
+hold exactly the keys listed, and any other key is a protocol error):
 
   handshake   child -> {"protocol": 1, "metrics": [names]}
   request     parent -> {"id": n, "design": {param: value}, "workload": id}
@@ -31,7 +32,7 @@ import queue
 import subprocess
 import threading
 
-from ..core import finite_number
+from ..core import METRICS, STRINGS, read_json
 
 PROTOCOL_VERSION = 1
 
@@ -125,18 +126,7 @@ class SimulatorProcess:
     def _launch(self) -> _Child:
         child = _Child(self.command)
         try:
-            line = child.read_line(self.timeout_s)
-            try:
-                handshake = json.loads(line)
-            except json.JSONDecodeError:
-                raise SimulatorProtocolError("protocol error: bad handshake", raw=line) from None
-            if not isinstance(handshake, dict):
-                raise SimulatorProtocolError("protocol error: handshake is not an object", raw=line)
-            if handshake.get("protocol") != PROTOCOL_VERSION:
-                raise SimulatorProtocolError(
-                    f"protocol error: unsupported protocol {handshake.get('protocol')!r}",
-                    raw=line,
-                )
+            _read(child.read_line(self.timeout_s), _HANDSHAKE_FIELDS, "handshake")
         except BaseException:
             child.kill(self.timeout_s)
             raise
@@ -171,24 +161,28 @@ class SimulatorProcess:
         self.close()
 
 
-def _parse_response(line: str, request_id: int) -> tuple[dict, bool]:
+_HANDSHAKE_FIELDS = {
+    "protocol": ((int,), PROTOCOL_VERSION.__eq__, str(PROTOCOL_VERSION)),
+    "metrics": STRINGS,
+}
+_RESPONSE_FIELDS = {"id": ((int,), None, "an int"), "metrics": METRICS,
+                    "valid": ((bool,), None, "a bool")}
+
+
+def _read(line: str, fields: dict, what: str) -> dict:
+    """`line` checked against `fields`; any fault raises `SimulatorProtocolError`."""
     try:
-        response = json.loads(line)
-        response_id, raw_metrics, valid = response["id"], response["metrics"], response["valid"]
-        items = raw_metrics.items()
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+        return read_json(line, fields, what)
+    except ValueError as exc:
         raise SimulatorProtocolError(f"protocol error: {exc}", raw=line) from None
-    if response_id != request_id:
+
+
+def _parse_response(line: str, request_id: int) -> tuple[dict, bool]:
+    response = _read(line, _RESPONSE_FIELDS, "response")
+    if response["id"] != request_id:
         raise SimulatorProtocolError(
-            f"protocol error: response id {response_id!r} != request id {request_id}", raw=line
+            f"protocol error: response id {response['id']} != request id {request_id}", raw=line
         )
-    if not isinstance(valid, bool):
-        raise SimulatorProtocolError(f"protocol error: valid = {valid!r}", raw=line)
-    metrics = {}
-    for name, value in items:
-        if not finite_number(value):
-            raise SimulatorProtocolError(
-                f"protocol error: metric {name!r} = {value!r} is not a finite number", raw=line
-            )
-        metrics[name] = float(value)
-    return (metrics, True) if valid else ({}, False)
+    if not response["valid"]:
+        return {}, False
+    return {name: float(value) for name, value in response["metrics"].items()}, True

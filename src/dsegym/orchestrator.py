@@ -45,8 +45,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .agents import make_agent, sweep_configs
-from .core import check_fields, finite_number, score, score_batch, whole_number
-from .dataset import DataError, TrajectoryWriter
+from .core import (COUNT, NATURAL, REAL, STRING, finite_number, fits, natural_number, read_json,
+                   score, score_batch, shown, whole_number)
+from .dataset import TrajectoryWriter, reading
 from .envs import get_objective, get_space, make_env
 from .rng import check_seed, digest_stream, make_rng
 from .spaces import cardinality, design_map
@@ -71,8 +72,8 @@ class TrialSpec:
     checkpoints: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError(f"sample budget must be >= 1, got {self.budget}")
+        if not (whole_number(self.budget) and self.budget >= 1):
+            raise ValueError(f"sample budget must be an int64 >= 1, got {shown(self.budget)}")
         check_seed(self.seed)
 
 
@@ -192,10 +193,10 @@ class SweepConfig:
             raise ValueError("at least one seed is required")
         for seed in self.seeds:
             check_seed(seed)
-        if not self.budgets or min(self.budgets) < 1:
-            raise ValueError("budgets must be >= 1")
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
+        if not self.budgets or not all(whole_number(b) and b >= 1 for b in self.budgets):
+            raise ValueError(f"budgets must be int64s >= 1, got {shown(self.budgets)}")
+        if not (whole_number(self.parallelism) and self.parallelism >= 1):
+            raise ValueError(f"parallelism must be an int64 >= 1, got {shown(self.parallelism)}")
         _reject_repeats("seed", self.seeds)
         _reject_repeats("budget", self.budgets)
         _reject_repeats("agent type", self.agent_types)
@@ -313,14 +314,8 @@ class SweepSummary:
 
     @classmethod
     def load(cls, path) -> "SweepSummary":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise DataError(f"{path}: not a JSON sweep summary: {exc}") from exc
-        try:
-            return cls(**check_fields(doc, _SUMMARY_FIELDS, "sweep summary"))
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+        with reading(path) as text:
+            return cls(**read_json(text, _SUMMARY_FIELDS, "sweep summary"))
 
 
 def _table(value, depth: int, leaf) -> bool:
@@ -335,31 +330,29 @@ def _by_budget(value, leaf) -> bool:
     return isinstance(value, dict) and all(b.isdigit() and leaf(v) for b, v in value.items())
 
 
-def _stat_record(value) -> bool:
-    return isinstance(value, dict) and "best_digest" in value and all(
-        finite_number(value.get(k)) for k in ("min", "q1", "median", "q3", "max", "iqr", "n"))
-
-
-def _wall_time(value) -> bool:
-    return (isinstance(value, dict) and value.keys() == {"total_wall_s", "trials"}
-            and all(map(finite_number, value.values())))
-
+_STAT_FIELDS = {
+    **dict.fromkeys(("min", "q1", "median", "q3", "max", "iqr"), REAL),
+    "n": COUNT,
+    "best_digest": STRING,
+}
+_TIMING_FIELDS = {"total_wall_s": REAL, "trials": NATURAL}
 
 # the nested checks cover what `report` reads
 _SUMMARY_FIELDS = {
-    **dict.fromkeys(("env_id", "workload_id", "objective"), ((str,), None, "a string")),
-    **dict.fromkeys(("budgets", "seeds"), ((list,), lambda v: all(map(whole_number, v)),
-                                           "a list of whole numbers")),
+    **dict.fromkeys(("env_id", "workload_id", "objective"), STRING),
+    "budgets": ((list,), lambda v: all(map(whole_number, v)), "a list of int64s"),
+    "seeds": ((list,), lambda v: all(map(natural_number, v)), "a list of int64s >= 0"),
     "configs": ((dict,), lambda v: _table(v, 2, lambda hp: isinstance(hp, dict)),
                 "agent -> digest -> hyperparameters"),
     "best_rewards": ((dict,), lambda v: _table(v, 4, finite_number),
                      "agent -> digest -> budget -> seed -> reward"),
-    "stats": ((dict,), lambda v: _table(v, 1, lambda by_b: _by_budget(by_b, _stat_record)),
-              "agent -> budget -> statistics record"),
+    "stats": ((dict,), lambda v: _table(v, 1, lambda by_b: _by_budget(
+        by_b, lambda record: fits(record, _STAT_FIELDS))), "agent -> budget -> statistics record"),
     "mean_normalized": ((dict,),
                         lambda v: _table(v, 1, lambda by_b: _by_budget(by_b, finite_number)),
                         "agent -> budget -> number"),
-    "timing": ((dict,), lambda v: _table(v, 1, _wall_time), "agent -> {total_wall_s, trials}"),
+    "timing": ((dict,), lambda v: _table(v, 1, lambda t: fits(t, _TIMING_FIELDS)),
+               "agent -> {total_wall_s, trials}"),
     "failures": ((list,), None, "a list"),
 }
 

@@ -19,13 +19,12 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .core import check_fields, finite_number, shown, whole_number
-from .dataset import DataError, Dataset
+from .core import COUNT, NATURAL, REAL, check_fields, finite_number, read_json, shown, whole_number
+from .dataset import Dataset, reading
 from .rng import check_seed, spawn_seeds
 from .spaces import (
     ParameterSpace,
@@ -141,39 +140,40 @@ class RegressionTree:
 
     @classmethod
     def from_v1(cls, nodes: list, n_features: int, tree: int) -> "RegressionTree":
-        """Read `to_v1` output (parsed JSON), rejecting any node a walk
-        could not leave: a left child other than ``i + 1``, a right child
-        outside ``(i + 1, len(nodes))``, or a feature outside
-        ``[0, n_features)``."""
+        """Read `to_v1` output (parsed JSON): a node with key ``f`` is a
+        split, any other a leaf.  A node a walk could not leave is refused:
+        a left child other than ``i + 1``, a right child outside ``(i + 1,
+        len(nodes))``, or a feature outside ``[0, n_features)``."""
         if not nodes:
             raise ValueError(f"tree {tree} has no nodes")
         out = []
         for i, node in enumerate(nodes):
-            keys = node.keys() if type(node) is dict else set()
-            if "v" in keys:
-                value = node["v"]
-                if not finite_number(value):
-                    raise ValueError(f"tree {tree}, node {i}: leaf value {value!r} is no number")
-                out.append((-1, None, None, float(value)))
-                continue
-            if not keys >= {"f", "t", "l", "r"}:
-                raise ValueError(f"tree {tree}, node {i}: expected a leaf {{v}} or a split "
-                                 f"{{f, t, l, r}}, got {node!r}")
-            feature, threshold, left, right = node["f"], node["t"], node["l"], node["r"]
-            if type(feature) is not int or not 0 <= feature < n_features:
-                raise ValueError(
-                    f"tree {tree}, node {i}: feature {feature!r} outside [0, {n_features})"
-                )
-            if not finite_number(threshold):
-                raise ValueError(f"tree {tree}, node {i}: threshold {threshold!r} is no number")
-            if type(left) is not int or left != i + 1:
-                raise ValueError(f"tree {tree}, node {i}: left child {left!r} is not {i + 1}")
-            if type(right) is not int or not i + 1 < right < len(nodes):
-                raise ValueError(
-                    f"tree {tree}, node {i}: right child {right!r} outside ({i + 1}, {len(nodes)})"
-                )
+            keys = node if type(node) is dict else ()
+            try:
+                if "f" not in keys:
+                    fields = _COUNTED_LEAF_FIELDS if "n" in keys else _LEAF_FIELDS
+                    leaf = check_fields(node, fields, "leaf")
+                    out.append((-1, None, None, float(leaf["v"])))
+                    continue
+                check_fields(node, _SPLIT_FIELDS, "split")
+                feature, threshold, left, right = node["f"], node["t"], node["l"], node["r"]
+                if not 0 <= feature < n_features:
+                    raise ValueError(f"feature {feature} outside [0, {n_features})")
+                if left != i + 1:
+                    raise ValueError(f"left child {left} is not {i + 1}")
+                if not i + 1 < right < len(nodes):
+                    raise ValueError(f"right child {right} outside ({i + 1}, {len(nodes)})")
+            except ValueError as exc:
+                raise ValueError(f"tree {tree}, node {i}: {exc}") from None
             out.append((feature, float(threshold), right, None))
         return cls(out)
+
+
+_INT = ((int,), None, "an int")
+_LEAF_FIELDS = {"v": REAL}
+# the leaves of early format-1 files also hold their row count, which no reader uses
+_COUNTED_LEAF_FIELDS = {**_LEAF_FIELDS, "n": NATURAL}
+_SPLIT_FIELDS = {"f": _INT, "t": REAL, "l": _INT, "r": _INT}
 
 
 def _best_split(X, y, idx, features, min_leaf):
@@ -218,12 +218,13 @@ _MODEL_FIELDS = {
     "workload_id": _NAME,
     "target": _NAME,
     "hyperparams": ((dict,), None, "a JSON object"),
-    "seed": ((int,), whole_number, "an int64"),
-    "n_train": ((int,), lambda n: whole_number(n) and n >= 1, "an int64 >= 1"),
+    "seed": NATURAL,
+    "n_train": COUNT,
     "train_range": ((list,), lambda r: len(r) == 2 and all(map(finite_number, r)) and r[0] <= r[1],
                     "[lo, hi], two finite numbers lo <= hi"),
     "feature_space": ((list,), None, "a list of parameters"),
-    "trees": ((list,), bool, "a non-empty list of trees"),
+    "trees": ((list,), lambda ts: ts and all(type(t) is list for t in ts),
+              "a non-empty list of trees"),
 }
 
 
@@ -279,32 +280,14 @@ class RandomForestModel:
     def load(cls, path) -> "RandomForestModel":
         """Read a file `save` wrote; a malformed one raises `DataError`
         naming the file and the fault."""
-        with open(path, encoding="utf-8") as f:
-            try:
-                return cls._from_v1(json.load(f))
-            except KeyError as exc:  # a parameter entry of feature_space
-                raise DataError(f"{path}: missing key {exc}") from exc
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"{path}: {exc}") from exc
-
-    @classmethod
-    def _from_v1(cls, doc) -> "RandomForestModel":
-        check_fields(doc, _MODEL_FIELDS, "model file")
-        space = space_from_config(doc["feature_space"])
-        width = encode_dim(space)
-        train_min, train_max = doc["train_range"]
-        return cls(
-            trees=[RegressionTree.from_v1(t, width, k) for k, t in enumerate(doc["trees"])],
-            space=space,
-            target=doc["target"],
-            hyperparams=doc["hyperparams"],
-            seed=doc["seed"],
-            env_id=doc["env_id"],
-            train_min=train_min,
-            train_max=train_max,
-            n_train=doc["n_train"],
-            workload_id=doc["workload_id"],
-        )
+        with reading(path) as text:
+            doc = read_json(text, _MODEL_FIELDS, "model file")
+            del doc["format_version"]
+            space = space_from_config(doc.pop("feature_space"))
+            doc["trees"] = [RegressionTree.from_v1(t, encode_dim(space), k)
+                            for k, t in enumerate(doc["trees"])]
+            doc["train_min"], doc["train_max"] = doc.pop("train_range")
+            return cls(space=space, **doc)
 
 
 @dataclass

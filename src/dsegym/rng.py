@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import shown, whole_number
+from .core import natural_number, shown
 
 
 def make_rng(*entropy: int) -> np.random.Generator:
@@ -43,7 +43,7 @@ def _words(entropy) -> list[int]:
 
 def check_seed(seed) -> None:
     """A seed a caller passes is an int64 >= 0, so two seeds never share one stream."""
-    if not (whole_number(seed) and seed >= 0):
+    if not natural_number(seed):
         raise ValueError(f"seed must be an int64 >= 0, got {shown(seed)}")
 
 

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import yaml
 
-from .core import finite_number, shown
+from .core import STRING, STRINGS, check_fields, finite_number, shown
 
 # Tolerance used when deciding whether a value sits on the step grid and
 # whether max is an exact multiple of step away from min.
@@ -276,26 +276,30 @@ def point_from_map(space: ParameterSpace, values: Mapping) -> DesignPoint:
 # Space definition files
 
 
+# kind -> the keys of its entry
+_ENTRY_FIELDS = {
+    "categorical": {"name": STRING, "kind": STRING, "values": STRINGS},
+    # `Numeric` refuses a grid that is not finite, naming its parameter
+    "numeric": {"name": STRING, "kind": STRING,
+                **dict.fromkeys(("min", "max", "step"), ((int, float), None, "a number"))},
+}
+
+
 def space_from_config(config: Sequence[Mapping]) -> ParameterSpace:
     """Build a space from the parameter-list schema used in fixture files.
 
-    Each entry becomes one parameter with its name:
-      {name: ..., kind: categorical, values: [...]}  a `Categorical`, or
+    Each entry becomes one parameter with its name, from exactly the keys of its kind:
+      {name: ..., kind: categorical, values: [labels]}  a `Categorical`, or
       {name: ..., kind: numeric, min: ..., max: ..., step: ...}  a `Numeric`.
-    (`kind` may be omitted; it is inferred from the keys.)
     """
     params = []
     for entry in config:
-        name = entry["name"]
-        kind = entry.get("kind")
-        if kind is None:
-            kind = "categorical" if "values" in entry else "numeric"
-        if kind == "categorical":
-            params.append(Categorical(name, tuple(str(v) for v in entry["values"])))
-        elif kind == "numeric":
-            params.append(Numeric(name, entry["min"], entry["max"], entry["step"]))
-        else:
-            raise ValueError(f"unknown parameter kind {kind!r} for {name!r}")
+        kind = entry.get("kind") if type(entry) is dict else "categorical"
+        if kind not in ("categorical", "numeric"):  # a tuple: a kind may be unhashable
+            raise ValueError(f"unknown parameter kind {kind!r} for {entry.get('name')!r}")
+        e = check_fields(entry, _ENTRY_FIELDS[kind], "parameter entry")
+        params.append(Categorical(e["name"], tuple(e["values"])) if kind == "categorical"
+                      else Numeric(e["name"], e["min"], e["max"], e["step"]))
     return ParameterSpace(tuple(params))
 
 

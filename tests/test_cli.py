@@ -153,7 +153,7 @@ def test_sweep_rejects_parallel_below_one(parallel, tmp_path, capsys):
     argv = ["sweep", *ENV, "--agents", "RW", "--budgets", "2", "--parallel", parallel,
             "--out", str(tmp_path / "sw")]
     assert cli.main(argv) == cli.EXIT_USAGE
-    assert "parallelism must be >= 1" in capsys.readouterr().err
+    assert f"parallelism must be an int64 >= 1, got {parallel}\n" in capsys.readouterr().err
     assert not (tmp_path / "sw").exists()
 
 
@@ -658,6 +658,22 @@ def test_report_of_a_malformed_summary_is_a_data_error(text, message, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train-proxy", "eval-proxy", "report"])
+def test_a_document_nested_too_deep_to_parse_is_a_data_error(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args, fault = {
+        "train-proxy": (["--data", path, "--target", "power", "--out", out],
+                        ":1: corrupt record: a trajectory record"),
+        "eval-proxy": (["--model", path, "--data", out], ": a model file"),
+        "report": (["--summary", path, "--out", out], ": a sweep summary"),
+    }[command]
+    assert cli.main([command, *map(str, args)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}{fault} nested too deep to parse\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("stats", 5), ("stats", {"RW": 5}), ("timing", {"RW": {}}), ("budgets", "x"),
@@ -666,10 +682,10 @@ def test_report_of_a_malformed_summary_is_a_data_error(text, message, tmp_path, 
      ("stats", {"RW": {"2": {"min": 0.1, "q1": math.nan, "median": 0.2, "q3": 0.3, "max": 0.4,
                              "iqr": 0.2, "n": 2, "best_digest": "d"}}}),
      ("timing", {"RW": {"total_wall_s": -math.inf, "trials": 1}}),
-     ("seeds", [10**400]), ("budgets", [4.0, 16.0]), ("seeds", [0.5])],
+     ("seeds", [10**400]), ("budgets", [4.0, 16.0]), ("seeds", [0.5]), ("seeds", [-1])],
     ids=["stats-number", "stats-agent-number", "timing-empty-record", "budgets-string",
          "nan-mean-normalized", "infinite-best-reward", "nan-quartile", "infinite-wall-time",
-         "huge-int-seed", "float-budgets", "float-seed"],
+         "huge-int-seed", "float-budgets", "float-seed", "negative-seed"],
 )
 def test_report_of_a_summary_with_a_bad_value_is_a_data_error(field, value, tmp_path, capsys):
     sweep = tmp_path / "sw"

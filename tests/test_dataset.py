@@ -265,12 +265,19 @@ class TestLoad:
             lambda line: json.dumps({**json.loads(line), "wall_time_ms": False}),
             lambda line: json.dumps({**json.loads(line), "extra": 1}),
             lambda line: json.dumps({**json.loads(line), "schema_version": True}),
+            lambda line: json.dumps({**json.loads(line), "seed": 2**70}),
+            lambda line: json.dumps({**json.loads(line), "seed": -1}),
+            lambda line: json.dumps({**json.loads(line), "step_index": 2**63}),
+            lambda line: json.dumps({**json.loads(line), "wall_time_ms": 2**63}),
+            lambda line: "[" * 100_000,
         ],
         ids=["truncated", "array", "string", "null", "schema-2", "nan-reward", "no-design",
              "int-design", "list-observation", "string-metric", "bool-metric", "null-metric",
              "infinite-metric", "huge-int-metric", "list-experiment-id", "object-agent-type",
              "int-env-id", "bool-reward", "string-reward", "huge-int-reward", "string-seed",
-             "float-step-index", "bool-wall-time", "unknown-key", "bool-schema-version"],
+             "float-step-index", "bool-wall-time", "unknown-key", "bool-schema-version",
+             "seed-past-int64", "negative-seed", "step-index-past-int64", "wall-time-past-int64",
+             "nested-too-deep"],
     )
     def test_corrupt_middle_line_names_its_location(self, corrupt, tmp_path):
         lines = _lines(3)

@@ -184,3 +184,10 @@ class TestResponses:
             # the child keeps running and answers the next request
             assert sim(design) == _expected(design)
         assert len(children) == 1 and _exited(children[0])
+
+    def test_a_response_nested_too_deep_to_parse_is_a_protocol_error(self):
+        line = "[" * 100_000
+        with pytest.raises(SimulatorProtocolError, match="^protocol error: a response nested too "
+                                                         "deep to parse$") as info:
+            external._parse_response(line, 0)
+        assert info.value.raw == line

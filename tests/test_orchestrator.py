@@ -134,7 +134,11 @@ def test_sweep_config_refuses_a_float_hyperparameter_that_is_not_finite(grids, m
     "build, message",
     [
         (lambda: TrialSpec(*BUDGET_ENV, "RW", budget=0, seed=1),
-         "sample budget must be >= 1, got 0"),
+         "sample budget must be an int64 >= 1, got 0"),
+        (lambda: TrialSpec(*BUDGET_ENV, "RW", budget=True, seed=1),
+         "sample budget must be an int64 >= 1, got True"),
+        (lambda: TrialSpec(*BUDGET_ENV, "RW", budget=2.5, seed=1),
+         "sample budget must be an int64 >= 1, got 2.5"),
         (lambda: TrialSpec(*BUDGET_ENV, "RW", budget=4, seed=2**64),
          f"seed must be an int64 >= 0, got {2**64}"),
         (lambda: TrialSpec(*BUDGET_ENV, "RW", budget=4, seed=-1),
@@ -146,18 +150,23 @@ def test_sweep_config_refuses_a_float_hyperparameter_that_is_not_finite(grids, m
         (lambda: SweepConfig(*BUDGET_ENV, ("RW",), budgets=(4,), seeds=()),
          "at least one seed is required"),
         (lambda: SweepConfig(*BUDGET_ENV, ("RW",), budgets=(), seeds=(1,)),
-         "budgets must be >= 1"),
+         "budgets must be int64s >= 1, got ()"),
         (lambda: SweepConfig(*BUDGET_ENV, ("RW",), budgets=(4, 0), seeds=(1,)),
-         "budgets must be >= 1"),
+         "budgets must be int64s >= 1, got (4, 0)"),
+        (lambda: SweepConfig(*BUDGET_ENV, ("RW",), budgets=(4.0,), seeds=(1,)),
+         "budgets must be int64s >= 1, got (4.0,)"),
+        (lambda: SweepConfig(*BUDGET_ENV, ("RW",), budgets=(4,), seeds=(1,), parallelism=1.5),
+         "parallelism must be an int64 >= 1, got 1.5"),
         (lambda: SweepConfig(*BUDGET_ENV, (), budgets=(4,), seeds=(1,)),
          "at least one agent type is required"),
         (lambda: SweepConfig(*BUDGET_ENV, ("GA", "RW"), budgets=(4,), seeds=(1,),
                              grids={"RW": []}),
          "RW has no configs; [{}] runs its defaults"),
     ],
-    ids=["trial-budget", "trial-seed-past-64-bits", "trial-negative-seed",
-         "sweep-seed-past-64-bits", "sweep-bool-seed", "no-seeds", "no-budgets", "sweep-budget",
-         "no-agents", "agent-without-configs"],
+    ids=["trial-budget", "trial-bool-budget", "trial-float-budget", "trial-seed-past-64-bits",
+         "trial-negative-seed", "sweep-seed-past-64-bits", "sweep-bool-seed", "no-seeds",
+         "no-budgets", "sweep-budget", "sweep-float-budget", "float-parallelism", "no-agents",
+         "agent-without-configs"],
 )
 def test_a_trial_or_sweep_without_samples_is_refused(build, message):
     with pytest.raises(ValueError) as info:

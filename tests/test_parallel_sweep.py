@@ -130,7 +130,7 @@ def test_sweep_children_start_no_blas_thread(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("parallelism", [0, -1])
 def test_sweep_config_rejects_parallelism_below_one(parallelism):
-    with pytest.raises(ValueError, match="parallelism must be >= 1"):
+    with pytest.raises(ValueError, match=f"parallelism must be an int64 >= 1, got {parallelism}$"):
         SweepConfig("dram-small", "cloud-1", "low-latency", ("RW",), (4,), (0,),
                     parallelism=parallelism)
 

@@ -209,26 +209,28 @@ def _set(tree, key, value):
                      id="feature-past-width"),
         pytest.param(_set(0, "f", -1), r"tree 0, node 0: feature -1 outside",
                      id="feature-negative"),
-        pytest.param(_set(0, "f", 1.0), r"tree 0, node 0: feature 1.0 outside",
+        pytest.param(_set(0, "f", 1.0), r"tree 0, node 0: f is not an int, got 1.0$",
                      id="feature-float"),
-        pytest.param(_set(0, "t", "0.5"), r"tree 0, node 0: threshold .0.5. is no number",
+        pytest.param(_set(0, "t", "0.5"), r"tree 0, node 0: t is not a finite number, got .0.5.$",
                      id="threshold-string"),
         pytest.param(lambda trees: trees[0][-1].update(v=None),
-                     r"tree 0, node 24: leaf value None is no number", id="leaf-value-null"),
+                     r"tree 0, node 24: v is not a finite number, got None$", id="leaf-value-null"),
         pytest.param(lambda trees: trees[0][-1].update(v=math.nan),
-                     r"tree 0, node 24: leaf value nan is no number", id="leaf-value-nan"),
+                     r"tree 0, node 24: v is not a finite number, got nan$", id="leaf-value-nan"),
         pytest.param(lambda trees: trees[0][-1].update(v=10**400),
-                     r"tree 0, node 24: leaf value 1000+ is no number", id="leaf-value-huge-int"),
-        pytest.param(_set(0, "t", math.inf), r"tree 0, node 0: threshold inf is no number",
+                     r"tree 0, node 24: v is not a finite number, got 1000+$",
+                     id="leaf-value-huge-int"),
+        pytest.param(_set(0, "t", math.inf), r"tree 0, node 0: t is not a finite number, got inf$",
                      id="threshold-infinite"),
-        pytest.param(_set(0, "t", -math.inf), r"tree 0, node 0: threshold -inf is no number",
+        pytest.param(_set(0, "t", -math.inf),
+                     r"tree 0, node 0: t is not a finite number, got -inf$",
                      id="threshold-negative-infinite"),
-        pytest.param(_set(0, "t", 10**400), r"tree 0, node 0: threshold 1000+ is no number",
+        pytest.param(_set(0, "t", 10**400), r"tree 0, node 0: t is not a finite number, got 1000+$",
                      id="threshold-huge-int"),
         pytest.param(lambda trees: trees[2][-1].pop("v"),
-                     r"tree 2, node 26: expected a leaf {v} or a split", id="leaf-without-value"),
+                     r"tree 2, node 26: leaf lacks key 'v'$", id="leaf-without-value"),
         pytest.param(lambda trees: trees[1].__setitem__(3, [0.5]),
-                     r"tree 1, node 3: expected a leaf {v} or a split", id="node-not-object"),
+                     r"tree 1, node 3: a leaf is a JSON object, not list$", id="node-not-object"),
         pytest.param(lambda trees: trees[1].clear(), r"tree 1 has no nodes", id="empty-tree"),
         pytest.param(lambda trees: trees.clear(),
                      r"trees is not a non-empty list of trees, got \[\]$", id="no-trees"),
@@ -291,7 +293,8 @@ def test_a_model_records_its_workload(model, tmp_path):
         pytest.param(lambda doc: doc.update(train_range=[2.0, 1.0]),
                      r"train_range is not \[lo, hi\], .* got \[2.0, 1.0\]$",
                      id="inverted-train-range"),
-        pytest.param(lambda doc: doc["feature_space"][0].pop("name"), "missing key 'name'",
+        pytest.param(lambda doc: doc["feature_space"][0].pop("name"),
+                     "parameter entry lacks key 'name'$",
                      id="parameter-without-name"),
         pytest.param(lambda doc: doc.update(feature_space=3),
                      "feature_space is not a list of parameters, got 3$",
@@ -309,8 +312,12 @@ def test_a_model_records_its_workload(model, tmp_path):
                      "n_train is not an int64 >= 1, got 'forty'$", id="string-n-train"),
         pytest.param(lambda doc: doc.update(hyperparams=[1]),
                      r"hyperparams is not a JSON object, got \[1\]$", id="list-hyperparams"),
-        pytest.param(lambda doc: doc.update(seed=1.5), "seed is not an int64, got 1.5$",
+        pytest.param(lambda doc: doc.update(seed=1.5), "seed is not an int64 >= 0, got 1.5$",
                      id="float-seed"),
+        pytest.param(lambda doc: doc.update(seed=-1), "seed is not an int64 >= 0, got -1$",
+                     id="negative-seed"),
+        pytest.param(lambda doc: doc["feature_space"][0].update(values=[True, 2]),
+                     r"values is not a list of strings, got \[True, 2\]$", id="bool-int-labels"),
         pytest.param(lambda doc: doc.update(target=3), "target is not a non-empty string, got 3$",
                      id="int-target"),
         pytest.param(lambda doc: doc.update(format_version=True),

@@ -183,15 +183,21 @@ class TestSpaceConfig:
 
         assert load_space(path) == TWO_BY_TWO
 
-    def test_kind_inferred(self):
-        space = space_from_config(
-            [{"name": "A", "values": ["x"]}, {"name": "B", "min": 0, "max": 1, "step": 1}]
-        )
+    def test_kind_is_required(self):
+        entries = [{"name": "A", "kind": "categorical", "values": ["x"]},
+                   {"name": "B", "kind": "numeric", "min": 0, "max": 1, "step": 1}]
+        space = space_from_config(entries)
         assert space.parameters == (Categorical("A", ("x",)), Numeric("B", 0, 1, 1))
+        for entry in entries:
+            del entry["kind"]
+            message = f"unknown parameter kind None for '{entry['name']}'"
+            with pytest.raises(ValueError, match=message):
+                space_from_config([entry])
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate parameter names"):
-            space_from_config([{"name": "A", "values": ["x"]}, {"name": "A", "values": ["y"]}])
+            space_from_config([{"name": "A", "kind": "categorical", "values": ["x"]},
+                               {"name": "A", "kind": "categorical", "values": ["y"]}])
 
 
 @pytest.mark.parametrize(
@@ -215,9 +221,11 @@ class TestSpaceConfig:
          "parameter 'A': numeric grid must be finite, got (0, inf, 1)"),
         (lambda: Numeric("A", 0, 4, 10**400),
          f"parameter 'A': numeric grid must be finite, got (0, 4, {10**400})"),
-        (lambda: space_from_config([{"name": "A", "min": 0, "max": 4, "step": math.nan}]),
+        (lambda: space_from_config(
+            [{"name": "A", "kind": "numeric", "min": 0, "max": 4, "step": math.nan}]),
          "parameter 'A': numeric grid must be finite, got (0, 4, nan)"),
-        (lambda: space_from_config([{"name": "a", "min": 4, "max": 2, "step": 1}]),
+        (lambda: space_from_config(
+            [{"name": "a", "kind": "numeric", "min": 4, "max": 2, "step": 1}]),
          "parameter 'a': numeric bounds inverted: (4, 2)"),
         (lambda: Numeric("A", 0, 4, 2).index_of(-2),
          "parameter 'A': value -2 outside grid (0, 4, 2)"),
@@ -225,11 +233,15 @@ class TestSpaceConfig:
          "parameter 'A': value 6 outside grid (0, 4, 2)"),
         (lambda: space_from_config([{"name": "A", "kind": "ordinal", "values": ["x"]}]),
          "unknown parameter kind 'ordinal' for 'A'"),
+        (lambda: space_from_config([{"name": "A", "kind": ["numeric"], "values": ["x"]}]),
+         "unknown parameter kind ['numeric'] for 'A'"),
+        (lambda: space_from_config([{"name": "A", "kind": "categorical", "values": [True, 2]}]),
+         "values is not a list of strings, got [True, 2]"),
     ],
     ids=["empty-categorical", "duplicate-label", "unknown-label", "inverted-bounds",
          "zero-step", "negative-step", "infinite-step", "nan-step", "infinite-lo", "infinite-hi",
          "huge-int-step", "nan-step-from-config", "inverted-bounds-from-config",
-         "below-grid", "above-grid", "unknown-kind"],
+         "below-grid", "above-grid", "unknown-kind", "list-kind", "bool-int-labels"],
 )
 def test_a_bad_parameter_or_value_is_refused(build, message):
     with pytest.raises(ValueError) as info:
